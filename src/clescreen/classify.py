@@ -25,27 +25,6 @@ class PatchClassifier(Protocol):
     def predict_proba(self, rows: np.ndarray) -> np.ndarray: ...
 
 
-@dataclass
-class TrainSet:
-    """Aligned rows/labels with per-row record provenance.
-
-    Provenance keeps augmentation lineage attached to every row so that
-    balancing can prefer augmented rows and the evaluation harness can
-    audit exactly which records influenced a model.
-    """
-
-    rows: np.ndarray
-    labels: np.ndarray
-    provenance: list[ImageRecord]
-
-    def __post_init__(self) -> None:
-        if not (len(self.rows) == len(self.labels) == len(self.provenance)):
-            raise ValueError("rows, labels, provenance must align")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
 def record_label(record: ImageRecord) -> int:
     return 1 if record.label == CARCINOGENIC else 0
 
@@ -73,48 +52,44 @@ def augment_rotations(manifest: DatasetManifest, k: int = 2,
     return DatasetManifest(records=out, root_path=manifest.root_path)
 
 
-def balance_classes(train: TrainSet, seed: int = 0) -> TrainSet:
+def balance_classes(labels: np.ndarray, augmented: np.ndarray,
+                    seed: int = 0) -> np.ndarray:
     """Equalize class counts by removing rows, never fabricating any.
 
+    `labels` and `augmented` (is the row a rotated copy?) are row-aligned.
     Randomly chosen augmented rows of the majority class go first; only
     if those run out are original rows removed (with a warning), since
     originals carry information the augmentation merely recycles.
+    Returns the kept row indices in ascending order.
     """
-    labels = np.asarray(train.labels)
+    labels = np.asarray(labels)
+    augmented = np.asarray(augmented, dtype=bool)
+    if len(labels) != len(augmented):
+        raise ValueError("labels and augmented flags must align")
     n1 = int((labels == 1).sum())
     n0 = int((labels == 0).sum())
     if n0 == 0 or n1 == 0:
         raise ValueError("balancing needs both classes present")
     if n0 == n1:
-        return train
+        return np.arange(len(labels))
     majority = 0 if n0 > n1 else 1
     excess = abs(n0 - n1)
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    aug_idx = [i for i, rec in enumerate(train.provenance)
-               if labels[i] == majority and rec.is_augmented]
-    orig_idx = [i for i, rec in enumerate(train.provenance)
-                if labels[i] == majority and not rec.is_augmented]
-    drop: list[int] = []
+    is_majority = labels == majority
+    aug_idx = np.flatnonzero(is_majority & augmented)
+    orig_idx = np.flatnonzero(is_majority & ~augmented)
+    keep = np.ones(len(labels), dtype=bool)
     take_aug = min(excess, len(aug_idx))
     if take_aug:
-        pick = rng.permutation(len(aug_idx))[:take_aug]
-        drop.extend(aug_idx[i] for i in pick)
+        keep[aug_idx[rng.permutation(len(aug_idx))[:take_aug]]] = False
     short = excess - take_aug
     if short > 0:
         warnings.warn(
             f"balancing exhausted augmented majority rows; removing "
             f"{short} original rows", stacklevel=2)
-        pick = rng.permutation(len(orig_idx))[:short]
-        drop.extend(orig_idx[i] for i in pick)
-
-    keep = np.ones(len(labels), dtype=bool)
-    keep[drop] = False
-    return TrainSet(
-        rows=np.asarray(train.rows)[keep],
-        labels=labels[keep],
-        provenance=[rec for i, rec in enumerate(train.provenance) if keep[i]],
-    )
+        keep[orig_idx[rng.permutation(len(orig_idx))[:short]]] = False
+    return np.flatnonzero(keep)
 
 
 # ---------------------------------------------------------------------------

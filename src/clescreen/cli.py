@@ -19,15 +19,14 @@ from . import __version__
 from .core import (LABELS, DatasetManifest, ManifestError, PgmError,
                    dataset_stats, load_manifest)
 from .evaluation import (ConfigError, InsufficientPatients, METHODS,
-                         RunConfig, confusion_metrics, prepare_record_image,
-                         record_patch_coords, results_csv, roc_auc, roc_csv,
-                         run_cv, summary_dict)
-from .features import GlcmConfig, LbpConfig
+                         RunConfig, confusion_metrics, feature_matrix,
+                         prepare_records, record_patch_coords, results_csv,
+                         roc_auc, roc_csv, run_cv, summary_dict)
 from .forest import load_forest, save_forest, train_random_forest
 from .fusion import fuse
 from .synth import SynthConfig, generate_dataset
 from .util import default_jobs
-from . import evaluation, features, wholeimage
+from . import wholeimage
 
 _EXIT_CONFIG = 3
 _EXIT_IO = 4
@@ -45,6 +44,13 @@ def _load_data(path: str) -> DatasetManifest:
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def _label_value(label: str, path: str) -> int:
+    """Class index of a label column entry (0 normal, 1 carcinogenic)."""
+    if label not in LABELS:
+        raise ManifestError(f"{path}: unknown label {label!r}")
+    return LABELS.index(label)
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +91,13 @@ def cmd_preprocess(args) -> int:
     manifest = _load_data(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = RunConfig(method="PPF@0.5x" if args.scale == 0.5 else "PPF@1.0x")
+    records = manifest.records
+    scale = 1.0 if args.mode == "wholeimage" else args.scale
+    prepared = prepare_records(manifest, records, scale, jobs=1)
     if args.mode == "wholeimage":
         sidecar = ["patient,sequence,frame,p_low,p_high,side,origin_x,origin_y"]
-        for rec in manifest.records:
-            img, _ = prepare_record_image(manifest, rec, 1.0)
-            comp = wholeimage.percentile_compress(img)
-            crop = wholeimage.max_square_crop(
-                comp.pixels, img.mask_center, img.mask_radius)
-            raster = wholeimage.resize_to(crop, args.target)
+        for rec, (img, _) in zip(records, prepared):
+            comp, crop, raster = wholeimage.preprocess(img, args.target)
             name = f"{rec.patient}_{rec.sequence}_f{rec.frame:04d}.pgm"
             header = f"P5\n{args.target} {args.target}\n255\n".encode()
             (out / name).write_bytes(header + raster.tobytes())
@@ -103,9 +107,8 @@ def cmd_preprocess(args) -> int:
         _write(out / "preprocess.csv", "\n".join(sidecar) + "\n")
     else:
         lines = ["patient,sequence,frame,patch_index,c1,c2,c3,c4"]
-        for rec in manifest.records:
-            img, rects = prepare_record_image(manifest, rec, args.scale)
-            for j, c in enumerate(record_patch_coords(img, rects, config)):
+        for rec, (img, rects) in zip(records, prepared):
+            for j, c in enumerate(record_patch_coords(img, rects, RunConfig())):
                 lines.append(f"{rec.patient},{rec.sequence},{rec.frame},{j},"
                              f"{c.c1},{c.c2},{c.c3},{c.c4}")
         _write(out / "patches.csv", "\n".join(lines) + "\n")
@@ -117,21 +120,13 @@ def cmd_featurize(args) -> int:
     config = RunConfig(method=f"RF-{args.features.upper()}@{args.scale:.1f}x",
                        jobs=args.jobs)
     config.validate()
-    schema = (LbpConfig().names() if args.features == "lbp"
-              else GlcmConfig().names())
-    names = tuple(f"mean:{n}" for n in schema) + tuple(f"std:{n}" for n in schema)
-    header = "patient,sequence,frame,label," + ",".join(names)
+    header = ("patient,sequence,frame,label,"
+              + ",".join(config.descriptor.row_names()))
     records = manifest.records
-    from .util import run_parallel
-    prepared = run_parallel(evaluation._prepare_worker,
-                            list(range(len(records))), args.jobs,
-                            shared=(manifest, records, args.scale))
-    rows = run_parallel(evaluation._feature_worker,
-                        list(range(len(records))), args.jobs,
-                        shared=(prepared, args.features, config))
+    prepared = prepare_records(manifest, records, args.scale, args.jobs)
     lines = [header]
-    for rec, (mean, std) in zip(records, rows):
-        values = ",".join(repr(float(v)) for v in np.concatenate([mean, std]))
+    for rec, row in zip(records, feature_matrix(prepared, config)):
+        values = ",".join(repr(float(v)) for v in row)
         lines.append(f"{rec.patient},{rec.sequence},{rec.frame},{rec.label},"
                      f"{values}")
     _write(Path(args.out), "\n".join(lines) + "\n")
@@ -151,7 +146,7 @@ def _read_feature_csv(path: str):
         meta.append((parts[0], parts[1], int(parts[2]), parts[3]))
         rows.append([float(v) for v in parts[4:]])
     X = np.asarray(rows, dtype=np.float64)
-    y = np.array([1 if m[3] == LABELS[1] else 0 for m in meta], dtype=np.int64)
+    y = np.array([_label_value(m[3], path) for m in meta], dtype=np.int64)
     return meta, X, y
 
 
@@ -178,7 +173,6 @@ def cmd_predict(args) -> int:
 
 def cmd_fuse(args) -> int:
     manifest = _load_data(args.data)
-    config = RunConfig(method="PPF@0.5x" if args.scale == 0.5 else "PPF@1.0x")
     probs: dict[tuple, dict[int, float]] = {}
     lines = Path(args.probs).read_text().splitlines()
     if not lines or lines[0].split(",") != \
@@ -188,15 +182,22 @@ def cmd_fuse(args) -> int:
             f"patch_index,p_c1")
     for line in lines[1:]:
         patient, sequence, frame, idx, p = line.split(",")
-        probs.setdefault((patient, sequence, int(frame)), {})[int(idx)] = float(p)
+        rows = probs.setdefault((patient, sequence, int(frame)), {})
+        if int(idx) in rows:
+            raise ManifestError(
+                f"{args.probs}: duplicate row for {patient},{sequence},"
+                f"{frame} patch_index {idx}")
+        rows[int(idx)] = float(p)
 
+    records = [rec for rec in manifest.records
+               if (rec.patient, rec.sequence, rec.frame) in probs]
+    if not records:
+        raise ManifestError("no probability rows matched any manifest record")
     out_lines = ["patient,sequence,frame,label,p_image"]
-    for rec in manifest.records:
+    prepared = prepare_records(manifest, records, args.scale, jobs=1)
+    for rec, (img, rects) in zip(records, prepared):
         key = (rec.patient, rec.sequence, rec.frame)
-        if key not in probs:
-            continue
-        img, rects = prepare_record_image(manifest, rec, args.scale)
-        coords = record_patch_coords(img, rects, config)
+        coords = record_patch_coords(img, rects, RunConfig())
         pairs = []
         for idx, p in sorted(probs[key].items()):
             if not 0 <= idx < len(coords):
@@ -207,8 +208,6 @@ def cmd_fuse(args) -> int:
         fused = fuse(pairs, (img.width, img.height))
         out_lines.append(f"{rec.patient},{rec.sequence},{rec.frame},"
                          f"{rec.label},{fused.p!r}")
-    if len(out_lines) == 1:
-        raise ManifestError("no probability rows matched any manifest record")
     _write(Path(args.out), "\n".join(out_lines) + "\n")
     return 0
 
@@ -262,7 +261,7 @@ def cmd_report(args) -> int:
     labels, probs = [], []
     for line in lines[1:]:
         parts = line.split(",")
-        labels.append(1 if parts[li] == LABELS[1] else 0)
+        labels.append(_label_value(parts[li], args.results))
         probs.append(float(parts[pi]))
     labels = np.array(labels)
     probs = np.array(probs)

@@ -221,8 +221,16 @@ def load_image(path: str | Path, mask: tuple | None = None) -> CleImage:
     if mask is None:
         sidecar = path.with_suffix(".mask.json")
         if sidecar.exists():
-            meta = json.loads(sidecar.read_text())
-            mask = (tuple(meta["center"]), float(meta["radius"]))
+            try:
+                meta = json.loads(sidecar.read_text())
+                (cx, cy), radius = meta["center"], meta["radius"]
+            except (ValueError, KeyError, TypeError):
+                cx = cy = radius = None
+            if not all(type(v) in (int, float) for v in (cx, cy, radius)):
+                raise PgmError(
+                    f"{sidecar}: mask sidecar needs numeric \"center\": "
+                    f"[x, y] and \"radius\"")
+            mask = ((cx, cy), float(radius))
         else:
             mask = default_mask(width, height)
     center, radius = mask

@@ -83,10 +83,25 @@ class RunConfig:
         if self.patch_classifier not in ("logistic", "forest"):
             raise ConfigError(
                 f"unknown patch classifier {self.patch_classifier!r}")
+        if not 0.0 <= self.overlap < 1.0:
+            raise ConfigError("overlap must be in [0, 1)")
+        if self.patch_size < 2 or self.target_size < 2:
+            raise ConfigError("patch_size and target_size must be >= 2")
+        if not 2 <= self.glcm_levels <= 256:
+            raise ConfigError("glcm_levels must be in [2, 256]")
+        if self.l2 < 0:
+            raise ConfigError("l2 must be >= 0")
 
     @property
     def scale(self) -> float:
         return _METHOD_SPEC[self.method][2]
+
+    @property
+    def descriptor(self) -> features.LbpConfig | features.GlcmConfig:
+        """Texture descriptor of a feature method (RF-LBP or RF-GLCM)."""
+        if _METHOD_SPEC[self.method][1] == "lbp":
+            return features.LbpConfig()
+        return features.GlcmConfig(levels=self.glcm_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +318,53 @@ def _prepare_worker(index: int):
     return prepare_record_image(manifest, records[index], scale)
 
 
+def prepare_records(manifest: core.DatasetManifest,
+                    records: list[core.ImageRecord], scale: float,
+                    jobs: int) -> list[tuple[core.CleImage, list]]:
+    """`prepare_record_image` for every record, on `jobs` worker
+    processes, in record order."""
+    return run_parallel(_prepare_worker, list(range(len(records))), jobs,
+                        shared=(manifest, records, scale))
+
+
 def _feature_worker(index: int):
-    prepared, kind, config = shared_state()
+    prepared, config = shared_state()
     img, rects = prepared[index]
     coords = record_patch_coords(img, rects, config)
     if not coords:
         raise ValueError("record has no admissible patches")
     stack = np.stack([img.pixels[c.c3:c.c4, c.c1:c.c2] for c in coords])
-    stack = stack.astype(np.float64)
-    if kind == "lbp":
-        mat = features.lbp_patch_matrix(stack)
-    else:
-        mat = features.glcm_patch_matrix(
-            stack, features.GlcmConfig(levels=config.glcm_levels))
-    return mat.mean(axis=0), mat.std(axis=0)
+    return features.image_row(stack.astype(np.float64), config.descriptor)
+
+
+def feature_matrix(prepared: list[tuple[core.CleImage, list]],
+                   config: RunConfig) -> np.ndarray:
+    """Texture feature rows of prepared records, one per record, in the
+    layout `config.descriptor.row_names()` names."""
+    return np.stack(run_parallel(_feature_worker, list(range(len(prepared))),
+                                 config.jobs, shared=(prepared, config)))
 
 
 def _wholeimage_worker(index: int):
     prepared, config = shared_state()
     img, _rects = prepared[index]
-    compressed = wholeimage.percentile_compress(img)
-    crop = wholeimage.max_square_crop(
-        compressed.pixels, img.mask_center, img.mask_radius)
-    raster = wholeimage.resize_to(crop, config.target_size)
+    _compressed, _crop, raster = wholeimage.preprocess(img, config.target_size)
     row, _ = patching.whiten_values(raster.astype(np.float64).ravel())
     return row.astype(np.float32)
+
+
+def _fit(config: RunConfig, X: np.ndarray, y: np.ndarray, seed: int):
+    """One fold's classifier: the random forest for texture features and
+    forest-PPF, the logistic model for logistic-PPF and the whole-image
+    baseline."""
+    kind = _METHOD_SPEC[config.method][0]
+    if kind == "features" or (kind == "ppf"
+                              and config.patch_classifier == "forest"):
+        return forest.train_random_forest(X, y, trees=config.trees,
+                                          seed=seed, jobs=config.jobs)
+    return classify.train_logistic(X, y.astype(np.float32),
+                                   epochs=config.epochs, rate=config.rate,
+                                   seed=seed, l2=config.l2)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +381,7 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     ROC/AUC, and a per-fold provenance audit.
     """
     config.validate()
-    kind, feat_kind, scale = _METHOD_SPEC[config.method]
+    kind, _, scale = _METHOD_SPEC[config.method]
     if kind == "wholeimage" and not config.wholeimage_baseline:
         raise ValueError(
             "method WHOLEIMAGE@0.55x has no in-scope trained network; "
@@ -355,15 +392,13 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
         manifest, k=config.k_aug, seed=stable_seed(config.seed, "augment"))
     records = augmented.records
     labels = np.array([classify.record_label(r) for r in records], dtype=np.int64)
+    is_augmented = np.array([r.is_augmented for r in records])
     index_of = {r.key(): i for i, r in enumerate(records)}
 
-    prepared = run_parallel(_prepare_worker, list(range(len(records))),
-                            config.jobs, shared=(augmented, records, scale))
+    prepared = prepare_records(augmented, records, scale, config.jobs)
 
     if kind == "features":
-        pairs = run_parallel(_feature_worker, list(range(len(records))),
-                             config.jobs, shared=(prepared, feat_kind, config))
-        matrix = np.stack([np.concatenate(p) for p in pairs])
+        matrix = feature_matrix(prepared, config)
     elif kind == "wholeimage":
         rows = run_parallel(_wholeimage_worker, list(range(len(records))),
                             config.jobs, shared=(prepared, config))
@@ -408,43 +443,21 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
         fold_seeds[fold.test_patient] = fold_seed
 
         train_idx = np.array([index_of[r.key()] for r in fold.train_records])
-        balanced = classify.balance_classes(
-            classify.TrainSet(rows=train_idx[:, None],
-                              labels=labels[train_idx],
-                              provenance=list(fold.train_records)),
-            seed=stable_seed(fold_seed, "balance"))
-        kept_idx = balanced.rows[:, 0]
-        kept_keys = {r.key() for r in balanced.provenance}
-        removed = [r.key() for r in fold.train_records
-                   if r.key() not in kept_keys]
-
+        kept_idx = train_idx[classify.balance_classes(
+            labels[train_idx], is_augmented[train_idx],
+            seed=stable_seed(fold_seed, "balance"))]
+        removed_idx = np.setdiff1d(train_idx, kept_idx, assume_unique=True)
         test_idx = np.array([index_of[r.key()] for r in fold.test_records])
 
-        if kind in ("features", "wholeimage"):
-            if kind == "features":
-                model = forest.train_random_forest(
-                    matrix[kept_idx], labels[kept_idx], trees=config.trees,
-                    seed=fold_seed, jobs=config.jobs)
-            else:
-                model = classify.train_logistic(
-                    matrix[kept_idx], labels[kept_idx].astype(np.float32),
-                    epochs=config.epochs, rate=config.rate, seed=fold_seed,
-                    l2=config.l2)
+        if kind != "ppf":
+            model = _fit(config, matrix[kept_idx], labels[kept_idx],
+                         fold_seed)
             probs = model.predict_proba(matrix[test_idx])[:, 1]
         else:
             row_idx = np.concatenate(
                 [np.arange(*ranges[i]) for i in kept_idx])
-            X = patch_cache[row_idx]
-            y = patch_labels[row_idx]
-            if config.patch_classifier == "logistic":
-                model = classify.train_logistic(
-                    X, y.astype(np.float32), epochs=config.epochs,
-                    rate=config.rate, seed=fold_seed, l2=config.l2)
-            else:
-                model = forest.train_random_forest(
-                    X, y, trees=config.trees, seed=fold_seed,
-                    jobs=config.jobs)
-            del X, y
+            model = _fit(config, patch_cache[row_idx], patch_labels[row_idx],
+                         fold_seed)
             probs = np.empty(len(test_idx), dtype=np.float64)
             for n, i in enumerate(test_idx):
                 lo, hi = ranges[i]
@@ -463,11 +476,11 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
         audits.append(FoldAudit(
             test_patient=fold.test_patient,
             fold_seed=fold_seed,
-            train_patients=tuple(sorted({r.patient
-                                         for r in balanced.provenance})),
-            train_keys=[r.key() for r in balanced.provenance],
+            train_patients=tuple(sorted({records[i].patient
+                                         for i in kept_idx})),
+            train_keys=[records[i].key() for i in kept_idx],
             test_keys=[r.key() for r in fold.test_records],
-            balancing_removed=removed,
+            balancing_removed=[records[i].key() for i in removed_idx],
             n_augmented_in_test=sum(r.is_augmented for r in fold.test_records),
         ))
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patching import Patch
-
 LBP_SCALES = ((1, 8), (3, 16), (5, 24))
 
 GLCM_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 1))
@@ -44,8 +42,19 @@ HARALICK_NAMES = (
 )
 
 
+class _Descriptor:
+    """Column layout shared by the descriptor configs."""
+
+    def row_names(self) -> tuple[str, ...]:
+        """Names of the `image_row` columns: mean:<name> for every
+        descriptor dimension, then std:<name>."""
+        names = self.names()
+        return (tuple(f"mean:{n}" for n in names)
+                + tuple(f"std:{n}" for n in names))
+
+
 @dataclass(frozen=True)
-class LbpConfig:
+class LbpConfig(_Descriptor):
     scales: tuple[tuple[int, int], ...] = LBP_SCALES
 
     def __post_init__(self) -> None:
@@ -63,12 +72,10 @@ class LbpConfig:
 
 
 @dataclass(frozen=True)
-class GlcmConfig:
+class GlcmConfig(_Descriptor):
     levels: int = 16
     offsets: tuple[tuple[int, int], ...] = GLCM_OFFSETS
     symmetric: bool = True
-    averaged: bool = True
-    value_range: tuple[float, float] | None = None  # None: per-patch min-max
 
     def __post_init__(self) -> None:
         if not 2 <= self.levels <= 256:
@@ -76,27 +83,6 @@ class GlcmConfig:
 
     def names(self) -> tuple[str, ...]:
         return tuple(f"glcm{self.levels}:{n}" for n in HARALICK_NAMES)
-
-
-@dataclass
-class ImageFeatureVector:
-    values: np.ndarray
-    schema: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (len(self.schema),):
-            raise ValueError("values/schema length mismatch")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite feature values")
-
-
-def _patch_stack(patches) -> np.ndarray:
-    arrays = [p.values if isinstance(p, Patch) else np.asarray(p)
-              for p in patches]
-    if not arrays:
-        raise ValueError("empty patch list")
-    return np.stack(arrays).astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +167,7 @@ def _histogram_rows(codes: np.ndarray, n_bins: int) -> np.ndarray:
 
 def lbp_histogram(patch, radius: int, neighbors: int) -> np.ndarray:
     """Normalized riu2 histogram (neighbors + 2 bins) of one patch."""
-    stack = _patch_stack([patch])
+    stack = np.asarray(patch, dtype=np.float64)[None]
     codes = _lbp_codes(stack, radius, neighbors)
     return _histogram_rows(codes, neighbors + 2)[0]
 
@@ -193,27 +179,16 @@ def lbp_patch_matrix(stack: np.ndarray, config: LbpConfig = LbpConfig()) -> np.n
     return np.concatenate(parts, axis=1)
 
 
-def lbp_image_vector(patches, config: LbpConfig = LbpConfig()) -> ImageFeatureVector:
-    return _aggregate(lbp_patch_matrix(_patch_stack(patches), config),
-                      config.names())
-
-
 # ---------------------------------------------------------------------------
 # Gray-level co-occurrence
 # ---------------------------------------------------------------------------
 
 
-def quantize(values: np.ndarray, levels: int,
-             value_range: tuple[float, float] | None = None) -> np.ndarray:
-    """Uniform quantization into `levels` bins over the value range.
-
-    Default range is the array's own [min, max]; a constant array maps to
-    level 0 everywhere."""
+def quantize(values: np.ndarray, levels: int) -> np.ndarray:
+    """Uniform quantization into `levels` bins over the array's own
+    [min, max]; a constant array maps to level 0 everywhere."""
     v = np.asarray(values, dtype=np.float64)
-    if value_range is None:
-        lo, hi = float(v.min()), float(v.max())
-    else:
-        lo, hi = value_range
+    lo, hi = float(v.min()), float(v.max())
     if hi <= lo:
         return np.zeros(v.shape, dtype=np.int64)
     q = np.floor((v - lo) / (hi - lo) * levels)
@@ -221,14 +196,12 @@ def quantize(values: np.ndarray, levels: int,
 
 
 def glcm(patch, config: GlcmConfig = GlcmConfig()) -> np.ndarray:
-    """Co-occurrence matrix of quantized gray levels at the configured
-    pixel offsets.  Symmetric mode adds the transpose; averaged mode pools
-    all offsets into one matrix.  Every returned matrix sums to 1."""
-    values = patch.values if isinstance(patch, Patch) else np.asarray(patch)
-    q = quantize(values, config.levels, config.value_range)
+    """Co-occurrence matrix of quantized gray levels, pooled over the
+    configured pixel offsets.  Symmetric mode adds the transpose.  The
+    returned matrix sums to 1."""
+    q = quantize(patch, config.levels)
     h, w = q.shape
     L = config.levels
-    matrices = []
     acc = np.zeros((L, L), dtype=np.float64)
     for dx, dy in config.offsets:
         ys = slice(max(0, -dy), h - max(0, dy))
@@ -241,15 +214,7 @@ def glcm(patch, config: GlcmConfig = GlcmConfig()) -> np.ndarray:
         m = m.astype(np.float64)
         if config.symmetric:
             m = m + m.T
-        if config.averaged:
-            acc += m
-        else:
-            total = m.sum()
-            if total == 0:
-                raise ValueError("patch too small for GLCM offset")
-            matrices.append(m / total)
-    if not config.averaged:
-        return np.stack(matrices)
+        acc += m
     total = acc.sum()
     if total == 0:
         raise ValueError("patch too small for GLCM offsets")
@@ -327,19 +292,17 @@ def glcm_patch_matrix(stack: np.ndarray,
                      for patch in stack])
 
 
-def glcm_image_vector(patches, config: GlcmConfig = GlcmConfig()) -> ImageFeatureVector:
-    return _aggregate(glcm_patch_matrix(_patch_stack(patches), config),
-                      config.names())
-
-
 # ---------------------------------------------------------------------------
 # Patch-to-image aggregation
 # ---------------------------------------------------------------------------
 
 
-def _aggregate(per_patch: np.ndarray, names: tuple[str, ...]) -> ImageFeatureVector:
-    """Mean and population standard deviation over a patch feature matrix."""
-    mean = per_patch.mean(axis=0)
-    std = per_patch.std(axis=0)
-    schema = tuple(f"mean:{n}" for n in names) + tuple(f"std:{n}" for n in names)
-    return ImageFeatureVector(values=np.concatenate([mean, std]), schema=schema)
+def image_row(stack: np.ndarray, config: LbpConfig | GlcmConfig) -> np.ndarray:
+    """One image's feature row from its (n_patches, h, w) float64 patch
+    stack: the per-dimension mean of the patch descriptors, then their
+    population standard deviation (columns named by `config.row_names()`)."""
+    if isinstance(config, LbpConfig):
+        per_patch = lbp_patch_matrix(stack, config)
+    else:
+        per_patch = glcm_patch_matrix(stack, config)
+    return np.concatenate([per_patch.mean(axis=0), per_patch.std(axis=0)])

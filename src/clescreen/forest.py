@@ -231,10 +231,6 @@ def train_random_forest(
                              n_features=X.shape[1], mtry=mtry)
 
 
-def predict_proba(model: RandomForestModel, row: np.ndarray) -> np.ndarray:
-    return model.predict_proba(row)
-
-
 # ---------------------------------------------------------------------------
 # Model container
 # ---------------------------------------------------------------------------

@@ -43,14 +43,6 @@ class PatchCoords:
         return self.c4 - self.c3
 
 
-@dataclass
-class Patch:
-    coords: PatchCoords
-    values: np.ndarray
-    whitened: bool = False
-    degenerate: bool = False
-
-
 def resize_half(image: CleImage) -> CleImage:
     """Downscale by 2 with exact 2x2 area averaging (round half up).
 
@@ -204,20 +196,3 @@ def whiten_values(values: np.ndarray) -> tuple[np.ndarray, bool]:
     if std == 0.0:
         return np.zeros_like(v), True
     return (v - mean) / std, False
-
-
-def whiten(patch: Patch) -> Patch:
-    values, degenerate = whiten_values(patch.values)
-    return Patch(coords=patch.coords, values=values, whitened=True,
-                 degenerate=degenerate)
-
-
-def extract_patches(image: CleImage, coords: list[PatchCoords],
-                    whitened: bool = False) -> list[Patch]:
-    """Cut the given coordinates out of the raster, optionally whitening."""
-    patches = []
-    for c in coords:
-        block = image.pixels[c.c3:c.c4, c.c1:c.c2]
-        p = Patch(coords=c, values=block.copy())
-        patches.append(whiten(p) if whitened else p)
-    return patches

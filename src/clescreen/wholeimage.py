@@ -152,6 +152,17 @@ def resize_to(crop: SquareCrop | np.ndarray, target: int = TARGET_SIZE) -> np.nd
     return np.clip(_round_half_up(out), 0, 255).astype(np.uint8)
 
 
+def preprocess(image: CleImage, target: int = TARGET_SIZE
+               ) -> tuple[CompressedImage, SquareCrop, np.ndarray]:
+    """The whole-frame chain: percentile compression to 8 bit, the
+    maximum square crop around the view center, and bilinear resampling
+    to target x target.  Returns all three stages."""
+    compressed = percentile_compress(image)
+    crop = max_square_crop(compressed.pixels, image.mask_center,
+                           image.mask_radius)
+    return compressed, crop, resize_to(crop, target)
+
+
 def rotate(image: CleImage, angle_deg: float) -> CleImage:
     """Rotate about the mask center with bilinear interpolation.
 

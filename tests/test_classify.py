@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clescreen.classify import (LogisticModel, TrainSet, augment_rotations,
+from clescreen.classify import (LogisticModel, augment_rotations,
                                 balance_classes, logistic_loss_grad,
                                 train_logistic)
 from clescreen.core import CARCINOGENIC, NORMAL, DatasetManifest
@@ -73,71 +73,67 @@ class TestAugmentRotations:
 
 
 def _train_set(n0_orig, n0_aug, n1_orig, n1_aug=0):
-    rows, labels, prov = [], [], []
-    i = 0
+    """Row-aligned (labels, augmented flags), class 0 rows first."""
+    labels, augmented = [], []
     for label, n, aug in ((0, n0_orig, False), (0, n0_aug, True),
                           (1, n1_orig, False), (1, n1_aug, True)):
-        lab = NORMAL if label == 0 else CARCINOGENIC
-        for _ in range(n):
-            kw = dict(augmented_from=i, rotation_deg=15.0) if aug else {}
-            prov.append(make_record(frame=i, label=lab, **kw))
-            rows.append([float(i)])
-            labels.append(label)
-            i += 1
-    return TrainSet(rows=np.array(rows), labels=np.array(labels),
-                    provenance=prov)
+        labels += [label] * n
+        augmented += [aug] * n
+    return np.array(labels), np.array(augmented)
 
 
 class TestBalanceClasses:
     def test_already_balanced_unchanged(self):
-        train = _train_set(3, 0, 3)
-        out = balance_classes(train, seed=1)
-        assert np.array_equal(out.rows, train.rows)
+        labels, augmented = _train_set(3, 0, 3)
+        kept = balance_classes(labels, augmented, seed=1)
+        assert np.array_equal(kept, np.arange(6))
 
     def test_removes_augmented_majority_first(self):
         # class0: 4 originals + 6 augmented vs class1: 7 -> drop 3
         # augmented class-0 rows.
-        train = _train_set(4, 6, 7)
-        out = balance_classes(train, seed=1)
-        n0 = int((out.labels == 0).sum())
-        n1 = int((out.labels == 1).sum())
+        labels, augmented = _train_set(4, 6, 7)
+        kept = balance_classes(labels, augmented, seed=1)
+        n0 = int((labels[kept] == 0).sum())
+        n1 = int((labels[kept] == 1).sum())
         assert n0 == n1 == 7
-        kept0 = [r for r, l in zip(out.provenance, out.labels) if l == 0]
-        assert sum(not r.is_augmented for r in kept0) == 4  # originals intact
+        kept0 = kept[labels[kept] == 0]
+        assert int((~augmented[kept0]).sum()) == 4  # originals intact
 
     def test_last_resort_removes_originals_with_warning(self):
         # class0: 10 originals + 1 augmented vs class1: 5 -> drop the one
         # augmented row plus 4 originals.
-        train = _train_set(10, 1, 5)
+        labels, augmented = _train_set(10, 1, 5)
         with pytest.warns(UserWarning, match="exhausted"):
-            out = balance_classes(train, seed=1)
-        n0 = int((out.labels == 0).sum())
-        n1 = int((out.labels == 1).sum())
+            kept = balance_classes(labels, augmented, seed=1)
+        n0 = int((labels[kept] == 0).sum())
+        n1 = int((labels[kept] == 1).sum())
         assert n0 == n1 == 5
-        kept0 = [r for r, l in zip(out.provenance, out.labels) if l == 0]
-        assert all(not r.is_augmented for r in kept0)
+        kept0 = kept[labels[kept] == 0]
+        assert not augmented[kept0].any()
 
     def test_single_class_rejected(self):
-        train = _train_set(4, 0, 0)
+        labels, augmented = _train_set(4, 0, 0)
         with pytest.raises(ValueError, match="both classes"):
-            balance_classes(train, seed=1)
+            balance_classes(labels, augmented, seed=1)
 
     def test_only_removes_rows(self):
-        train = _train_set(5, 5, 7)
-        out = balance_classes(train, seed=2)
-        original_rows = {float(r[0]) for r in train.rows}
-        assert {float(r[0]) for r in out.rows} <= original_rows
+        labels, augmented = _train_set(5, 5, 7)
+        kept = balance_classes(labels, augmented, seed=2)
+        assert np.all(np.diff(kept) > 0)  # ascending, no row twice
+        assert kept.min() >= 0 and kept.max() < len(labels)
 
     def test_deterministic_given_seed(self):
-        train = _train_set(4, 6, 7)
-        a = balance_classes(train, seed=5)
-        b = balance_classes(train, seed=5)
-        assert np.array_equal(a.rows, b.rows)
+        labels, augmented = _train_set(4, 6, 7)
+        a = balance_classes(labels, augmented, seed=5)
+        b = balance_classes(labels, augmented, seed=5)
+        assert np.array_equal(a, b)
+        # Pinned draws: a change here changes every fold's training rows.
+        assert balance_classes(labels, augmented, seed=1).tolist() == \
+            [0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16]
 
     def test_alignment_validated(self):
         with pytest.raises(ValueError, match="align"):
-            TrainSet(rows=np.zeros((3, 1)), labels=np.zeros(2),
-                     provenance=[make_record()])
+            balance_classes(np.zeros(3), np.zeros(2, dtype=bool))
 
 
 def numeric_gradient(w, b, X, y, l2, eps=1e-6):

@@ -65,6 +65,20 @@ class TestFeaturePath:
         assert lines[0] == "patient,sequence,frame,label,p_image"
         assert len(lines) == 13  # 12 images
 
+    def test_unknown_label_rejected(self, tmp_path, capsys):
+        feat = tmp_path / "feat.csv"
+        feat.write_text("patient,sequence,frame,label,f0\n"
+                        "p00,s0,0,normal,0.5\np00,s0,1,carcinogenc,0.7\n")
+        results = tmp_path / "results.csv"
+        results.write_text("patient,label,p_image\np00,normal,0.2\n"
+                           "p01,carcinogenc,0.9\n")
+        capsys.readouterr()
+        assert main(["train", "--features", str(feat), "--trees", "2",
+                     "--out", str(tmp_path / "m.clef")]) == 6
+        assert main(["report", "--results", str(results)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("'carcinogenc'" in line for line in err)
+
     def test_glcm_featurize_dimensions(self, dataset, tmp_path):
         feat = tmp_path / "feat_glcm.csv"
         assert main(["featurize", "--data", str(dataset), "--features",
@@ -145,6 +159,24 @@ class TestCv:
                    "--out", str(tmp_path / "cvb")])
         assert rc == 3
 
+    @pytest.mark.parametrize("doc, code", [
+        ({"overlap": 1.5}, 3),
+        ({"overlap": -0.1}, 3),
+        ({"patch_size": 1}, 3),
+        ({"glcm_levels": 1}, 3),
+        ({"glcm_levels": 257}, 3),
+        ({"l2": -1e-3}, 3),
+        ({"target_size": 1}, 3),
+        # Larger than the 160 px raster at 0.5x: a property of the data.
+        ({"patch_size": 200}, 6),
+    ])
+    def test_bad_config_value_exit_code(self, dataset, tmp_path, doc, code):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"method": "RF-LBP@0.5x", "trees": 2, **doc}))
+        rc = main(["cv", "--data", str(dataset), "--config", str(cfg),
+                   "--out", str(tmp_path / "cvb"), "--jobs", "1"])
+        assert rc == code
+
     def test_unknown_flag_usage_error(self, dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["cv", "--data", str(dataset), "--method", "RF-XYZ",
@@ -189,6 +221,16 @@ class TestFuse:
         probs_csv = tmp_path / "probs.csv"
         probs_csv.write_text(
             "patient,sequence,frame,patch_index,p_c1\np00,s3,0,999,0.5\n")
+        rc = main(["fuse", "--data", str(dataset), "--probs", str(probs_csv),
+                   "--out", str(tmp_path / "f.csv")])
+        assert rc == 6
+
+
+    def test_duplicate_row_rejected(self, dataset, tmp_path):
+        probs_csv = tmp_path / "probs.csv"
+        probs_csv.write_text(
+            "patient,sequence,frame,patch_index,p_c1\n"
+            "p00,s3,0,0,0.9\np00,s3,0,0,0.1\n")
         rc = main(["fuse", "--data", str(dataset), "--probs", str(probs_csv),
                    "--out", str(tmp_path / "f.csv")])
         assert rc == 6

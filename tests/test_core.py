@@ -62,6 +62,22 @@ class TestLoadImage:
         assert img.mask_center == (3.5, 4.5)
         assert img.mask_radius == 3.0
 
+    @pytest.mark.parametrize("meta", [
+        {"radius": 3.0},
+        {"center": [3.5, 4.5]},
+        {"center": "middle", "radius": 3.0},
+        {"center": [3.5, 4.5, 1.0], "radius": 3.0},
+        {"center": [3.5, None], "radius": 3.0},
+        {"center": [3.5, 4.5], "radius": "3"},
+        [3.5, 4.5, 3.0],
+    ])
+    def test_malformed_sidecar_rejected(self, tmp_path, meta):
+        p = tmp_path / "a.pgm"
+        write_pgm(p, 8, 8, 255, bytes(64))
+        (tmp_path / "a.mask.json").write_text(json.dumps(meta))
+        with pytest.raises(PgmError, match="a.mask.json"):
+            load_image(p)
+
     def test_bad_magic_rejected_with_position(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P6\n1 1\n255\n\x00")

@@ -6,9 +6,12 @@ import pytest
 from clescreen.core import CARCINOGENIC, NORMAL, DatasetManifest
 from clescreen.classify import augment_rotations
 from clescreen.evaluation import (ConfigError, InsufficientPatients,
-                                  RunConfig, confusion_metrics, lopo_folds,
-                                  mann_whitney_auc, roc_auc, roc_points,
+                                  RunConfig, confusion_metrics,
+                                  feature_matrix, lopo_folds,
+                                  mann_whitney_auc, prepare_records,
+                                  record_patch_coords, roc_auc, roc_points,
                                   run_cv)
+from clescreen.features import image_row
 from clescreen.synth import SynthConfig, generate_dataset
 from conftest import make_record
 
@@ -168,6 +171,23 @@ def small_dataset(tmp_path_factory):
     config = SynthConfig(n_patients=4, images_per_patient=6, image_size=320,
                          class_mix=0.5, seed=9)
     return generate_dataset(config, out, jobs=2)
+
+
+class TestFeatureMatrix:
+    def test_rows_match_patches_cut_from_raster(self, small_dataset):
+        # Oracle: each row is the image row of the admitted patches cut
+        # straight out of the prepared raster.
+        records = small_dataset.records[:3]
+        prepared = prepare_records(small_dataset, records, 0.5, jobs=1)
+        for method in ("RF-LBP@0.5x", "RF-GLCM@0.5x"):
+            config = RunConfig(method=method, jobs=2)
+            matrix = feature_matrix(prepared, config)
+            assert matrix.shape == (3, len(config.descriptor.row_names()))
+            for (img, rects), row in zip(prepared, matrix):
+                stack = np.stack([
+                    img.pixels[c.c3:c.c4, c.c1:c.c2].astype(np.float64)
+                    for c in record_patch_coords(img, rects, config)])
+                assert np.array_equal(row, image_row(stack, config.descriptor))
 
 
 class TestRunCv:

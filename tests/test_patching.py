@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clescreen.core import ArtifactRect, CleImage
-from clescreen.patching import (Patch, PatchCoords, exclude_artifacts,
-                                extract_patches, patch_grid, resize_half,
-                                rotate_rect, scale_rect, whiten,
+from clescreen.patching import (PatchCoords, exclude_artifacts, patch_grid,
+                                resize_half, rotate_rect, scale_rect,
                                 whiten_values)
 from clescreen.wholeimage import rotate
 from conftest import make_image
@@ -231,20 +230,15 @@ class TestWhiten:
         assert np.allclose(out, [[-1.0, 1.0], [1.0, -1.0]])
 
     def test_constant_patch_degenerate(self):
-        p = Patch(coords=PatchCoords(0, 2, 0, 2),
-                  values=np.full((2, 2), 7.0))
-        out = whiten(p)
-        assert out.degenerate
-        assert np.all(out.values == 0.0)
-        assert out.whitened
+        out, degenerate = whiten_values(np.full((2, 2), 7.0))
+        assert degenerate
+        assert np.all(out == 0.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
-        p = Patch(coords=PatchCoords(0, 8, 0, 8),
-                  values=rng.uniform(0, 65535, (8, 8)))
-        once = whiten(p)
-        twice = whiten(once)
-        assert np.max(np.abs(twice.values - once.values)) < 1e-9
+        once, _ = whiten_values(rng.uniform(0, 65535, (8, 8)))
+        twice, _ = whiten_values(once)
+        assert np.max(np.abs(twice - once)) < 1e-9
 
     def test_moments(self):
         rng = np.random.default_rng(4)
@@ -263,20 +257,3 @@ class TestWhiten:
         base, _ = whiten_values(v)
         scaled, _ = whiten_values(a * v + b)
         assert np.max(np.abs(base - scaled)) < 1e-9
-
-
-class TestExtractPatches:
-    def test_values_match_raster(self):
-        img = make_image(size=160, rng=np.random.default_rng(8))
-        coords = patch_grid((160, 160))
-        patches = extract_patches(img, coords)
-        for c, p in zip(coords, patches):
-            assert np.array_equal(p.values, img.pixels[c.c3:c.c4, c.c1:c.c2])
-            assert not p.whitened
-
-    def test_whitened_extraction(self):
-        img = make_image(size=160, rng=np.random.default_rng(8))
-        patches = extract_patches(img, patch_grid((160, 160)), whitened=True)
-        for p in patches:
-            assert p.whitened
-            assert abs(p.values.mean()) < 1e-9
