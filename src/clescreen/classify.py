@@ -13,16 +13,11 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .core import CARCINOGENIC, DatasetManifest, ImageRecord
 from .util import rng_from
-
-
-class PatchClassifier(Protocol):
-    def predict_proba(self, rows: np.ndarray) -> np.ndarray: ...
 
 
 def record_label(record: ImageRecord) -> int:
@@ -139,7 +134,6 @@ def logistic_loss_grad(weights: np.ndarray, bias: float, X: np.ndarray,
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    seed: int
     losses: np.ndarray
 
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
@@ -159,8 +153,7 @@ class LogisticModel:
 
 
 def train_logistic(X: np.ndarray, y: np.ndarray, epochs: int = 60,
-                   rate: float = 0.5, seed: int = 0,
-                   l2: float = 0.0) -> LogisticModel:
+                   rate: float = 0.5, l2: float = 0.0) -> LogisticModel:
     """Full-batch gradient descent on the logistic loss.
 
     Weights start at zero (posterior 0.5 everywhere), so on a fixed batch
@@ -186,4 +179,4 @@ def train_logistic(X: np.ndarray, y: np.ndarray, epochs: int = 60,
         w -= rate * gw
         b -= rate * gb
     losses[-1], _, _ = logistic_loss_grad(w, b, X, y, l2)
-    return LogisticModel(weights=w, bias=b, seed=seed, losses=losses)
+    return LogisticModel(weights=w, bias=b, losses=losses)

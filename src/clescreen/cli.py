@@ -46,6 +46,26 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _read_csv(path: str, columns: tuple[str, ...]
+              ) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of an input CSV.  The header must begin with
+    `columns` and every row must have as many fields as the header;
+    anything else is malformed data."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ManifestError(f"{path}: empty file, expected a header")
+    header = lines[0].split(",")
+    if header[:len(columns)] != list(columns):
+        raise ManifestError(
+            f"{path}: header must begin with {','.join(columns)}")
+    rows = [line.split(",") for line in lines[1:]]
+    for n, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ManifestError(f"{path}: line {n} has {len(row)} fields, "
+                                f"the header has {len(header)}")
+    return header, rows
+
+
 def _label_value(label: str, path: str) -> int:
     """Class index of a label column entry (0 normal, 1 carcinogenic)."""
     if label not in LABELS:
@@ -134,18 +154,10 @@ def cmd_featurize(args) -> int:
 
 
 def _read_feature_csv(path: str):
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ManifestError(f"empty feature file {path}")
-    header = lines[0].split(",")
-    if header[:4] != ["patient", "sequence", "frame", "label"]:
-        raise ManifestError(f"unexpected feature header in {path}")
-    meta, rows = [], []
-    for line in lines[1:]:
-        parts = line.split(",")
-        meta.append((parts[0], parts[1], int(parts[2]), parts[3]))
-        rows.append([float(v) for v in parts[4:]])
-    X = np.asarray(rows, dtype=np.float64)
+    _header, rows = _read_csv(path, ("patient", "sequence", "frame", "label"))
+    meta = [(r[0], r[1], int(r[2]), r[3]) for r in rows]
+    X = np.asarray([[float(v) for v in r[4:]] for r in rows],
+                   dtype=np.float64)
     y = np.array([_label_value(m[3], path) for m in meta], dtype=np.int64)
     return meta, X, y
 
@@ -174,20 +186,15 @@ def cmd_predict(args) -> int:
 def cmd_fuse(args) -> int:
     manifest = _load_data(args.data)
     probs: dict[tuple, dict[int, float]] = {}
-    lines = Path(args.probs).read_text().splitlines()
-    if not lines or lines[0].split(",") != \
-            ["patient", "sequence", "frame", "patch_index", "p_c1"]:
-        raise ManifestError(
-            f"{args.probs}: expected header patient,sequence,frame,"
-            f"patch_index,p_c1")
-    for line in lines[1:]:
-        patient, sequence, frame, idx, p = line.split(",")
-        rows = probs.setdefault((patient, sequence, int(frame)), {})
-        if int(idx) in rows:
+    _header, rows = _read_csv(
+        args.probs, ("patient", "sequence", "frame", "patch_index", "p_c1"))
+    for patient, sequence, frame, idx, p in rows:
+        patches = probs.setdefault((patient, sequence, int(frame)), {})
+        if int(idx) in patches:
             raise ManifestError(
                 f"{args.probs}: duplicate row for {patient},{sequence},"
                 f"{frame} patch_index {idx}")
-        rows[int(idx)] = float(p)
+        patches[int(idx)] = float(p)
 
     records = [rec for rec in manifest.records
                if (rec.patient, rec.sequence, rec.frame) in probs]
@@ -218,7 +225,12 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 def _build_run_config(args) -> RunConfig:
     values = dataclasses.asdict(RunConfig())
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"{args.config}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object")
         if "config" in doc and isinstance(doc["config"], dict):
             doc = doc["config"]  # accept a summary.json verbatim
         unknown = set(doc) - _CONFIG_FIELDS
@@ -251,20 +263,12 @@ def cmd_cv(args) -> int:
 
 
 def cmd_report(args) -> int:
-    lines = Path(args.results).read_text().splitlines()
-    header = lines[0].split(",")
-    try:
-        li = header.index("label")
-        pi = header.index("p_image")
-    except ValueError:
+    header, rows = _read_csv(args.results, ())
+    if "label" not in header or "p_image" not in header:
         raise ManifestError(f"{args.results}: missing label/p_image columns")
-    labels, probs = [], []
-    for line in lines[1:]:
-        parts = line.split(",")
-        labels.append(_label_value(parts[li], args.results))
-        probs.append(float(parts[pi]))
-    labels = np.array(labels)
-    probs = np.array(probs)
+    li, pi = header.index("label"), header.index("p_image")
+    labels = np.array([_label_value(r[li], args.results) for r in rows])
+    probs = np.array([float(r[pi]) for r in rows])
     acc, sens, spec = confusion_metrics(labels, probs, args.threshold)
     _roc, auc = roc_auc(labels, probs)
     doc = {"accuracy": acc, "sensitivity": sens, "specificity": spec,

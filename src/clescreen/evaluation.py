@@ -12,22 +12,13 @@ of worker count.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classify, core, features, forest, fusion, patching, wholeimage
-from .util import default_jobs, run_parallel, shared_state, stable_seed
-
-METHODS = (
-    "RF-LBP@1.0x",
-    "RF-LBP@0.5x",
-    "RF-GLCM@1.0x",
-    "RF-GLCM@0.5x",
-    "PPF@1.0x",
-    "PPF@0.5x",
-    "WHOLEIMAGE@0.55x",
-)
+from .util import default_jobs, run_parallel, stable_seed
 
 
 class ConfigError(ValueError):
@@ -46,6 +37,12 @@ _METHOD_SPEC = {
     "PPF@0.5x": ("ppf", None, 0.5),
     "WHOLEIMAGE@0.55x": ("wholeimage", None, 1.0),
 }
+METHODS = tuple(_METHOD_SPEC)
+
+# Values accepted for each annotated RunConfig field type: an int may
+# stand in for a float, but a bool (an int subclass) only for a bool.
+_FIELD_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real,
+                "str": str}
 
 
 @dataclass
@@ -68,6 +65,11 @@ class RunConfig:
     target_size: int = wholeimage.TARGET_SIZE
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or (isinstance(value, bool) and f.type != "bool")):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.method not in _METHOD_SPEC:
             raise ConfigError(
                 f"unknown method {self.method!r}; choose from "
@@ -111,31 +113,27 @@ class RunConfig:
 
 @dataclass
 class Fold:
+    """One LOPO fold as ascending row indices into `manifest.records`."""
+
     test_patient: str
-    train_records: list[core.ImageRecord]
-    test_records: list[core.ImageRecord]
+    train_idx: np.ndarray
+    test_idx: np.ndarray
 
 
-@dataclass
-class FoldPlan:
-    folds: list[Fold]
-
-
-def lopo_folds(manifest: core.DatasetManifest) -> FoldPlan:
+def lopo_folds(manifest: core.DatasetManifest) -> list[Fold]:
     """One fold per patient: that patient's originals test, everything of
     every other patient (originals plus rotated copies) trains."""
     patients = manifest.patients()
     if len(patients) < 2:
         raise InsufficientPatients(
             f"leave-one-patient-out needs >= 2 patients, got {len(patients)}")
-    folds = []
-    for patient in patients:
-        test = [r for r in manifest.records
-                if r.patient == patient and not r.is_augmented]
-        train = [r for r in manifest.records if r.patient != patient]
-        folds.append(Fold(test_patient=patient, train_records=train,
-                          test_records=test))
-    return FoldPlan(folds=folds)
+    patient_of = np.array([r.patient for r in manifest.records])
+    augmented = np.array([r.is_augmented for r in manifest.records],
+                         dtype=bool)
+    return [Fold(test_patient=patient,
+                 train_idx=np.flatnonzero(patient_of != patient),
+                 test_idx=np.flatnonzero((patient_of == patient) & ~augmented))
+            for patient in patients]
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +266,6 @@ class EvalReport:
     fold_seeds: dict[str, int]
     config: dict
 
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.results])
-
-    def probs(self) -> np.ndarray:
-        return np.array([r.p for r in self.results])
-
 
 # ---------------------------------------------------------------------------
 # Record preparation
@@ -313,44 +305,29 @@ def record_patch_coords(img: core.CleImage, rects, config: RunConfig):
     return patching.exclude_artifacts(coords, rects)
 
 
-def _prepare_worker(index: int):
-    manifest, records, scale = shared_state()
-    return prepare_record_image(manifest, records[index], scale)
-
-
 def prepare_records(manifest: core.DatasetManifest,
                     records: list[core.ImageRecord], scale: float,
                     jobs: int) -> list[tuple[core.CleImage, list]]:
     """`prepare_record_image` for every record, on `jobs` worker
     processes, in record order."""
-    return run_parallel(_prepare_worker, list(range(len(records))), jobs,
-                        shared=(manifest, records, scale))
-
-
-def _feature_worker(index: int):
-    prepared, config = shared_state()
-    img, rects = prepared[index]
-    coords = record_patch_coords(img, rects, config)
-    if not coords:
-        raise ValueError("record has no admissible patches")
-    stack = np.stack([img.pixels[c.c3:c.c4, c.c1:c.c2] for c in coords])
-    return features.image_row(stack.astype(np.float64), config.descriptor)
+    return run_parallel(
+        lambda record: prepare_record_image(manifest, record, scale),
+        records, jobs)
 
 
 def feature_matrix(prepared: list[tuple[core.CleImage, list]],
                    config: RunConfig) -> np.ndarray:
     """Texture feature rows of prepared records, one per record, in the
     layout `config.descriptor.row_names()` names."""
-    return np.stack(run_parallel(_feature_worker, list(range(len(prepared))),
-                                 config.jobs, shared=(prepared, config)))
+    def row(index: int) -> np.ndarray:
+        img, rects = prepared[index]
+        coords = record_patch_coords(img, rects, config)
+        if not coords:
+            raise ValueError("record has no admissible patches")
+        stack = np.stack([img.pixels[c.c3:c.c4, c.c1:c.c2] for c in coords])
+        return features.image_row(stack.astype(np.float64), config.descriptor)
 
-
-def _wholeimage_worker(index: int):
-    prepared, config = shared_state()
-    img, _rects = prepared[index]
-    _compressed, _crop, raster = wholeimage.preprocess(img, config.target_size)
-    row, _ = patching.whiten_values(raster.astype(np.float64).ravel())
-    return row.astype(np.float32)
+    return np.stack(run_parallel(row, range(len(prepared)), config.jobs))
 
 
 def _fit(config: RunConfig, X: np.ndarray, y: np.ndarray, seed: int):
@@ -364,7 +341,7 @@ def _fit(config: RunConfig, X: np.ndarray, y: np.ndarray, seed: int):
                                           seed=seed, jobs=config.jobs)
     return classify.train_logistic(X, y.astype(np.float32),
                                    epochs=config.epochs, rate=config.rate,
-                                   seed=seed, l2=config.l2)
+                                   l2=config.l2)
 
 
 # ---------------------------------------------------------------------------
@@ -393,61 +370,56 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     records = augmented.records
     labels = np.array([classify.record_label(r) for r in records], dtype=np.int64)
     is_augmented = np.array([r.is_augmented for r in records])
-    index_of = {r.key(): i for i, r in enumerate(records)}
 
     prepared = prepare_records(augmented, records, scale, config.jobs)
 
     if kind == "features":
         matrix = feature_matrix(prepared, config)
     elif kind == "wholeimage":
-        rows = run_parallel(_wholeimage_worker, list(range(len(records))),
-                            config.jobs, shared=(prepared, config))
-        matrix = np.stack(rows)
-    else:  # ppf
+        def wholeimage_row(index: int) -> np.ndarray:
+            _compressed, _crop, raster = wholeimage.preprocess(
+                prepared[index][0], config.target_size)
+            row, _ = patching.whiten_values(raster.astype(np.float64).ravel())
+            return row.astype(np.float32)
+
+        matrix = np.stack(run_parallel(wholeimage_row, range(len(records)),
+                                       config.jobs))
+    else:  # ppf: whitened patches of record i are rows starts[i]:starts[i+1]
         coords_per_record = []
-        dims_per_record = []
-        ranges = np.empty((len(records), 2), dtype=np.int64)
-        total = 0
-        for i, (img, rects) in enumerate(prepared):
+        for record, (img, rects) in zip(records, prepared):
             coords = record_patch_coords(img, rects, config)
             if not coords:
                 raise ValueError(
-                    f"record {records[i].key()} has no admissible patches")
+                    f"record {record.key()} has no admissible patches")
             coords_per_record.append(coords)
-            dims_per_record.append((img.width, img.height))
-            ranges[i] = (total, total + len(coords))
-            total += len(coords)
-        dim = config.patch_size * config.patch_size
-        patch_cache = np.empty((total, dim), dtype=np.float32)
-        patch_labels = np.empty(total, dtype=np.int64)
+        starts = np.cumsum([0] + [len(c) for c in coords_per_record])
+        patch_labels = np.repeat(labels, np.diff(starts))
+        patch_cache = np.empty((starts[-1], config.patch_size ** 2),
+                               dtype=np.float32)
         for i, (img, _rects) in enumerate(prepared):
-            lo, hi = ranges[i]
             for j, c in enumerate(coords_per_record[i]):
-                block = img.pixels[c.c3:c.c4, c.c1:c.c2]
-                white, _ = patching.whiten_values(block)
-                patch_cache[lo + j] = white.ravel().astype(np.float32)
-            patch_labels[lo:hi] = labels[i]
+                white, _ = patching.whiten_values(
+                    img.pixels[c.c3:c.c4, c.c1:c.c2])
+                patch_cache[starts[i] + j] = white.ravel()
 
-    plan = lopo_folds(augmented)
     fold_seeds: dict[str, int] = {}
     results: list[ResultRow] = []
     audits: list[FoldAudit] = []
     patch_hits = 0
     patch_total = 0
 
-    for fold in plan.folds:
-        if any(r.is_augmented for r in fold.test_records):
+    for fold in lopo_folds(augmented):
+        train_idx, test_idx = fold.train_idx, fold.test_idx
+        if is_augmented[test_idx].any():
             raise RuntimeError(
                 f"augmented record in test fold {fold.test_patient}")
         fold_seed = stable_seed(config.seed, "fold", fold.test_patient)
         fold_seeds[fold.test_patient] = fold_seed
 
-        train_idx = np.array([index_of[r.key()] for r in fold.train_records])
         kept_idx = train_idx[classify.balance_classes(
             labels[train_idx], is_augmented[train_idx],
             seed=stable_seed(fold_seed, "balance"))]
         removed_idx = np.setdiff1d(train_idx, kept_idx, assume_unique=True)
-        test_idx = np.array([index_of[r.key()] for r in fold.test_records])
 
         if kind != "ppf":
             model = _fit(config, matrix[kept_idx], labels[kept_idx],
@@ -455,33 +427,34 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
             probs = model.predict_proba(matrix[test_idx])[:, 1]
         else:
             row_idx = np.concatenate(
-                [np.arange(*ranges[i]) for i in kept_idx])
+                [np.arange(starts[i], starts[i + 1]) for i in kept_idx])
             model = _fit(config, patch_cache[row_idx], patch_labels[row_idx],
                          fold_seed)
             probs = np.empty(len(test_idx), dtype=np.float64)
             for n, i in enumerate(test_idx):
-                lo, hi = ranges[i]
-                pp = model.predict_proba(patch_cache[lo:hi])[:, 1]
-                fused = fusion.fuse(
-                    list(zip(coords_per_record[i], pp)), dims_per_record[i])
-                probs[n] = fused.p
+                rows = slice(starts[i], starts[i + 1])
+                pp = model.predict_proba(patch_cache[rows])[:, 1]
+                img = prepared[i][0]
+                probs[n] = fusion.fuse(list(zip(coords_per_record[i], pp)),
+                                       (img.width, img.height)).p
                 patch_hits += int(((pp >= config.threshold).astype(int)
                                    == labels[i]).sum())
                 patch_total += len(pp)
 
-        for n, rec in enumerate(fold.test_records):
+        for i, p in zip(test_idx, probs):
+            rec = records[i]
             results.append(ResultRow(
                 patient=rec.patient, sequence=rec.sequence, frame=rec.frame,
-                label=int(labels[test_idx[n]]), p=float(probs[n])))
+                label=int(labels[i]), p=float(p)))
         audits.append(FoldAudit(
             test_patient=fold.test_patient,
             fold_seed=fold_seed,
             train_patients=tuple(sorted({records[i].patient
                                          for i in kept_idx})),
             train_keys=[records[i].key() for i in kept_idx],
-            test_keys=[r.key() for r in fold.test_records],
+            test_keys=[records[i].key() for i in test_idx],
             balancing_removed=[records[i].key() for i in removed_idx],
-            n_augmented_in_test=sum(r.is_augmented for r in fold.test_records),
+            n_augmented_in_test=int(is_augmented[test_idx].sum()),
         ))
 
     y_all = np.array([r.label for r in results])

@@ -40,6 +40,9 @@ MAGIC = b"CLEF"
 FORMAT_VERSION = 1
 DEFAULT_TREES = 500
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+# Container fields after the magic: version, seed, n_trees, n_features,
+# mtry, n_classes.
+_HEADER = struct.Struct("<IQIIII")
 
 
 @dataclass
@@ -190,11 +193,6 @@ def _grow_tree(X, y, seed, mtry):
     )
 
 
-def _tree_batch(tree_ids):
-    X, y, seed, mtry = util.shared_state()
-    return [_grow_tree(X, y, (seed ^ t) & _SEED_MASK, mtry) for t in tree_ids]
-
-
 def train_random_forest(
     X: np.ndarray,
     y: np.ndarray,
@@ -224,8 +222,10 @@ def train_random_forest(
     ids = list(range(trees))
     batch = max(1, trees // (max(1, jobs) * 4))
     batches = [ids[i:i + batch] for i in range(0, trees, batch)]
-    results = util.run_parallel(_tree_batch, batches, jobs,
-                                shared=(X, y, seed, mtry))
+    results = util.run_parallel(
+        lambda tree_ids: [_grow_tree(X, y, (seed ^ t) & _SEED_MASK, mtry)
+                          for t in tree_ids],
+        batches, jobs)
     all_trees = [t for group in results for t in group]
     return RandomForestModel(trees=all_trees, seed=seed,
                              n_features=X.shape[1], mtry=mtry)
@@ -238,8 +238,8 @@ def train_random_forest(
 
 def save_forest(model: RandomForestModel, path: str | Path) -> None:
     parts = [MAGIC,
-             struct.pack("<IQIIII", FORMAT_VERSION, model.seed,
-                         model.n_trees, model.n_features, model.mtry, 2)]
+             _HEADER.pack(FORMAT_VERSION, model.seed, model.n_trees,
+                          model.n_features, model.mtry, 2)]
     for tree in model.trees:
         parts.append(struct.pack("<I", tree.n_nodes))
         parts.append(tree.feature.astype("<i4").tobytes())
@@ -254,29 +254,33 @@ def load_forest(path: str | Path) -> RandomForestModel:
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"not a forest model file: magic {data[:4]!r}")
+    view = memoryview(data)
+    pos = 4
+
+    def take(size: int) -> memoryview:
+        nonlocal pos
+        if pos + size > len(data):
+            raise ValueError(
+                f"truncated model file: {size} bytes needed at offset {pos}, "
+                f"{len(data) - pos} left")
+        pos += size
+        return view[pos - size:pos]
+
     version, seed, n_trees, n_features, mtry, n_classes = \
-        struct.unpack_from("<IQIIII", data, 4)
+        _HEADER.unpack(take(_HEADER.size))
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version}")
     if n_classes != 2:
         raise ValueError(f"unsupported class count {n_classes}")
-    pos = 4 + struct.calcsize("<IQIIII")
     trees = []
     for _ in range(n_trees):
-        (n_nodes,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-
-        def take(dtype, count):
-            nonlocal pos
-            arr = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-            pos += arr.nbytes
-            return arr
-
-        feature = take("<i4", n_nodes).astype(np.int32)
-        threshold = take("<f8", n_nodes).astype(np.float64)
-        left = take("<i4", n_nodes).astype(np.int32)
-        right = take("<i4", n_nodes).astype(np.int32)
-        counts = take("<i8", n_nodes * 2).astype(np.int64).reshape(n_nodes, 2)
+        (n_nodes,) = struct.unpack("<I", take(4))
+        feature = np.frombuffer(take(4 * n_nodes), "<i4").astype(np.int32)
+        threshold = np.frombuffer(take(8 * n_nodes), "<f8").astype(np.float64)
+        left = np.frombuffer(take(4 * n_nodes), "<i4").astype(np.int32)
+        right = np.frombuffer(take(4 * n_nodes), "<i4").astype(np.int32)
+        counts = np.frombuffer(take(16 * n_nodes), "<i8").astype(
+            np.int64).reshape(n_nodes, 2)
         trees.append(DecisionTree(feature, threshold, left, right, counts))
     if pos != len(data):
         raise ValueError(f"trailing bytes in model file at offset {pos}")

@@ -27,11 +27,6 @@ class FusionMaps:
     pm: np.ndarray
     n_patches: int
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        h, w = self.pa.shape
-        return (w, h)
-
 
 @dataclass
 class ImageProbability:

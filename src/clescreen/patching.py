@@ -34,14 +34,6 @@ class PatchCoords:
         if not (self.c1 < self.c2 and self.c3 < self.c4):
             raise ValueError(f"degenerate patch coords {self}")
 
-    @property
-    def width(self) -> int:
-        return self.c2 - self.c1
-
-    @property
-    def height(self) -> int:
-        return self.c4 - self.c3
-
 
 def resize_half(image: CleImage) -> CleImage:
     """Downscale by 2 with exact 2x2 area averaging (round half up).

@@ -21,7 +21,7 @@ from scipy.ndimage import distance_transform_edt
 from .core import (CARCINOGENIC, NORMAL, SITE_ALVEOLAR, SITE_LABIUM,
                    SITE_PALATE, SITE_TUMOR, CleImage, DatasetManifest,
                    ImageRecord, default_mask, save_image, save_manifest)
-from .util import rng_from, run_parallel, shared_state
+from .util import rng_from, run_parallel
 
 _NORMAL_SITES = (SITE_ALVEOLAR, SITE_LABIUM, SITE_PALATE)
 
@@ -202,17 +202,6 @@ def plan_records(config: SynthConfig) -> list[ImageRecord]:
     return records
 
 
-def _generate_worker(index: int):
-    config, records, images_dir = shared_state()
-    rec = records[index]
-    image, _info = render_frame(config, rec.patient, rec.frame,
-                                rec.label == CARCINOGENIC)
-    path = Path(images_dir) / rec.file
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_image(image, path)
-    return rec.file
-
-
 def generate_dataset(config: SynthConfig, out_dir: str | Path,
                      jobs: int = 1) -> DatasetManifest:
     """Write the PGM files and manifest for a full synthetic dataset."""
@@ -221,8 +210,15 @@ def generate_dataset(config: SynthConfig, out_dir: str | Path,
     images_dir = out_dir / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
     records = plan_records(config)
-    run_parallel(_generate_worker, list(range(len(records))), jobs,
-                 shared=(config, records, str(images_dir)))
+
+    def write(rec: ImageRecord) -> None:
+        image, _info = render_frame(config, rec.patient, rec.frame,
+                                    rec.label == CARCINOGENIC)
+        path = images_dir / rec.file
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_image(image, path)
+
+    run_parallel(write, records, jobs)
     manifest = DatasetManifest(records=records, root_path=images_dir)
     save_manifest(manifest, out_dir / "manifest.json", root="images")
     return manifest

@@ -36,37 +36,36 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-# Read-only state shared with forked workers.  Set by run_parallel in the
-# parent just before the pool forks; children inherit it copy-on-write, so
-# large arrays are never pickled.
-_SHARED: Any = None
+# The function a pool worker maps over its items.  Set once in each worker
+# by the pool initializer; the parent process never writes it.
+_worker_fn: Callable[[Any], Any] | None = None
 
 
-def shared_state() -> Any:
-    return _SHARED
+def _install(fn: Callable[[Any], Any]) -> None:
+    global _worker_fn
+    _worker_fn = fn
 
 
-def run_parallel(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    jobs: int,
-    shared: Any = None,
-) -> list[Any]:
+def _call(item: Any) -> Any:
+    return _worker_fn(item)
+
+
+def run_parallel(fn: Callable[[Any], Any], items: Sequence[Any],
+                 jobs: int) -> list[Any]:
     """Map `fn` over `items`, returning results in item order.
 
-    `fn` must be a module-level function whose output depends only on its
-    item and on `shared` (exposed to workers via `shared_state`), which
-    makes the result independent of `jobs`.
+    `fn` may be any callable, closures included: workers are forked and
+    inherit it (and whatever it closes over) instead of unpickling it, so
+    large arrays are never copied.  Items and results are pickled, so
+    keep items small (indices rather than frames).  The result is
+    independent of `jobs` whenever `fn`'s output depends only on its item.
     """
-    global _SHARED
     jobs = max(1, int(jobs))
-    _SHARED = shared
-    try:
-        if jobs == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(items) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            return list(pool.map(fn, items, chunksize=chunk))
-    finally:
-        _SHARED = None
+    if jobs == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    ctx = multiprocessing.get_context("fork")
+    chunk = max(1, len(items) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
+                             initializer=_install,
+                             initargs=(fn,)) as pool:
+        return list(pool.map(_call, items, chunksize=chunk))

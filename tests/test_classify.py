@@ -153,7 +153,7 @@ def numeric_gradient(w, b, X, y, l2, eps=1e-6):
 
 class TestLogistic:
     def test_zero_weights_posterior_half(self):
-        model = LogisticModel(weights=np.zeros(4), bias=0.0, seed=0,
+        model = LogisticModel(weights=np.zeros(4), bias=0.0,
                               losses=np.array([]))
         rng = np.random.default_rng(1)
         probs = model.predict_proba(rng.normal(size=(10, 4)))
@@ -169,7 +169,7 @@ class TestLogistic:
         X1 = rng.normal(loc=(+1.6, 0.0), size=(n, 2))
         X = np.vstack([X0, X1])
         y = np.concatenate([np.zeros(n), np.ones(n)])
-        model = train_logistic(X, y, epochs=300, rate=0.5, seed=0)
+        model = train_logistic(X, y, epochs=300, rate=0.5)
         acc = np.mean((model.predict_proba(X)[:, 1] >= 0.5) == y)
         assert acc >= 0.9
 
@@ -192,7 +192,7 @@ class TestLogistic:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] > 0).astype(float)
-        model = train_logistic(X, y, epochs=50, rate=0.05, seed=0)
+        model = train_logistic(X, y, epochs=50, rate=0.05)
         assert np.all(np.diff(model.losses) <= 1e-12)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -205,12 +205,12 @@ class TestLogistic:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 4))
         y = (X[:, 1] > 0).astype(float)
-        model = train_logistic(X, y, epochs=20, rate=0.3, seed=0)
+        model = train_logistic(X, y, epochs=20, rate=0.3)
         probs = model.predict_proba(rng.normal(size=(16, 4)))
         assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_dimension_mismatch(self):
-        model = LogisticModel(weights=np.zeros(4), bias=0.0, seed=0,
+        model = LogisticModel(weights=np.zeros(4), bias=0.0,
                               losses=np.array([]))
         with pytest.raises(ValueError, match="features"):
             model.predict_proba(np.zeros((2, 3)))

@@ -79,6 +79,29 @@ class TestFeaturePath:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("'carcinogenc'" in line for line in err)
 
+    @pytest.mark.parametrize("command, text", [
+        ("train", "patient,sequence,frame,label,f0\np00,s0\n"),
+        ("predict", "patient,sequence,frame,label,f0\np00,s0,0,normal\n"),
+        ("train", "frame,patient,sequence,label,f0\n"),
+        ("report", ""),
+        ("report", "patient,label,p_image\np00,normal\n"),
+        ("report", "patient,p_image\np00,0.5\n"),
+    ], ids=["train-short-row", "predict-short-row", "train-bad-header",
+            "report-empty", "report-short-row", "report-no-label"])
+    def test_malformed_csv_exit_code(self, tmp_path, capsys, command, text):
+        csv = tmp_path / "in.csv"
+        csv.write_text(text)
+        args = {"train": ["train", "--features", str(csv), "--trees", "2",
+                          "--out", str(tmp_path / "m.clef")],
+                "predict": ["predict", "--model", str(tmp_path / "m.clef"),
+                            "--features", str(csv),
+                            "--out", str(tmp_path / "p.csv")],
+                "report": ["report", "--results", str(csv)]}[command]
+        capsys.readouterr()
+        assert main(args) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(csv) in err[0]
+
     def test_glcm_featurize_dimensions(self, dataset, tmp_path):
         feat = tmp_path / "feat_glcm.csv"
         assert main(["featurize", "--data", str(dataset), "--features",
@@ -169,10 +192,15 @@ class TestCv:
         ({"target_size": 1}, 3),
         # Larger than the 160 px raster at 0.5x: a property of the data.
         ({"patch_size": 200}, 6),
+        ({"trees": "5"}, 3),
+        ({"wholeimage_baseline": 1}, 3),
+        ({"seed": True}, 3),
+        ('{"trees": 2,', 3),  # malformed JSON
     ])
     def test_bad_config_value_exit_code(self, dataset, tmp_path, doc, code):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"method": "RF-LBP@0.5x", "trees": 2, **doc}))
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(
+            {"method": "RF-LBP@0.5x", "trees": 2, **doc}))
         rc = main(["cv", "--data", str(dataset), "--config", str(cfg),
                    "--out", str(tmp_path / "cvb"), "--jobs", "1"])
         assert rc == code

@@ -44,7 +44,7 @@ class TestLopoFolds:
 
     def test_twelve_patients_twelve_folds(self):
         man = self._manifest({f"p{i:02d}": 4 for i in range(12)})
-        assert len(lopo_folds(man).folds) == 12
+        assert len(lopo_folds(man)) == 12
 
     def test_single_patient_rejected(self):
         with pytest.raises(InsufficientPatients):
@@ -53,24 +53,25 @@ class TestLopoFolds:
     def test_partition_oracle(self):
         # Test sides must partition the originals: disjoint and complete.
         man = self._manifest({"a": 5, "b": 7, "c": 9})
-        plan = lopo_folds(man)
-        sizes = [len(f.test_records) for f in plan.folds]
+        records = man.records
+        folds = lopo_folds(man)
+        sizes = [len(f.test_idx) for f in folds]
         assert sorted(sizes) == [5, 7, 9]
         seen = []
-        for fold in plan.folds:
-            for rec in fold.test_records:
-                assert rec.patient == fold.test_patient
-                seen.append(rec.key())
-            for rec in fold.train_records:
-                assert rec.patient != fold.test_patient
+        for fold in folds:
+            for i in fold.test_idx:
+                assert records[i].patient == fold.test_patient
+                seen.append(records[i].key())
+            for i in fold.train_idx:
+                assert records[i].patient != fold.test_patient
         assert sorted(seen) == sorted(r.key() for r in man.records)
 
     def test_augmented_records_only_train(self):
         man = augment_rotations(self._manifest({"a": 3, "b": 3}), k=2, seed=1)
-        plan = lopo_folds(man)
-        for fold in plan.folds:
-            assert not any(r.is_augmented for r in fold.test_records)
-            aug_train = [r for r in fold.train_records if r.is_augmented]
+        records = man.records
+        for fold in lopo_folds(man):
+            assert not any(records[i].is_augmented for i in fold.test_idx)
+            aug_train = [i for i in fold.train_idx if records[i].is_augmented]
             assert len(aug_train) == 6  # 3 originals x 2 copies, other patient
 
 

@@ -152,3 +152,15 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_forest(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        # Cuts inside the header, a node count, and a node array.
+        X, y = separable_1d(seed=14)
+        model = train_random_forest(X, y, trees=2, seed=5)
+        path = tmp_path / "m.clef"
+        save_forest(model, path)
+        data = path.read_bytes()
+        for cut in (6, 31, 34, 40, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="truncated .* at offset"):
+                load_forest(path)
