@@ -66,6 +66,16 @@ def _read_csv(path: str, columns: tuple[str, ...]
     return header, rows
 
 
+def _field(path: str, line: int, column: str, text: str, kind: type):
+    """`text` from `column` of CSV line `line` converted by `kind` (int
+    or float); a value that does not convert is malformed data."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ManifestError(f"{path}: line {line}: {column} {text!r} is not "
+                            f"a valid {kind.__name__}") from None
+
+
 def _label_value(label: str, path: str) -> int:
     """Class index of a label column entry (0 normal, 1 carcinogenic)."""
     if label not in LABELS:
@@ -154,10 +164,12 @@ def cmd_featurize(args) -> int:
 
 
 def _read_feature_csv(path: str):
-    _header, rows = _read_csv(path, ("patient", "sequence", "frame", "label"))
-    meta = [(r[0], r[1], int(r[2]), r[3]) for r in rows]
-    X = np.asarray([[float(v) for v in r[4:]] for r in rows],
-                   dtype=np.float64)
+    header, rows = _read_csv(path, ("patient", "sequence", "frame", "label"))
+    meta = [(r[0], r[1], _field(path, n, "frame", r[2], int), r[3])
+            for n, r in enumerate(rows, start=2)]
+    X = np.asarray([[_field(path, n, name, v, float)
+                     for name, v in zip(header[4:], r[4:])]
+                    for n, r in enumerate(rows, start=2)], dtype=np.float64)
     y = np.array([_label_value(m[3], path) for m in meta], dtype=np.int64)
     return meta, X, y
 
@@ -188,13 +200,17 @@ def cmd_fuse(args) -> int:
     probs: dict[tuple, dict[int, float]] = {}
     _header, rows = _read_csv(
         args.probs, ("patient", "sequence", "frame", "patch_index", "p_c1"))
-    for patient, sequence, frame, idx, p in rows:
-        patches = probs.setdefault((patient, sequence, int(frame)), {})
-        if int(idx) in patches:
+    for n, row in enumerate(rows, start=2):
+        patient, sequence, frame, idx, p = row[:5]
+        patches = probs.setdefault(
+            (patient, sequence, _field(args.probs, n, "frame", frame, int)),
+            {})
+        idx = _field(args.probs, n, "patch_index", idx, int)
+        if idx in patches:
             raise ManifestError(
                 f"{args.probs}: duplicate row for {patient},{sequence},"
                 f"{frame} patch_index {idx}")
-        patches[int(idx)] = float(p)
+        patches[idx] = _field(args.probs, n, "p_c1", p, float)
 
     records = [rec for rec in manifest.records
                if (rec.patient, rec.sequence, rec.frame) in probs]
@@ -266,9 +282,12 @@ def cmd_report(args) -> int:
     header, rows = _read_csv(args.results, ())
     if "label" not in header or "p_image" not in header:
         raise ManifestError(f"{args.results}: missing label/p_image columns")
+    if not rows:
+        raise ManifestError(f"{args.results}: no result rows")
     li, pi = header.index("label"), header.index("p_image")
     labels = np.array([_label_value(r[li], args.results) for r in rows])
-    probs = np.array([float(r[pi]) for r in rows])
+    probs = np.array([_field(args.results, n, "p_image", r[pi], float)
+                      for n, r in enumerate(rows, start=2)])
     acc, sens, spec = confusion_metrics(labels, probs, args.threshold)
     _roc, auc = roc_auc(labels, probs)
     doc = {"accuracy": acc, "sensitivity": sens, "specificity": spec,

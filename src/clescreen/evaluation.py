@@ -162,6 +162,15 @@ def confusion_metrics(labels: np.ndarray, probs: np.ndarray,
     return acc, sens, spec
 
 
+def _tie_groups(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the runs of equal values in a sorted array, as
+    half-open index ranges."""
+    cuts = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
+    starts = np.concatenate([[0], cuts])
+    ends = np.concatenate([cuts, [len(sorted_values)]])
+    return starts, ends
+
+
 def mann_whitney_auc(labels: np.ndarray, probs: np.ndarray) -> float:
     """Probability that a random positive outranks a random negative,
     crediting ties 0.5 (average-rank form of the pair statistic)."""
@@ -172,15 +181,10 @@ def mann_whitney_auc(labels: np.ndarray, probs: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
     order = np.argsort(probs, kind="stable")
-    sorted_probs = probs[order]
+    starts, ends = _tie_groups(probs[order])
     ranks = np.empty(len(probs), dtype=float)
-    i = 0
-    while i < len(probs):
-        j = i
-        while j < len(probs) and sorted_probs[j] == sorted_probs[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0  # average 1-based rank
-        i = j
+    # Every member of a tie group gets the group's average 1-based rank.
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     rank_sum_pos = float(ranks[labels == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -200,20 +204,13 @@ def roc_points(labels: np.ndarray, probs: np.ndarray) -> list[tuple[float, float
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs both classes present")
     order = np.argsort(-probs, kind="stable")
-    sl = labels[order]
     ss = probs[order]
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    while i < len(ss):
-        j = i
-        while j < len(ss) and ss[j] == ss[i]:
-            j += 1
-        tp += int(sl[i:j].sum())
-        fp += (j - i) - int(sl[i:j].sum())
-        points.append((fp / n_neg, tp / n_pos, float(ss[i])))
-        i = j
-    return points
+    starts, ends = _tie_groups(ss)
+    # Counts above each step's threshold: everything up to its group end.
+    tp = np.cumsum(labels[order])[ends - 1]
+    fp = ends - tp
+    return [(0.0, 0.0, float("inf"))] + list(zip(
+        (fp / n_neg).tolist(), (tp / n_pos).tolist(), ss[starts].tolist()))
 
 
 def roc_auc(labels: np.ndarray, probs: np.ndarray):
@@ -324,8 +321,7 @@ def feature_matrix(prepared: list[tuple[core.CleImage, list]],
         coords = record_patch_coords(img, rects, config)
         if not coords:
             raise ValueError("record has no admissible patches")
-        stack = np.stack([img.pixels[c.c3:c.c4, c.c1:c.c2] for c in coords])
-        return features.image_row(stack.astype(np.float64), config.descriptor)
+        return features.image_row(img.pixels, coords, config.descriptor)
 
     return np.stack(run_parallel(row, range(len(prepared)), config.jobs))
 
@@ -370,6 +366,9 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     records = augmented.records
     labels = np.array([classify.record_label(r) for r in records], dtype=np.int64)
     is_augmented = np.array([r.is_augmented for r in records])
+    # Planned before any frame is read, so a cohort too small for LOPO
+    # fails at once.
+    folds = lopo_folds(augmented)
 
     prepared = prepare_records(augmented, records, scale, config.jobs)
 
@@ -408,7 +407,7 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     patch_hits = 0
     patch_total = 0
 
-    for fold in lopo_folds(augmented):
+    for fold in folds:
         train_idx, test_idx = fold.train_idx, fold.test_idx
         if is_augmented[test_idx].any():
             raise RuntimeError(

@@ -9,7 +9,9 @@ since they are comparison- or range-based:
   statistics set plus the dissimilarity and matrix-mean extensions.
 
 An image is summarized by the per-dimension mean and population standard
-deviation of its patch features.
+deviation of its patch features.  Descriptors take the frame raster and
+the patch coordinates, so LBP codes each center once per scale however
+many overlapping patches contain it.
 """
 
 from __future__ import annotations
@@ -172,10 +174,34 @@ def lbp_histogram(patch, radius: int, neighbors: int) -> np.ndarray:
     return _histogram_rows(codes, neighbors + 2)[0]
 
 
-def lbp_patch_matrix(stack: np.ndarray, config: LbpConfig = LbpConfig()) -> np.ndarray:
-    """(n_patches, D) concatenated multi-scale histograms."""
-    parts = [_histogram_rows(_lbp_codes(stack, r, p), p + 2)
-             for r, p in config.scales]
+def lbp_patch_matrix(pixels: np.ndarray, coords,
+                     config: LbpConfig = LbpConfig()) -> np.ndarray:
+    """(len(coords), D) concatenated multi-scale histograms of the patches
+    `coords` cut from `pixels`.
+
+    Every center is coded once per scale, on the frame region that bounds
+    the patches; each patch then histograms its interior window of that
+    code raster.  A center sees the same neighbor pixels either way, so
+    the codes equal those of the patches cut out one by one.
+    """
+    y0 = min(c.c3 for c in coords)
+    x0 = min(c.c1 for c in coords)
+    region = np.asarray(pixels[y0:max(c.c4 for c in coords),
+                               x0:max(c.c2 for c in coords)],
+                        dtype=np.float64)
+    parts = []
+    for r, p in config.scales:
+        for c in coords:
+            h, w = c.c4 - c.c3, c.c2 - c.c1
+            if h < 2 * r + 1 or w < 2 * r + 1:
+                raise ValueError(
+                    f"patch {h}x{w} too small for radius {r} (needs "
+                    f">= {2 * r + 1})")
+        codes = _lbp_codes(region[None], r, p)[0]
+        windows = np.stack([codes[c.c3 - y0: c.c4 - y0 - 2 * r,
+                                  c.c1 - x0: c.c2 - x0 - 2 * r]
+                            for c in coords])
+        parts.append(_histogram_rows(windows, p + 2))
     return np.concatenate(parts, axis=1)
 
 
@@ -286,10 +312,13 @@ def haralick_features(matrix: np.ndarray) -> np.ndarray:
     ])
 
 
-def glcm_patch_matrix(stack: np.ndarray,
+def glcm_patch_matrix(pixels: np.ndarray, coords,
                       config: GlcmConfig = GlcmConfig()) -> np.ndarray:
-    return np.stack([haralick_features(glcm(patch, config))
-                     for patch in stack])
+    """(len(coords), 15) statistics of the patches `coords` cut from
+    `pixels`."""
+    return np.stack([haralick_features(glcm(pixels[c.c3:c.c4, c.c1:c.c2],
+                                            config))
+                     for c in coords])
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +326,14 @@ def glcm_patch_matrix(stack: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def image_row(stack: np.ndarray, config: LbpConfig | GlcmConfig) -> np.ndarray:
-    """One image's feature row from its (n_patches, h, w) float64 patch
-    stack: the per-dimension mean of the patch descriptors, then their
-    population standard deviation (columns named by `config.row_names()`)."""
+def image_row(pixels: np.ndarray, coords,
+              config: LbpConfig | GlcmConfig) -> np.ndarray:
+    """One image's feature row from the patches `coords` (a non-empty
+    sequence of `PatchCoords`) of its raster `pixels`: the per-dimension
+    mean of the patch descriptors, then their population standard
+    deviation (columns named by `config.row_names()`)."""
     if isinstance(config, LbpConfig):
-        per_patch = lbp_patch_matrix(stack, config)
+        per_patch = lbp_patch_matrix(pixels, coords, config)
     else:
-        per_patch = glcm_patch_matrix(stack, config)
+        per_patch = glcm_patch_matrix(pixels, coords, config)
     return np.concatenate([per_patch.mean(axis=0), per_patch.std(axis=0)])

@@ -21,6 +21,8 @@ from .core import CleImage
 TARGET_SIZE = 224
 P_LOW = 0.5
 P_HIGH = 99.5
+# Output rows `rotate` maps per pass.
+_ROTATE_BAND = 64
 
 
 @dataclass
@@ -120,15 +122,17 @@ def _bilinear_sample(src: np.ndarray, px: np.ndarray, py: np.ndarray,
     y0f = np.floor(py)
     tx = px - x0f
     ty = py - y0f
-    x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
-    x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
-    y0 = np.clip(y0f.astype(np.int64), 0, h - 1)
-    y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
-    s = src.astype(np.float64, copy=False)
-    v00 = s[y0, x0]
-    v01 = s[y0, x1]
-    v10 = s[y1, x0]
-    v11 = s[y1, x1]
+    xi = x0f.astype(np.int64)
+    yi = y0f.astype(np.int64)
+    x0 = np.clip(xi, 0, w - 1)
+    x1 = np.clip(xi + 1, 0, w - 1)
+    row0 = np.clip(yi, 0, h - 1) * w
+    row1 = np.clip(yi + 1, 0, h - 1) * w
+    flat = src.astype(np.float64, copy=False).ravel()
+    v00 = flat.take(row0 + x0)
+    v01 = flat.take(row0 + x1)
+    v10 = flat.take(row1 + x0)
+    v11 = flat.take(row1 + x1)
     out = v00 + tx * (v01 - v00) + ty * (v10 - v00) \
         + tx * ty * (v11 + v00 - v01 - v10)
     return np.where(valid, out, fill)
@@ -178,12 +182,17 @@ def rotate(image: CleImage, angle_deg: float) -> CleImage:
     s = math.sin(theta)
     cx, cy = image.mask_center
     h, w = image.pixels.shape
+    src = image.pixels.astype(np.float64)
     dx = np.arange(w, dtype=np.float64) - cx
     dy = np.arange(h, dtype=np.float64) - cy
-    # Inverse map: where each output pixel samples the source.
-    sx = cx + c * dx[None, :] + s * dy[:, None]
-    sy = cy - s * dx[None, :] + c * dy[:, None]
-    out = _bilinear_sample(image.pixels, sx, sy)
-    out = np.clip(_round_half_up(out), 0, 65535).astype(np.uint16)
+    out = np.empty((h, w), dtype=np.uint16)
+    # Inverse map: where each output pixel samples the source, a band of
+    # rows at a time so the temporaries stay cache-sized.
+    for r0 in range(0, h, _ROTATE_BAND):
+        band = dy[r0:r0 + _ROTATE_BAND, None]
+        sx = cx + c * dx[None, :] + s * band
+        sy = cy - s * dx[None, :] + c * band
+        sampled = _bilinear_sample(src, sx, sy)
+        out[r0:r0 + _ROTATE_BAND] = np.clip(_round_half_up(sampled), 0, 65535)
     return CleImage(pixels=out, mask_center=image.mask_center,
                     mask_radius=image.mask_radius)

@@ -29,6 +29,7 @@ from clescreen.patching import PatchCoords, patch_grid
 from clescreen.synth import SynthConfig, generate_dataset
 from clescreen.wholeimage import max_square_side
 
+pytestmark = pytest.mark.slow
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())

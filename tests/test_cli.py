@@ -86,9 +86,19 @@ class TestFeaturePath:
         ("report", ""),
         ("report", "patient,label,p_image\np00,normal\n"),
         ("report", "patient,p_image\np00,0.5\n"),
+        ("train", "patient,sequence,frame,label,f0\np00,s0,x,normal,0.5\n"),
+        ("train", "patient,sequence,frame,label,f0\np00,s0,0,normal,0.5\n"
+                  "p00,s0,1,normal,high\n"),
+        ("fuse", "patient,sequence,frame,patch_index,p_c1\np00,s0,0,0,abc\n"),
+        ("fuse", "patient,sequence,frame,patch_index,p_c1\np00,s0,0,one,0.5\n"),
+        ("report", "patient,label,p_image\n"),
+        ("report", "patient,label,p_image\np00,normal,0.2\np01,normal,?\n"),
     ], ids=["train-short-row", "predict-short-row", "train-bad-header",
-            "report-empty", "report-short-row", "report-no-label"])
-    def test_malformed_csv_exit_code(self, tmp_path, capsys, command, text):
+            "report-empty", "report-short-row", "report-no-label",
+            "train-bad-frame", "train-bad-feature", "fuse-bad-p",
+            "fuse-bad-index", "report-no-rows", "report-bad-p"])
+    def test_malformed_csv_exit_code(self, dataset, tmp_path, capsys,
+                                     command, text):
         csv = tmp_path / "in.csv"
         csv.write_text(text)
         args = {"train": ["train", "--features", str(csv), "--trees", "2",
@@ -96,6 +106,8 @@ class TestFeaturePath:
                 "predict": ["predict", "--model", str(tmp_path / "m.clef"),
                             "--features", str(csv),
                             "--out", str(tmp_path / "p.csv")],
+                "fuse": ["fuse", "--data", str(dataset), "--probs", str(csv),
+                         "--out", str(tmp_path / "f.csv")],
                 "report": ["report", "--results", str(csv)]}[command]
         capsys.readouterr()
         assert main(args) == 6
@@ -253,6 +265,19 @@ class TestFuse:
                    "--out", str(tmp_path / "f.csv")])
         assert rc == 6
 
+    def test_columns_after_p_c1_ignored(self, dataset, tmp_path):
+        # The header need only begin with the five probability columns.
+        outputs = []
+        for extra in ("", ",note"):
+            probs_csv = tmp_path / "probs.csv"
+            probs_csv.write_text(
+                f"patient,sequence,frame,patch_index,p_c1{extra}\n"
+                f"p00,s3,0,0,0.9{extra}\np00,s3,1,0,0.2{extra}\n")
+            out = tmp_path / "f.csv"
+            assert main(["fuse", "--data", str(dataset), "--probs",
+                         str(probs_csv), "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
 
     def test_duplicate_row_rejected(self, dataset, tmp_path):
         probs_csv = tmp_path / "probs.csv"

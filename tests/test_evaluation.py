@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clescreen import evaluation
 from clescreen.core import CARCINOGENIC, NORMAL, DatasetManifest
 from clescreen.classify import augment_rotations
 from clescreen.evaluation import (ConfigError, InsufficientPatients,
@@ -11,7 +14,8 @@ from clescreen.evaluation import (ConfigError, InsufficientPatients,
                                   mann_whitney_auc, prepare_records,
                                   record_patch_coords, roc_auc, roc_points,
                                   run_cv)
-from clescreen.features import image_row
+from clescreen.features import (LbpConfig, glcm, haralick_features,
+                                lbp_histogram)
 from clescreen.synth import SynthConfig, generate_dataset
 from conftest import make_record
 
@@ -23,6 +27,50 @@ def auc_pair_oracle(labels, probs):
     wins = sum(1.0 if p > n else 0.5 if p == n else 0.0
                for p in pos for n in neg)
     return wins / (len(pos) * len(neg))
+
+
+def auc_loop(labels, probs):
+    """Average-rank AUC with an explicit scan over tie groups."""
+    labels = np.asarray(labels).astype(int)
+    probs = np.asarray(probs, dtype=float)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(probs, kind="stable")
+    sorted_probs = probs[order]
+    ranks = np.empty(len(probs), dtype=float)
+    i = 0
+    while i < len(probs):
+        j = i
+        while j < len(probs) and sorted_probs[j] == sorted_probs[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
+        i = j
+    rank_sum_pos = float(ranks[labels == 1].sum())
+    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def roc_loop(labels, probs):
+    """ROC sweep with an explicit scan over tie groups."""
+    labels = np.asarray(labels).astype(int)
+    probs = np.asarray(probs, dtype=float)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(-probs, kind="stable")
+    sl = labels[order]
+    ss = probs[order]
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    i = 0
+    while i < len(ss):
+        j = i
+        while j < len(ss) and ss[j] == ss[i]:
+            j += 1
+        tp += int(sl[i:j].sum())
+        fp += (j - i) - int(sl[i:j].sum())
+        points.append((fp / n_neg, tp / n_pos, float(ss[i])))
+        i = j
+    return points
 
 
 def trapezoid_area(points):
@@ -165,6 +213,18 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="both classes"):
             roc_auc(np.array([1, 1]), np.array([0.5, 0.6]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 4)),
+                    min_size=0, max_size=40))
+    def test_tie_groups_match_loop_scan(self, pairs):
+        # Few distinct integer scores, so most groups are ties; both
+        # classes always present.
+        pairs = [(0, 2), (1, 2)] + pairs
+        labels = np.array([label for label, _ in pairs])
+        probs = np.array([float(score) for _, score in pairs])
+        assert mann_whitney_auc(labels, probs) == auc_loop(labels, probs)
+        assert roc_points(labels, probs) == roc_loop(labels, probs)
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -174,10 +234,19 @@ def small_dataset(tmp_path_factory):
     return generate_dataset(config, out, jobs=2)
 
 
+def patch_descriptor(patch, descriptor):
+    """One patch's descriptor through the single-patch functions."""
+    if isinstance(descriptor, LbpConfig):
+        return np.concatenate([lbp_histogram(patch, r, p)
+                               for r, p in descriptor.scales])
+    return haralick_features(glcm(patch, descriptor))
+
+
 class TestFeatureMatrix:
     def test_rows_match_patches_cut_from_raster(self, small_dataset):
-        # Oracle: each row is the image row of the admitted patches cut
-        # straight out of the prepared raster.
+        # Oracle: each row is the mean and deviation of the single-patch
+        # descriptors of the admitted patches cut straight out of the
+        # prepared raster.
         records = small_dataset.records[:3]
         prepared = prepare_records(small_dataset, records, 0.5, jobs=1)
         for method in ("RF-LBP@0.5x", "RF-GLCM@0.5x"):
@@ -185,10 +254,13 @@ class TestFeatureMatrix:
             matrix = feature_matrix(prepared, config)
             assert matrix.shape == (3, len(config.descriptor.row_names()))
             for (img, rects), row in zip(prepared, matrix):
-                stack = np.stack([
-                    img.pixels[c.c3:c.c4, c.c1:c.c2].astype(np.float64)
+                per_patch = np.stack([
+                    patch_descriptor(
+                        img.pixels[c.c3:c.c4, c.c1:c.c2].astype(np.float64),
+                        config.descriptor)
                     for c in record_patch_coords(img, rects, config)])
-                assert np.array_equal(row, image_row(stack, config.descriptor))
+                assert np.array_equal(row, np.concatenate(
+                    [per_patch.mean(axis=0), per_patch.std(axis=0)]))
 
 
 class TestRunCv:
@@ -247,6 +319,20 @@ class TestRunCv:
         manifest = generate_dataset(config, tmp_path)
         with pytest.raises(InsufficientPatients):
             run_cv(manifest, RunConfig(method="RF-LBP@0.5x", trees=4))
+
+    def test_single_patient_fails_before_preparing(self, monkeypatch):
+        # No frame is read: the records point at files that do not exist.
+        manifest = DatasetManifest(
+            records=[make_record(patient="p0", frame=f,
+                                 label=CARCINOGENIC if f % 2 else NORMAL)
+                     for f in range(6)],
+            root_path="nowhere")
+        prepared = []
+        monkeypatch.setattr(evaluation, "prepare_records",
+                            lambda *args: prepared.append(args))
+        with pytest.raises(InsufficientPatients):
+            run_cv(manifest, RunConfig(method="RF-LBP@0.5x", jobs=1))
+        assert prepared == []
 
     def test_balancing_decisions_recorded(self, small_dataset):
         config = RunConfig(method="RF-LBP@0.5x", seed=5, trees=10, jobs=2)

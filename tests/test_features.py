@@ -7,11 +7,20 @@ import numpy as np
 import pytest
 
 from clescreen.core import ArtifactRect
-from clescreen.evaluation import RunConfig, feature_matrix
+from clescreen.evaluation import RunConfig, feature_matrix, record_patch_coords
 from clescreen.features import (GlcmConfig, HARALICK_NAMES, LbpConfig,
                                 glcm, haralick_features, image_row,
                                 lbp_histogram, lbp_patch_matrix, quantize)
+from clescreen.patching import PatchCoords, resize_half
 from conftest import make_image
+
+
+def side_by_side(stack: np.ndarray):
+    """A raster holding the (n, h, w) patches of `stack` left to right,
+    and the coords that cut them back out, in stack order."""
+    n, h, w = stack.shape
+    coords = [PatchCoords(i * w, (i + 1) * w, 0, h) for i in range(n)]
+    return np.concatenate(list(stack), axis=1), coords
 
 
 def lbp_reference(patch: np.ndarray, radius: int, neighbors: int) -> np.ndarray:
@@ -115,7 +124,7 @@ class TestLbpImageVector:
         rng = np.random.default_rng(1)
         stack = rng.uniform(0, 65535, (3, 16, 16))
         names = LbpConfig().row_names()
-        assert len(image_row(stack, LbpConfig())) == 108
+        assert len(image_row(*side_by_side(stack), LbpConfig())) == 108
         assert len(names) == 108
         assert names[0] == "mean:lbp:r1n8:b0"
         assert names[54].startswith("std:")
@@ -123,7 +132,7 @@ class TestLbpImageVector:
     def test_single_patch_std_is_zero(self):
         rng = np.random.default_rng(2)
         patch = rng.uniform(0, 65535, (16, 16))
-        row = image_row(patch[None], LbpConfig())
+        row = image_row(*side_by_side(patch[None]), LbpConfig())
         assert np.all(row[54:] == 0.0)
         concat = np.concatenate([
             lbp_histogram(patch, r, p) for r, p in LbpConfig().scales])
@@ -132,8 +141,9 @@ class TestLbpImageVector:
     def test_duplicate_patches_match_single(self):
         rng = np.random.default_rng(3)
         patch = rng.uniform(0, 65535, (16, 16))
-        one = image_row(patch[None], LbpConfig())
-        two = image_row(np.stack([patch, patch.copy()]), LbpConfig())
+        one = image_row(*side_by_side(patch[None]), LbpConfig())
+        two = image_row(*side_by_side(np.stack([patch, patch.copy()])),
+                        LbpConfig())
         assert np.allclose(one, two)
 
     def test_empty_patch_list_rejected(self):
@@ -146,11 +156,45 @@ class TestLbpImageVector:
     def test_batch_matrix_matches_per_patch(self):
         rng = np.random.default_rng(4)
         stack = rng.integers(0, 65536, size=(5, 16, 16)).astype(np.float64)
-        mat = lbp_patch_matrix(stack)
+        mat = lbp_patch_matrix(*side_by_side(stack))
         for i in range(5):
             concat = np.concatenate([
                 lbp_histogram(stack[i], r, p) for r, p in LbpConfig().scales])
             assert np.array_equal(mat[i], concat)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_frame_raster_matches_cut_patches(self, scale):
+        # Oracle: the single-patch histogram of each admitted patch cut
+        # out of the frame.  Few gray levels make neighbor ties common.
+        rng = np.random.default_rng(5)
+        size = int(320 / scale)
+        img = make_image(size=size)
+        img.pixels[:] = rng.integers(0, 6, size=(size, size)) * 9000
+        if scale == 0.5:
+            img = resize_half(img)
+        config = RunConfig(method=f"RF-LBP@{scale:.1f}x", jobs=1)
+        side = img.width
+        artifact = [ArtifactRect(0, 0, side // 2, side // 3)]
+        coords = record_patch_coords(img, artifact, config)
+        assert 0 < len(coords) < len(record_patch_coords(img, [], config))
+        mat = lbp_patch_matrix(img.pixels, coords)
+        assert mat.shape == (len(coords), LbpConfig().n_features)
+        for row, c in zip(mat, coords):
+            patch = img.pixels[c.c3:c.c4, c.c1:c.c2].astype(np.float64)
+            start = 0
+            for r, p in LbpConfig().scales:
+                assert np.array_equal(row[start:start + p + 2],
+                                      lbp_histogram(patch, r, p))
+                start += p + 2
+
+    def test_patch_too_small_for_radius_on_large_frame(self):
+        # The frame could code every center, but each patch is too small.
+        pixels = np.zeros((40, 40))
+        coords = [PatchCoords(0, 8, 0, 8), PatchCoords(8, 16, 0, 8)]
+        with pytest.raises(ValueError,
+                           match=r"patch 8x8 too small for radius 5 "
+                                 r"\(needs >= 11\)"):
+            lbp_patch_matrix(pixels, coords)
 
 
 class TestQuantize:
@@ -266,22 +310,25 @@ class TestGlcmImageVector:
     def test_dimension_count(self):
         rng = np.random.default_rng(41)
         stack = rng.uniform(0, 65535, (4, 12, 12))
-        assert len(image_row(stack, GlcmConfig())) == 30  # 2 * 15
+        # 2 * 15: mean and std of each statistic.
+        assert len(image_row(*side_by_side(stack), GlcmConfig())) == 30
         assert GlcmConfig().row_names()[0] == "mean:glcm16:energy"
 
     def test_single_patch_std_zero(self):
         rng = np.random.default_rng(42)
-        row = image_row(rng.uniform(0, 65535, (1, 12, 12)), GlcmConfig())
+        row = image_row(*side_by_side(rng.uniform(0, 65535, (1, 12, 12))),
+                        GlcmConfig())
         assert np.all(row[15:] == 0.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(43)
-        stack = rng.uniform(0, 65535, (5, 12, 12))
-        a = image_row(stack, GlcmConfig())
-        b = image_row(stack[::-1], GlcmConfig())
+        pixels, coords = side_by_side(rng.uniform(0, 65535, (5, 12, 12)))
+        a = image_row(pixels, coords, GlcmConfig())
+        b = image_row(pixels, coords[::-1], GlcmConfig())
         assert np.allclose(a, b)
 
     def test_no_nan_on_constant_patches(self):
-        row = image_row(np.stack([np.full((12, 12), 7.0),
-                                  np.full((12, 12), 9.0)]), GlcmConfig())
+        row = image_row(*side_by_side(np.stack([np.full((12, 12), 7.0),
+                                                np.full((12, 12), 9.0)])),
+                        GlcmConfig())
         assert np.all(np.isfinite(row))
