@@ -19,7 +19,7 @@ from .forest import (RandomForestModel, load_forest, save_forest,
 from .fusion import (FusionMaps, ImageProbability, build_maps,
                      export_probability_map, image_probability)
 from .evaluation import (EvalReport, RunConfig, confusion_metrics,
-                         feature_matrix, lopo_folds, prepare_records, roc_auc,
+                         lopo_folds, prepare_records, represent, roc_auc,
                          run_cv)
 from .synth import SynthConfig, generate_dataset
 

@@ -91,9 +91,6 @@ def balance_classes(labels: np.ndarray, augmented: np.ndarray,
 # Logistic baseline
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 16384
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -105,29 +102,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def logistic_loss_grad(weights: np.ndarray, bias: float, X: np.ndarray,
                        y: np.ndarray, l2: float = 0.0):
-    """Mean cross-entropy loss and its analytic gradient.
-
-    Chunked over rows so the full logits vector never needs a second
-    matrix-sized buffer on large patch sets.
-    """
-    n, d = X.shape
-    dt = np.float64
-    grad_w = np.zeros(d, dtype=dt)
-    grad_b = 0.0
-    loss = 0.0
-    w = np.asarray(weights, dtype=X.dtype)
-    for s in range(0, n, _CHUNK_ROWS):
-        Xc = X[s:s + _CHUNK_ROWS]
-        yc = y[s:s + _CHUNK_ROWS]
-        z = Xc @ w + bias
-        # log(1 + e^z) - y*z, evaluated stably
-        loss += float(np.logaddexp(0.0, z).sum() - (yc * z).sum())
-        err = (_sigmoid(z) - yc).astype(X.dtype)
-        grad_w += (err @ Xc).astype(dt)
-        grad_b += float(err.sum())
+    """Mean cross-entropy loss and its analytic gradient."""
+    n = len(X)
+    z = X @ np.asarray(weights, dtype=X.dtype) + bias
+    # log(1 + e^z) - y*z, evaluated stably
+    loss = float(np.logaddexp(0.0, z).sum() - (y * z).sum())
+    err = (_sigmoid(z) - y).astype(X.dtype)
     loss = loss / n + 0.5 * l2 * float(np.dot(weights, weights))
-    grad_w = grad_w / n + l2 * np.asarray(weights, dtype=dt)
-    return loss, grad_w, grad_b / n
+    grad_w = ((err @ X).astype(np.float64) / n
+              + l2 * np.asarray(weights, dtype=np.float64))
+    return loss, grad_w, float(err.sum()) / n
 
 
 @dataclass
@@ -144,11 +128,8 @@ class LogisticModel:
             raise ValueError(
                 f"row has {X.shape[1]} features, model expects "
                 f"{len(self.weights)}")
-        p1 = np.empty(len(X), dtype=np.float64)
-        w = self.weights.astype(X.dtype, copy=False)
-        for s in range(0, len(X), _CHUNK_ROWS):
-            z = X[s:s + _CHUNK_ROWS] @ w + self.bias
-            p1[s:s + _CHUNK_ROWS] = _sigmoid(np.asarray(z, dtype=np.float64))
+        z = X @ self.weights.astype(X.dtype, copy=False) + self.bias
+        p1 = _sigmoid(np.asarray(z, dtype=np.float64))
         return np.stack([1.0 - p1, p1], axis=1)
 
 

@@ -19,9 +19,9 @@ from . import __version__
 from .core import (LABELS, DatasetManifest, ManifestError, PgmError,
                    dataset_stats, load_manifest)
 from .evaluation import (ConfigError, InsufficientPatients, METHODS,
-                         RunConfig, confusion_metrics, feature_matrix,
-                         prepare_records, record_patch_coords, results_csv,
-                         roc_auc, roc_csv, run_cv, summary_dict)
+                         RunConfig, confusion_metrics, prepare_records,
+                         represent, results_csv, roc_auc, roc_csv, run_cv,
+                         summary_dict)
 from .forest import load_forest, save_forest, train_random_forest
 from .fusion import fuse
 from .synth import SynthConfig, generate_dataset
@@ -76,6 +76,13 @@ def _field(path: str, line: int, column: str, text: str, kind: type):
                             f"a valid {kind.__name__}") from None
 
 
+def _checked_config(**values) -> RunConfig:
+    """A validated RunConfig of a command's options, defaults elsewhere."""
+    config = RunConfig(**values)
+    config.validate()
+    return config
+
+
 def _label_value(label: str, path: str) -> int:
     """Class index of a label column entry (0 normal, 1 carcinogenic)."""
     if label not in LABELS:
@@ -118,12 +125,15 @@ def cmd_stats(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    config = _checked_config(
+        method=("WHOLEIMAGE@0.55x" if args.mode == "wholeimage"
+                else f"PPF@{args.scale:.1f}x"),
+        target_size=args.target, jobs=1)
     manifest = _load_data(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = manifest.records
-    scale = 1.0 if args.mode == "wholeimage" else args.scale
-    prepared = prepare_records(manifest, records, scale, jobs=1)
+    prepared = prepare_records(manifest, records, config)
     if args.mode == "wholeimage":
         sidecar = ["patient,sequence,frame,p_low,p_high,side,origin_x,origin_y"]
         for rec, (img, _) in zip(records, prepared):
@@ -137,8 +147,8 @@ def cmd_preprocess(args) -> int:
         _write(out / "preprocess.csv", "\n".join(sidecar) + "\n")
     else:
         lines = ["patient,sequence,frame,patch_index,c1,c2,c3,c4"]
-        for rec, (img, rects) in zip(records, prepared):
-            for j, c in enumerate(record_patch_coords(img, rects, RunConfig())):
+        for rec, (_img, coords) in zip(records, prepared):
+            for j, c in enumerate(coords):
                 lines.append(f"{rec.patient},{rec.sequence},{rec.frame},{j},"
                              f"{c.c1},{c.c2},{c.c3},{c.c4}")
         _write(out / "patches.csv", "\n".join(lines) + "\n")
@@ -147,15 +157,15 @@ def cmd_preprocess(args) -> int:
 
 def cmd_featurize(args) -> int:
     manifest = _load_data(args.data)
-    config = RunConfig(method=f"RF-{args.features.upper()}@{args.scale:.1f}x",
-                       jobs=args.jobs)
-    config.validate()
+    config = _checked_config(
+        method=f"RF-{args.features.upper()}@{args.scale:.1f}x", jobs=args.jobs)
     header = ("patient,sequence,frame,label,"
               + ",".join(config.descriptor.row_names()))
     records = manifest.records
-    prepared = prepare_records(manifest, records, args.scale, args.jobs)
+    rows, _owner = represent(prepare_records(manifest, records, config),
+                             config)
     lines = [header]
-    for rec, row in zip(records, feature_matrix(prepared, config)):
+    for rec, row in zip(records, rows):
         values = ",".join(repr(float(v)) for v in row)
         lines.append(f"{rec.patient},{rec.sequence},{rec.frame},{rec.label},"
                      f"{values}")
@@ -175,6 +185,7 @@ def _read_feature_csv(path: str):
 
 
 def cmd_train(args) -> int:
+    _checked_config(trees=args.trees, seed=args.seed, jobs=args.jobs)
     _meta, X, y = _read_feature_csv(args.features)
     model = train_random_forest(X, y, trees=args.trees, seed=args.seed,
                                 jobs=args.jobs)
@@ -196,6 +207,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    config = _checked_config(method=f"PPF@{args.scale:.1f}x", jobs=1)
     manifest = _load_data(args.data)
     probs: dict[tuple, dict[int, float]] = {}
     _header, rows = _read_csv(
@@ -217,10 +229,9 @@ def cmd_fuse(args) -> int:
     if not records:
         raise ManifestError("no probability rows matched any manifest record")
     out_lines = ["patient,sequence,frame,label,p_image"]
-    prepared = prepare_records(manifest, records, args.scale, jobs=1)
-    for rec, (img, rects) in zip(records, prepared):
+    prepared = prepare_records(manifest, records, config)
+    for rec, (img, coords) in zip(records, prepared):
         key = (rec.patient, rec.sequence, rec.frame)
-        coords = record_patch_coords(img, rects, RunConfig())
         pairs = []
         for idx, p in sorted(probs[key].items()):
             if not 0 <= idx < len(coords):
@@ -257,9 +268,7 @@ def _build_run_config(args) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    config = RunConfig(**values)
-    config.validate()
-    return config
+    return _checked_config(**values)
 
 
 def cmd_cv(args) -> int:
@@ -279,6 +288,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _checked_config(threshold=args.threshold)
     header, rows = _read_csv(args.results, ())
     if "label" not in header or "p_image" not in header:
         raise ManifestError(f"{args.results}: missing label/p_image columns")

@@ -250,6 +250,8 @@ def save_image(image: CleImage, path: str | Path) -> None:
 
 
 def _record_from_json(obj: dict, index: int) -> ImageRecord:
+    if not isinstance(obj, dict):
+        raise ManifestError(f"record {index}: expected an object")
     try:
         rects = [ArtifactRect(*map(int, r)) for r in obj.get("artifacts", [])]
         rec = ImageRecord(
@@ -327,9 +329,12 @@ def load_manifest(path: str | Path, check_files: bool = True) -> DatasetManifest
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "records" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise ManifestError("manifest must be an object with a 'records' list")
-    root = Path(doc.get("root", "."))
+    root = doc.get("root", ".")
+    if not isinstance(root, str):
+        raise ManifestError("manifest 'root' must be a path string")
+    root = Path(root)
     if not root.is_absolute():
         root = path.parent / root
     records = [_record_from_json(o, i) for i, o in enumerate(doc["records"])]

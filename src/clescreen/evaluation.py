@@ -303,27 +303,55 @@ def record_patch_coords(img: core.CleImage, rects, config: RunConfig):
 
 
 def prepare_records(manifest: core.DatasetManifest,
-                    records: list[core.ImageRecord], scale: float,
-                    jobs: int) -> list[tuple[core.CleImage, list]]:
-    """`prepare_record_image` for every record, on `jobs` worker
-    processes, in record order."""
-    return run_parallel(
-        lambda record: prepare_record_image(manifest, record, scale),
-        records, jobs)
+                    records: list[core.ImageRecord], config: RunConfig
+                    ) -> list[tuple[core.CleImage, list[patching.PatchCoords]]]:
+    """(frame, admitted patch coords) of every record at the method's
+    scale, on `config.jobs` worker processes, in record order.  The
+    whole-image method builds no grid, so its frames may be tiny."""
+    kind, _, scale = _METHOD_SPEC[config.method]
+
+    def prepare(record: core.ImageRecord):
+        img, rects = prepare_record_image(manifest, record, scale)
+        if kind == "wholeimage":
+            return img, []
+        return img, record_patch_coords(img, rects, config)
+
+    return run_parallel(prepare, records, config.jobs)
 
 
-def feature_matrix(prepared: list[tuple[core.CleImage, list]],
-                   config: RunConfig) -> np.ndarray:
-    """Texture feature rows of prepared records, one per record, in the
-    layout `config.descriptor.row_names()` names."""
-    def row(index: int) -> np.ndarray:
-        img, rects = prepared[index]
-        coords = record_patch_coords(img, rects, config)
-        if not coords:
-            raise ValueError("record has no admissible patches")
-        return features.image_row(img.pixels, coords, config.descriptor)
+def represent(prepared: list[tuple[core.CleImage, list]],
+              config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Classifier rows of prepared records and the ascending record index
+    `owner[j]` of row j: per record one texture row (RF-*, named by
+    `config.descriptor.row_names()`) or whitened float32 raster
+    (whole-image); per admitted patch, in grid order, one whitened
+    float32 patch (PPF)."""
+    kind = _METHOD_SPEC[config.method][0]
+    counts = np.array([len(c) for _img, c in prepared], dtype=np.intp)
+    if kind != "wholeimage" and not counts.all():
+        raise ValueError(f"record {int(np.argmin(counts))} has no "
+                         f"admissible patches")
+    # One preallocated PPF cache: stacking per-record blocks would double it.
+    if kind == "ppf":
+        X = np.empty((counts.sum(), config.patch_size ** 2), dtype=np.float32)
+        cuts = [(img.pixels, c) for img, coords in prepared for c in coords]
+        for row, (pixels, c) in enumerate(cuts):
+            X[row] = patching.whiten_values(
+                pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
+        return X, np.repeat(np.arange(len(prepared)), counts)
 
-    return np.stack(run_parallel(row, range(len(prepared)), config.jobs))
+    def record_row(index: int) -> np.ndarray:
+        img, coords = prepared[index]
+        if kind == "features":
+            return features.image_row(img.pixels, coords, config.descriptor)
+        _compressed, _crop, raster = wholeimage.preprocess(
+            img, config.target_size)
+        white, _ = patching.whiten_values(raster.astype(np.float64).ravel())
+        return white.astype(np.float32)
+
+    return (np.stack(run_parallel(record_row, range(len(prepared)),
+                                  config.jobs)),
+            np.arange(len(prepared)))
 
 
 def _fit(config: RunConfig, X: np.ndarray, y: np.ndarray, seed: int):
@@ -354,7 +382,7 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     ROC/AUC, and a per-fold provenance audit.
     """
     config.validate()
-    kind, _, scale = _METHOD_SPEC[config.method]
+    kind = _METHOD_SPEC[config.method][0]
     if kind == "wholeimage" and not config.wholeimage_baseline:
         raise ValueError(
             "method WHOLEIMAGE@0.55x has no in-scope trained network; "
@@ -370,36 +398,8 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     # fails at once.
     folds = lopo_folds(augmented)
 
-    prepared = prepare_records(augmented, records, scale, config.jobs)
-
-    if kind == "features":
-        matrix = feature_matrix(prepared, config)
-    elif kind == "wholeimage":
-        def wholeimage_row(index: int) -> np.ndarray:
-            _compressed, _crop, raster = wholeimage.preprocess(
-                prepared[index][0], config.target_size)
-            row, _ = patching.whiten_values(raster.astype(np.float64).ravel())
-            return row.astype(np.float32)
-
-        matrix = np.stack(run_parallel(wholeimage_row, range(len(records)),
-                                       config.jobs))
-    else:  # ppf: whitened patches of record i are rows starts[i]:starts[i+1]
-        coords_per_record = []
-        for record, (img, rects) in zip(records, prepared):
-            coords = record_patch_coords(img, rects, config)
-            if not coords:
-                raise ValueError(
-                    f"record {record.key()} has no admissible patches")
-            coords_per_record.append(coords)
-        starts = np.cumsum([0] + [len(c) for c in coords_per_record])
-        patch_labels = np.repeat(labels, np.diff(starts))
-        patch_cache = np.empty((starts[-1], config.patch_size ** 2),
-                               dtype=np.float32)
-        for i, (img, _rects) in enumerate(prepared):
-            for j, c in enumerate(coords_per_record[i]):
-                white, _ = patching.whiten_values(
-                    img.pixels[c.c3:c.c4, c.c1:c.c2])
-                patch_cache[starts[i] + j] = white.ravel()
+    prepared = prepare_records(augmented, records, config)
+    X, owner = represent(prepared, config)
 
     fold_seeds: dict[str, int] = {}
     results: list[ResultRow] = []
@@ -420,21 +420,17 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
             seed=stable_seed(fold_seed, "balance"))]
         removed_idx = np.setdiff1d(train_idx, kept_idx, assume_unique=True)
 
-        if kind != "ppf":
-            model = _fit(config, matrix[kept_idx], labels[kept_idx],
-                         fold_seed)
-            probs = model.predict_proba(matrix[test_idx])[:, 1]
-        else:
-            row_idx = np.concatenate(
-                [np.arange(starts[i], starts[i + 1]) for i in kept_idx])
-            model = _fit(config, patch_cache[row_idx], patch_labels[row_idx],
-                         fold_seed)
+        rows = np.flatnonzero(np.isin(owner, kept_idx))
+        model = _fit(config, X[rows], labels[owner[rows]], fold_seed)
+        if kind != "ppf":  # one row per record
+            probs = model.predict_proba(X[test_idx])[:, 1]
+        else:  # fuse each test record's patch posteriors
             probs = np.empty(len(test_idx), dtype=np.float64)
             for n, i in enumerate(test_idx):
-                rows = slice(starts[i], starts[i + 1])
-                pp = model.predict_proba(patch_cache[rows])[:, 1]
-                img = prepared[i][0]
-                probs[n] = fusion.fuse(list(zip(coords_per_record[i], pp)),
+                lo, hi = np.searchsorted(owner, (i, i + 1))
+                pp = model.predict_proba(X[lo:hi])[:, 1]
+                img, coords = prepared[i]
+                probs[n] = fusion.fuse(list(zip(coords, pp)),
                                        (img.width, img.height)).p
                 patch_hits += int(((pp >= config.threshold).astype(int)
                                    == labels[i]).sum())

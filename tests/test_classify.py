@@ -214,21 +214,3 @@ class TestLogistic:
                               losses=np.array([]))
         with pytest.raises(ValueError, match="features"):
             model.predict_proba(np.zeros((2, 3)))
-
-    def test_chunked_path_matches_direct(self):
-        # Rows above the chunk size must not change results.
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(100, 3))
-        y = (X[:, 0] > 0).astype(float)
-        w = rng.normal(size=3)
-        import clescreen.classify as mod
-        loss_a, gw_a, gb_a = logistic_loss_grad(w, 0.1, X, y, 0.0)
-        old = mod._CHUNK_ROWS
-        try:
-            mod._CHUNK_ROWS = 7
-            loss_b, gw_b, gb_b = logistic_loss_grad(w, 0.1, X, y, 0.0)
-        finally:
-            mod._CHUNK_ROWS = old
-        assert loss_a == pytest.approx(loss_b, rel=1e-12)
-        assert np.allclose(gw_a, gw_b)
-        assert gb_a == pytest.approx(gb_b, rel=1e-12)

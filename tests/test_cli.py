@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from clescreen.cli import main
-from clescreen.core import load_manifest
+from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
+                            load_manifest, save_image, save_manifest)
 from clescreen.evaluation import RunConfig, prepare_record_image, record_patch_coords
 from clescreen.fusion import fuse
+from conftest import make_image, make_record
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +21,21 @@ def dataset(tmp_path_factory):
                "--seed", "21", "--jobs", "2"])
     assert rc == 0
     return out
+
+
+@pytest.fixture
+def tiny_frames(tmp_path):
+    """3 patients x 4 frames of 64 px, smaller than one 80 px patch."""
+    rng = np.random.default_rng(11)
+    records = [make_record(patient=f"p{p}", frame=f,
+                           label=CARCINOGENIC if f % 2 else NORMAL)
+               for p in range(3) for f in range(4)]
+    (tmp_path / "imgs").mkdir()
+    for rec in records:
+        save_image(make_image(size=64, rng=rng), tmp_path / "imgs" / rec.file)
+    save_manifest(DatasetManifest(records=records, root_path=tmp_path),
+                  tmp_path / "manifest.json", root="imgs")
+    return tmp_path
 
 
 class TestSynthStats:
@@ -135,6 +152,13 @@ class TestPreprocess:
         assert len(pgms) == 12
         assert pgms[0].read_bytes().startswith(b"P5\n224 224\n255\n")
 
+    def test_wholeimage_mode_on_frames_smaller_than_a_patch(
+            self, tiny_frames, tmp_path):
+        out = tmp_path / "pre"
+        assert main(["preprocess", "--data", str(tiny_frames), "--mode",
+                     "wholeimage", "--out", str(out)]) == 0
+        assert len(list(out.glob("*.pgm"))) == 12
+
     def test_patches_mode(self, dataset, tmp_path):
         out = tmp_path / "pre2"
         assert main(["preprocess", "--data", str(dataset), "--mode",
@@ -142,6 +166,33 @@ class TestPreprocess:
         lines = (out / "patches.csv").read_text().splitlines()
         assert lines[0] == "patient,sequence,frame,patch_index,c1,c2,c3,c4"
         assert len(lines) > 12
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize("command, option, value", [
+        ("preprocess", "--target", "0"),
+        ("preprocess", "--target", "-3"),
+        ("train", "--trees", "0"),
+        ("report", "--threshold", "7"),
+    ])
+    def test_bad_option_is_config_error(self, dataset, tmp_path, capsys,
+                                        command, option, value):
+        # Every other input is valid, so only the option can fail.
+        feat = tmp_path / "feat.csv"
+        feat.write_text("patient,sequence,frame,label,f0\n"
+                        "p00,s0,0,normal,0.5\np00,s0,1,carcinogenic,0.7\n")
+        results = tmp_path / "results.csv"
+        results.write_text("patient,label,p_image\np00,normal,0.2\n"
+                           "p01,carcinogenic,0.9\n")
+        out = tmp_path / "out"
+        args = {"preprocess": ["--data", str(dataset), "--out", str(out)],
+                "train": ["--features", str(feat), "--out", str(out)],
+                "report": ["--results", str(results), "--out", str(out)],
+                }[command]
+        capsys.readouterr()
+        assert main([command, *args, option, value]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestCv:
@@ -216,6 +267,14 @@ class TestCv:
         rc = main(["cv", "--data", str(dataset), "--config", str(cfg),
                    "--out", str(tmp_path / "cvb"), "--jobs", "1"])
         assert rc == code
+
+    def test_wholeimage_baseline_on_frames_smaller_than_a_patch(
+            self, tiny_frames, tmp_path):
+        out = tmp_path / "cvw"
+        assert main(["cv", "--data", str(tiny_frames), "--method",
+                     "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
+                     "--epochs", "2", "--out", str(out), "--jobs", "1"]) == 0
+        assert len((out / "results.csv").read_text().splitlines()) == 13
 
     def test_unknown_flag_usage_error(self, dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -196,6 +196,24 @@ class TestManifest:
         with pytest.raises(ManifestError, match="missing image file"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("change", [
+        {"records": 5},
+        {"records": {"0": {}}},
+        {"records": ["p0_s0_0.pgm"]},
+        {"root": 5},
+    ], ids=["records-number", "records-object", "record-string",
+            "root-number"])
+    def test_malformed_structure_rejected(self, tmp_path, change):
+        # A valid one-record manifest with one structural field broken.
+        records = [make_record()]
+        path = self._write(tmp_path, records)
+        self._touch_images(tmp_path, records)
+        doc = json.loads(path.read_text())
+        doc.update(change)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError):
+            load_manifest(path)
+
     def test_augmented_needs_both_lineage_fields(self, tmp_path):
         rec = make_record()
         rec.rotation_deg = 45.0  # no augmented_from

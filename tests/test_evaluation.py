@@ -1,5 +1,7 @@
 """Fold planning, metrics, ROC/AUC, and the cross-validation driver."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,14 @@ from clescreen import evaluation
 from clescreen.core import CARCINOGENIC, NORMAL, DatasetManifest
 from clescreen.classify import augment_rotations
 from clescreen.evaluation import (ConfigError, InsufficientPatients,
-                                  RunConfig, confusion_metrics,
-                                  feature_matrix, lopo_folds,
-                                  mann_whitney_auc, prepare_records,
-                                  record_patch_coords, roc_auc, roc_points,
-                                  run_cv)
+                                  RunConfig, confusion_metrics, lopo_folds,
+                                  mann_whitney_auc, prepare_record_image,
+                                  prepare_records, record_patch_coords,
+                                  represent, results_csv, roc_auc, roc_csv,
+                                  roc_points, run_cv, summary_dict)
 from clescreen.features import (LbpConfig, glcm, haralick_features,
                                 lbp_histogram)
+from clescreen.patching import whiten_values
 from clescreen.synth import SynthConfig, generate_dataset
 from conftest import make_record
 
@@ -248,19 +251,47 @@ class TestFeatureMatrix:
         # descriptors of the admitted patches cut straight out of the
         # prepared raster.
         records = small_dataset.records[:3]
-        prepared = prepare_records(small_dataset, records, 0.5, jobs=1)
         for method in ("RF-LBP@0.5x", "RF-GLCM@0.5x"):
             config = RunConfig(method=method, jobs=2)
-            matrix = feature_matrix(prepared, config)
+            prepared = prepare_records(small_dataset, records, config)
+            matrix, owner = represent(prepared, config)
             assert matrix.shape == (3, len(config.descriptor.row_names()))
-            for (img, rects), row in zip(prepared, matrix):
+            assert owner.tolist() == [0, 1, 2]
+            for rec, (img, coords), row in zip(records, prepared, matrix):
+                assert coords == record_patch_coords(
+                    *prepare_record_image(small_dataset, rec, 0.5), config)
                 per_patch = np.stack([
                     patch_descriptor(
                         img.pixels[c.c3:c.c4, c.c1:c.c2].astype(np.float64),
                         config.descriptor)
-                    for c in record_patch_coords(img, rects, config)])
+                    for c in coords])
                 assert np.array_equal(row, np.concatenate(
                     [per_patch.mean(axis=0), per_patch.std(axis=0)]))
+
+    def test_ppf_rows_are_whitened_patches(self, small_dataset):
+        # Oracle: one float32 row per admitted patch, whitened on its own,
+        # grouped by record in record order.
+        config = RunConfig(method="PPF@0.5x", jobs=1)
+        prepared = prepare_records(small_dataset, small_dataset.records[:3],
+                                   config)
+        X, owner = represent(prepared, config)
+        expected = [
+            whiten_values(img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
+            for img, coords in prepared for c in coords]
+        assert X.dtype == np.float32
+        assert np.array_equal(X, np.stack(expected).astype(np.float32))
+        assert owner.tolist() == [i for i, (_img, coords) in
+                                  enumerate(prepared) for _c in coords]
+
+    def test_wholeimage_builds_no_patch_grid(self, small_dataset):
+        config = RunConfig(method="WHOLEIMAGE@0.55x", jobs=2)
+        prepared = prepare_records(small_dataset, small_dataset.records[:3],
+                                   config)
+        assert [coords for _img, coords in prepared] == [[], [], []]
+        X, owner = represent(prepared, config)
+        assert X.shape == (3, config.target_size ** 2)
+        assert X.dtype == np.float32
+        assert owner.tolist() == [0, 1, 2]
 
 
 class TestRunCv:
@@ -275,6 +306,23 @@ class TestRunCv:
         assert len(set(keys)) == 24  # each original scored exactly once
         assert 0.0 <= a.auc <= 1.0
         assert a.patch_accuracy is None
+
+    # RF-LBP is covered by test_rf_lbp_report_structure_and_determinism.
+    @pytest.mark.parametrize("overrides", [
+        {"method": "RF-GLCM@0.5x", "trees": 20},
+        {"method": "PPF@0.5x", "epochs": 8},
+        {"method": "PPF@0.5x", "patch_classifier": "forest", "trees": 12},
+        {"method": "WHOLEIMAGE@0.55x", "epochs": 4,
+         "wholeimage_baseline": True},
+    ], ids=["rf-glcm", "ppf-logistic", "ppf-forest", "wholeimage"])
+    def test_outputs_identical_across_jobs(self, small_dataset, overrides):
+        outputs = []
+        for jobs in (1, 2):
+            report = run_cv(small_dataset,
+                            RunConfig(seed=5, jobs=jobs, **overrides))
+            outputs.append((results_csv(report), roc_csv(report),
+                            json.dumps(summary_dict(report), sort_keys=True)))
+        assert outputs[0] == outputs[1]
 
     def test_ppf_logistic_runs_and_audits(self, small_dataset):
         config = RunConfig(method="PPF@0.5x", seed=5, epochs=8, jobs=2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clescreen.core import ArtifactRect
-from clescreen.evaluation import RunConfig, feature_matrix, record_patch_coords
+from clescreen.evaluation import RunConfig, record_patch_coords, represent
 from clescreen.features import (GlcmConfig, HARALICK_NAMES, LbpConfig,
                                 glcm, haralick_features, image_row,
                                 lbp_histogram, lbp_patch_matrix, quantize)
@@ -150,8 +150,10 @@ class TestLbpImageVector:
         # A frame whose every grid patch touches an artifact has no rows.
         img = make_image(size=160)
         config = RunConfig(method="RF-LBP@1.0x", jobs=1)
+        coords = record_patch_coords(img, [ArtifactRect(0, 0, 160, 160)],
+                                     config)
         with pytest.raises(ValueError, match="no admissible patches"):
-            feature_matrix([(img, [ArtifactRect(0, 0, 160, 160)])], config)
+            represent([(img, coords)], config)
 
     def test_batch_matrix_matches_per_patch(self):
         rng = np.random.default_rng(4)
