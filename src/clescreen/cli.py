@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 invalid configuration,
 4 IO failure, 5 insufficient patients for cross-validation,
-6 malformed data (manifest, image, or probability file).
+6 malformed data (manifest, image, or probability file), 7 a worker
+process died (for example, killed when the machine ran out of memory).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ _EXIT_CONFIG = 3
 _EXIT_IO = 4
 _EXIT_PATIENTS = 5
 _EXIT_DATA = 6
+_EXIT_WORKER = 7
 
 
 def _load_data(path: str) -> DatasetManifest:
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Patch-based screening pipeline for circular-field "
                     "endomicroscopy images.",
         epilog="exit codes: 0 ok, 2 usage, 3 invalid config, 4 IO failure, "
-               "5 insufficient patients, 6 malformed data",
+               "5 insufficient patients, 6 malformed data, 7 worker died",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -438,6 +441,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"clescreen: {exc}", file=sys.stderr)
         return _EXIT_DATA
+    except BrokenExecutor:
+        print("clescreen: a worker process died, most likely killed (for "
+              "example by running out of memory); try fewer --jobs",
+              file=sys.stderr)
+        return _EXIT_WORKER
 
 
 if __name__ == "__main__":

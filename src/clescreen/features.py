@@ -210,41 +210,57 @@ def lbp_patch_matrix(pixels: np.ndarray, coords,
 # ---------------------------------------------------------------------------
 
 
+# Float64 values per block temporary (512 KB): glcm_patch_matrix takes as
+# many patches at a time as keep both their (n, h, w) windows and their
+# (n, L, L) matrices within it, so 80 px patches at 16 levels go 10 at a
+# time and patches at 256 levels one at a time.  Larger blocks were no
+# faster at 16 levels and slower at 256, and raise peak memory.
+_GLCM_BLOCK_VALUES = 1 << 16
+
+
+def _quantize_stack(v: np.ndarray, levels: int) -> np.ndarray:
+    """`quantize` applied to each v[k] on its own [min, max]."""
+    axes = tuple(range(1, v.ndim))
+    lo = v.min(axis=axes, keepdims=True)
+    span = v.max(axis=axes, keepdims=True) - lo
+    scaled = np.divide(v - lo, span, out=np.zeros_like(v), where=span > 0)
+    return np.clip(np.floor(scaled * levels), 0, levels - 1).astype(np.int64)
+
+
 def quantize(values: np.ndarray, levels: int) -> np.ndarray:
     """Uniform quantization into `levels` bins over the array's own
     [min, max]; a constant array maps to level 0 everywhere."""
-    v = np.asarray(values, dtype=np.float64)
-    lo, hi = float(v.min()), float(v.max())
-    if hi <= lo:
-        return np.zeros(v.shape, dtype=np.int64)
-    q = np.floor((v - lo) / (hi - lo) * levels)
-    return np.clip(q, 0, levels - 1).astype(np.int64)
+    return _quantize_stack(np.asarray(values, dtype=np.float64)[None],
+                           levels)[0]
+
+
+def _glcm_stack(q: np.ndarray, config: GlcmConfig) -> np.ndarray:
+    """(n, L, L) co-occurrence matrices of the (n, h, w) quantized patches
+    `q`: one bincount per offset, each patch's codes shifted into its own
+    L*L bins."""
+    n, h, w = q.shape
+    L = config.levels
+    base = (np.arange(n, dtype=np.int64) * (L * L))[:, None, None]
+    counts = np.zeros(n * L * L, dtype=np.int64)
+    for dx, dy in config.offsets:
+        a = q[:, max(0, -dy): h - max(0, dy), max(0, -dx): w - max(0, dx)]
+        b = q[:, max(0, dy): h - max(0, -dy), max(0, dx): w - max(0, -dx)]
+        counts += np.bincount((a * L + b + base).ravel(),
+                              minlength=n * L * L)
+    counts = counts.reshape(n, L, L)
+    if config.symmetric:
+        counts = counts + counts.transpose(0, 2, 1)
+    total = counts.sum(axis=(1, 2))
+    if (total == 0).any():
+        raise ValueError("patch too small for GLCM offsets")
+    return counts / total.astype(np.float64)[:, None, None]
 
 
 def glcm(patch, config: GlcmConfig = GlcmConfig()) -> np.ndarray:
     """Co-occurrence matrix of quantized gray levels, pooled over the
     configured pixel offsets.  Symmetric mode adds the transpose.  The
     returned matrix sums to 1."""
-    q = quantize(patch, config.levels)
-    h, w = q.shape
-    L = config.levels
-    acc = np.zeros((L, L), dtype=np.float64)
-    for dx, dy in config.offsets:
-        ys = slice(max(0, -dy), h - max(0, dy))
-        xs = slice(max(0, -dx), w - max(0, dx))
-        ys2 = slice(max(0, dy), h - max(0, -dy))
-        xs2 = slice(max(0, dx), w - max(0, -dx))
-        a = q[ys, xs].ravel()
-        b = q[ys2, xs2].ravel()
-        m = np.bincount(a * L + b, minlength=L * L).reshape(L, L)
-        m = m.astype(np.float64)
-        if config.symmetric:
-            m = m + m.T
-        acc += m
-    total = acc.sum()
-    if total == 0:
-        raise ValueError("patch too small for GLCM offsets")
-    return acc / total
+    return _glcm_stack(quantize(patch, config.levels)[None], config)[0]
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -252,6 +268,70 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     nz = p > 0
     out[nz] = p[nz] * np.log(p[nz])
     return out
+
+
+def _haralick_stack(P: np.ndarray) -> np.ndarray:
+    """(n, 15) `haralick_features` of the (n, L, L) matrices `P`."""
+    n, L, _ = P.shape
+    i = np.arange(L, dtype=np.float64)
+    ii, jj = np.meshgrid(i, i, indexing="ij")
+    px = P.sum(axis=2)
+    py = P.sum(axis=1)
+    mu_x = (i * px).sum(axis=1)
+    mu_y = (i * py).sum(axis=1)
+    var_x = ((i - mu_x[:, None]) ** 2 * px).sum(axis=1)
+    var_y = ((i - mu_y[:, None]) ** 2 * py).sum(axis=1)
+
+    def binned(index: np.ndarray, bins: int) -> np.ndarray:
+        # Per patch, P summed into `bins` bins by the (L, L) `index`.
+        shifted = index.astype(np.int64).ravel() \
+            + (np.arange(n) * bins)[:, None]
+        return np.bincount(shifted.ravel(), weights=P.ravel(),
+                           minlength=n * bins).reshape(n, bins)
+
+    p_sum = binned(ii + jj, 2 * L - 1)
+    p_diff = binned(np.abs(ii - jj), L)
+    k_sum = np.arange(2 * L - 1, dtype=np.float64)
+    k_diff = np.arange(L, dtype=np.float64)
+
+    energy = (P ** 2).sum(axis=(1, 2))
+    contrast = (k_diff ** 2 * p_diff).sum(axis=1)
+    denom = np.sqrt(var_x * var_y)
+    correlation = np.divide((ii * jj * P).sum(axis=(1, 2)) - mu_x * mu_y,
+                            denom, out=np.zeros(n), where=denom != 0.0)
+    homogeneity = (P / (1.0 + (ii - jj) ** 2)).sum(axis=(1, 2))
+    sum_average = (k_sum * p_sum).sum(axis=1)
+    sum_variance = ((k_sum - sum_average[:, None]) ** 2 * p_sum).sum(axis=1)
+    sum_entropy = -_xlogx(p_sum).sum(axis=1)
+    entropy = -_xlogx(P).sum(axis=(1, 2))
+    mu_diff = (k_diff * p_diff).sum(axis=1)
+    difference_variance = \
+        ((k_diff - mu_diff[:, None]) ** 2 * p_diff).sum(axis=1)
+    difference_entropy = -_xlogx(p_diff).sum(axis=1)
+
+    hx = -_xlogx(px).sum(axis=1)
+    hy = -_xlogx(py).sum(axis=1)
+    pxy = px[:, :, None] * py[:, None, :]
+    nz = P > 0  # px(i)*py(j) > 0 wherever P(i,j) > 0
+    cross = np.zeros_like(P)
+    cross[nz] = P[nz] * np.log(pxy[nz])
+    hxy1 = -cross.sum(axis=(1, 2))
+    hxy2 = -_xlogx(pxy).sum(axis=(1, 2))
+    hmax = np.maximum(hx, hy)
+    imc1 = np.divide(entropy - hxy1, hmax, out=np.zeros(n),
+                     where=hmax != 0.0)
+    # math.exp, not np.exp: numpy's SIMD exp can differ in the last bit,
+    # which the square root turns into a large error when imc2 is near 0.
+    decay = np.fromiter(map(math.exp, (-2.0 * (hxy2 - entropy)).tolist()),
+                        dtype=np.float64, count=n)
+    imc2 = np.sqrt(np.maximum(0.0, 1.0 - decay))
+
+    return np.stack([
+        energy, contrast, correlation, var_x, homogeneity,
+        sum_average, sum_variance, sum_entropy, entropy,
+        difference_variance, difference_entropy, imc1, imc2,
+        mu_diff, mu_x,
+    ], axis=1)
 
 
 def haralick_features(matrix: np.ndarray) -> np.ndarray:
@@ -262,63 +342,28 @@ def haralick_features(matrix: np.ndarray) -> np.ndarray:
     as 0 when a marginal variance vanishes, and the second information
     measure clamps its radicand at 0, so outputs are always finite.
     """
-    P = np.asarray(matrix, dtype=np.float64)
-    L = P.shape[0]
-    i = np.arange(L, dtype=np.float64)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    px = P.sum(axis=1)
-    py = P.sum(axis=0)
-    mu_x = float((i * px).sum())
-    mu_y = float((i * py).sum())
-    var_x = float(((i - mu_x) ** 2 * px).sum())
-    var_y = float(((i - mu_y) ** 2 * py).sum())
-
-    p_sum = np.bincount((ii + jj).astype(np.int64).ravel(),
-                        weights=P.ravel(), minlength=2 * L - 1)
-    p_diff = np.bincount(np.abs(ii - jj).astype(np.int64).ravel(),
-                         weights=P.ravel(), minlength=L)
-    k_sum = np.arange(2 * L - 1, dtype=np.float64)
-    k_diff = np.arange(L, dtype=np.float64)
-
-    energy = float((P ** 2).sum())
-    contrast = float((k_diff ** 2 * p_diff).sum())
-    denom = math.sqrt(var_x * var_y)
-    correlation = 0.0 if denom == 0.0 else \
-        float(((ii * jj * P).sum() - mu_x * mu_y) / denom)
-    homogeneity = float((P / (1.0 + (ii - jj) ** 2)).sum())
-    sum_average = float((k_sum * p_sum).sum())
-    sum_variance = float(((k_sum - sum_average) ** 2 * p_sum).sum())
-    sum_entropy = float(-_xlogx(p_sum).sum())
-    entropy = float(-_xlogx(P).sum())
-    mu_diff = float((k_diff * p_diff).sum())
-    difference_variance = float(((k_diff - mu_diff) ** 2 * p_diff).sum())
-    difference_entropy = float(-_xlogx(p_diff).sum())
-
-    hx = float(-_xlogx(px).sum())
-    hy = float(-_xlogx(py).sum())
-    pxy = np.outer(px, py)
-    nz = P > 0  # px(i)*py(j) > 0 wherever P(i,j) > 0
-    hxy1 = float(-(P[nz] * np.log(pxy[nz])).sum())
-    hxy2 = float(-_xlogx(pxy).sum())
-    hmax = max(hx, hy)
-    imc1 = 0.0 if hmax == 0.0 else (entropy - hxy1) / hmax
-    imc2 = math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * (hxy2 - entropy))))
-
-    return np.array([
-        energy, contrast, correlation, var_x, homogeneity,
-        sum_average, sum_variance, sum_entropy, entropy,
-        difference_variance, difference_entropy, imc1, imc2,
-        mu_diff, mu_x,
-    ])
+    return _haralick_stack(np.asarray(matrix, dtype=np.float64)[None])[0]
 
 
 def glcm_patch_matrix(pixels: np.ndarray, coords,
                       config: GlcmConfig = GlcmConfig()) -> np.ndarray:
-    """(len(coords), 15) statistics of the patches `coords` cut from
-    `pixels`."""
-    return np.stack([haralick_features(glcm(pixels[c.c3:c.c4, c.c1:c.c2],
-                                            config))
-                     for c in coords])
+    """(len(coords), 15) statistics of the equal-sized patches `coords`
+    cut from `pixels`, computed a block of patches at a time.  Each row
+    equals `haralick_features(glcm(patch, config))` of its patch."""
+    if not coords:
+        raise ValueError("no patches to describe")
+    h, w = coords[0].c4 - coords[0].c3, coords[0].c2 - coords[0].c1
+    if any((c.c4 - c.c3, c.c2 - c.c1) != (h, w) for c in coords):
+        raise ValueError("GLCM patches must share one size")
+    windows = np.lib.stride_tricks.sliding_window_view(pixels, (h, w))
+    block = max(1, _GLCM_BLOCK_VALUES // max(h * w, config.levels ** 2))
+    out = np.empty((len(coords), len(HARALICK_NAMES)))
+    for lo in range(0, len(coords), block):
+        part = coords[lo:lo + block]
+        stack = windows[[c.c3 for c in part], [c.c1 for c in part]]
+        q = _quantize_stack(stack.astype(np.float64), config.levels)
+        out[lo:lo + len(part)] = _haralick_stack(_glcm_stack(q, config))
+    return out
 
 
 # ---------------------------------------------------------------------------

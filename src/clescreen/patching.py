@@ -9,6 +9,7 @@ Admitted patches are standardized to zero mean and unit deviation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,9 +47,8 @@ def resize_half(image: CleImage) -> CleImage:
     if h == 1 and w == 1:
         return image
     cx, cy = image.mask_center
-    px = px[: h - (h % 2), : w - (w % 2)]
-    h2, w2 = px.shape[0] // 2, px.shape[1] // 2
-    s = px.astype(np.uint32).reshape(h2, 2, w2, 2).sum(axis=(1, 3))
+    px = px[: h - (h % 2), : w - (w % 2)].astype(np.uint32)
+    s = px[0::2, 0::2] + px[0::2, 1::2] + px[1::2, 0::2] + px[1::2, 1::2]
     out = ((s + 2) // 4).astype(np.uint16)
     return CleImage(pixels=out, mask_center=(cx / 2.0, cy / 2.0),
                     mask_radius=image.mask_radius / 2.0)
@@ -82,8 +82,17 @@ def patch_grid(
     A patch is admitted iff at least `admission_fraction` of its pixels lie
     inside the mask circle (pixel (x, y) counts as inside when its squared
     distance to the center is <= radius**2).  `mask_radius=None` disables
-    the circle test.  Output is row-major over the lattice.
+    the circle test.  Output is row-major over the lattice.  Each layout
+    is built once and memoized; every call returns a new list.
     """
+    center = None if mask_center is None else tuple(mask_center)
+    return list(_admitted_grid(tuple(dims), center, mask_radius, patch_size,
+                               overlap, admission_fraction))
+
+
+@functools.lru_cache(maxsize=64)
+def _admitted_grid(dims, mask_center, mask_radius, patch_size, overlap,
+                   admission_fraction) -> tuple[PatchCoords, ...]:
     w, h = dims
     if patch_size > min(w, h):
         raise ValueError(f"patch size {patch_size} exceeds raster {w}x{h}")
@@ -94,8 +103,8 @@ def patch_grid(
     ys = _lattice(h, patch_size, stride)
 
     if mask_radius is None:
-        return [PatchCoords(x, x + patch_size, y, y + patch_size)
-                for y in ys for x in xs]
+        return tuple(PatchCoords(x, x + patch_size, y, y + patch_size)
+                     for y in ys for x in xs)
 
     if mask_center is None:
         mask_center, _ = default_mask(w, h)
@@ -115,7 +124,7 @@ def patch_grid(
                      - sat[y + patch_size, x] + sat[y, x])
             if count >= need:
                 coords.append(PatchCoords(x, x + patch_size, y, y + patch_size))
-    return coords
+    return tuple(coords)
 
 
 def scale_rect(rect: ArtifactRect, factor: float) -> ArtifactRect:

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: subcommands, files, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from clescreen import evaluation
 from clescreen.cli import main
 from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
                             load_manifest, save_image, save_manifest)
@@ -281,6 +283,30 @@ class TestCv:
             main(["cv", "--data", str(dataset), "--method", "RF-XYZ",
                   "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+    def test_dead_worker_exit_code(self, dataset, tmp_path, capsys,
+                                   monkeypatch):
+        # One of the two forked workers dies on its first record, as an
+        # out-of-memory kill would end it.
+        parent = os.getpid()
+        first = load_manifest(dataset / "manifest.json").records[0]
+        prepare = evaluation.prepare_record_image
+
+        def dying(manifest, record, scale):
+            if os.getpid() != parent and record == first:
+                os._exit(1)
+            return prepare(manifest, record, scale)
+
+        monkeypatch.setattr(evaluation, "prepare_record_image", dying)
+        out = tmp_path / "cv"
+        rc = main(["cv", "--data", str(dataset), "--method", "RF-GLCM@0.5x",
+                   "--trees", "4", "--out", str(out), "--jobs", "2"])
+        err = capsys.readouterr().err
+        assert rc == 7
+        assert len(err.splitlines()) == 1
+        assert "worker process died" in err
+        assert "Traceback" not in err
+        assert not (out / "results.csv").exists()
 
 
 class TestFuse:

@@ -3,14 +3,20 @@
 import math
 from fractions import Fraction
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from clescreen import features
 from clescreen.core import ArtifactRect
 from clescreen.evaluation import RunConfig, record_patch_coords, represent
 from clescreen.features import (GlcmConfig, HARALICK_NAMES, LbpConfig,
-                                glcm, haralick_features, image_row,
-                                lbp_histogram, lbp_patch_matrix, quantize)
+                                glcm, glcm_patch_matrix, haralick_features,
+                                image_row, lbp_histogram, lbp_patch_matrix,
+                                quantize)
 from clescreen.patching import PatchCoords, resize_half
 from conftest import make_image
 
@@ -334,3 +340,171 @@ class TestGlcmImageVector:
                                                 np.full((12, 12), 9.0)])),
                         GlcmConfig())
         assert np.all(np.isfinite(row))
+
+
+# One-patch co-occurrence code as it stood before the batched path; the
+# oracle for TestBatchedGlcm.
+
+
+def loop_quantize(values, levels):
+    v = np.asarray(values, dtype=np.float64)
+    lo, hi = float(v.min()), float(v.max())
+    if hi <= lo:
+        return np.zeros(v.shape, dtype=np.int64)
+    q = np.floor((v - lo) / (hi - lo) * levels)
+    return np.clip(q, 0, levels - 1).astype(np.int64)
+
+
+def loop_glcm(patch, config):
+    q = loop_quantize(patch, config.levels)
+    h, w = q.shape
+    L = config.levels
+    acc = np.zeros((L, L), dtype=np.float64)
+    for dx, dy in config.offsets:
+        ys = slice(max(0, -dy), h - max(0, dy))
+        xs = slice(max(0, -dx), w - max(0, dx))
+        ys2 = slice(max(0, dy), h - max(0, -dy))
+        xs2 = slice(max(0, dx), w - max(0, -dx))
+        a = q[ys, xs].ravel()
+        b = q[ys2, xs2].ravel()
+        m = np.bincount(a * L + b, minlength=L * L).reshape(L, L)
+        m = m.astype(np.float64)
+        if config.symmetric:
+            m = m + m.T
+        acc += m
+    total = acc.sum()
+    if total == 0:
+        raise ValueError("patch too small for GLCM offsets")
+    return acc / total
+
+
+def loop_xlogx(p):
+    out = np.zeros_like(p)
+    nz = p > 0
+    out[nz] = p[nz] * np.log(p[nz])
+    return out
+
+
+def loop_haralick(matrix):
+    P = np.asarray(matrix, dtype=np.float64)
+    L = P.shape[0]
+    i = np.arange(L, dtype=np.float64)
+    ii, jj = np.meshgrid(i, i, indexing="ij")
+    px = P.sum(axis=1)
+    py = P.sum(axis=0)
+    mu_x = float((i * px).sum())
+    mu_y = float((i * py).sum())
+    var_x = float(((i - mu_x) ** 2 * px).sum())
+    var_y = float(((i - mu_y) ** 2 * py).sum())
+
+    p_sum = np.bincount((ii + jj).astype(np.int64).ravel(),
+                        weights=P.ravel(), minlength=2 * L - 1)
+    p_diff = np.bincount(np.abs(ii - jj).astype(np.int64).ravel(),
+                         weights=P.ravel(), minlength=L)
+    k_sum = np.arange(2 * L - 1, dtype=np.float64)
+    k_diff = np.arange(L, dtype=np.float64)
+
+    energy = float((P ** 2).sum())
+    contrast = float((k_diff ** 2 * p_diff).sum())
+    denom = math.sqrt(var_x * var_y)
+    correlation = 0.0 if denom == 0.0 else \
+        float(((ii * jj * P).sum() - mu_x * mu_y) / denom)
+    homogeneity = float((P / (1.0 + (ii - jj) ** 2)).sum())
+    sum_average = float((k_sum * p_sum).sum())
+    sum_variance = float(((k_sum - sum_average) ** 2 * p_sum).sum())
+    sum_entropy = float(-loop_xlogx(p_sum).sum())
+    entropy = float(-loop_xlogx(P).sum())
+    mu_diff = float((k_diff * p_diff).sum())
+    difference_variance = float(((k_diff - mu_diff) ** 2 * p_diff).sum())
+    difference_entropy = float(-loop_xlogx(p_diff).sum())
+
+    hx = float(-loop_xlogx(px).sum())
+    hy = float(-loop_xlogx(py).sum())
+    pxy = np.outer(px, py)
+    nz = P > 0
+    hxy1 = float(-(P[nz] * np.log(pxy[nz])).sum())
+    hxy2 = float(-loop_xlogx(pxy).sum())
+    hmax = max(hx, hy)
+    imc1 = 0.0 if hmax == 0.0 else (entropy - hxy1) / hmax
+    imc2 = math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * (hxy2 - entropy))))
+
+    return np.array([
+        energy, contrast, correlation, var_x, homogeneity,
+        sum_average, sum_variance, sum_entropy, entropy,
+        difference_variance, difference_entropy, imc1, imc2,
+        mu_diff, mu_x,
+    ])
+
+
+IMC1 = HARALICK_NAMES.index("info_corr_1")
+
+
+def imc1_scale(matrix):
+    """hxy1 / max(hx, hy), the operand whose summation order the batched
+    path changes (hxy1 = hx + hy), or 0 when both entropies vanish."""
+    hx = -loop_xlogx(matrix.sum(axis=1)).sum()
+    hy = -loop_xlogx(matrix.sum(axis=0)).sum()
+    return 0.0 if max(hx, hy) == 0.0 else (hx + hy) / max(hx, hy)
+
+
+class TestBatchedGlcm:
+    """glcm_patch_matrix works a block of patches at a time; every
+    statistic equals the one-patch loop bit for bit, except info_corr_1,
+    whose hxy1 sum runs over a patch's whole L x L matrix rather than its
+    nonzero entries only.  That column is held to 1e-12 relative to
+    hxy1 / max(hx, hy)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(levels=st.integers(2, 256), h=st.integers(2, 24),
+           w=st.integers(2, 24), block=st.integers(2, 6),
+           kinds=st.lists(st.sampled_from(["noise", "constant",
+                                           "two-level"]),
+                          min_size=1, max_size=14),
+           symmetric=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_one_patch_loop(self, levels, h, w, block, kinds,
+                                    symmetric, seed):
+        assume(len(kinds) % block != 0)
+        rng = np.random.default_rng(seed)
+        patches = []
+        for kind in kinds:
+            if kind == "noise":
+                patch = rng.integers(0, 65536, size=(h, w))
+            elif kind == "constant":
+                patch = np.full((h, w), int(rng.integers(0, 65536)))
+            else:
+                patch = rng.choice(rng.integers(0, 65536, size=2), (h, w))
+            patches.append(patch.astype(np.uint16))
+        pixels, coords = side_by_side(np.stack(patches))
+        config = GlcmConfig(levels=levels, symmetric=symmetric)
+        matrices = [loop_glcm(patch, config) for patch in patches]
+        expected = np.stack([loop_haralick(m) for m in matrices])
+        # `block` patches per block: the last block is a partial one.
+        budget = block * max(h * w, levels * levels)
+        with mock.patch.object(features, "_GLCM_BLOCK_VALUES", budget):
+            got = glcm_patch_matrix(pixels, coords, config)
+        exact = [k for k in range(len(HARALICK_NAMES)) if k != IMC1]
+        assert np.array_equal(got[:, exact], expected[:, exact])
+        bound = 1e-12 * np.array([imc1_scale(m) for m in matrices])
+        assert np.all(np.abs(got[:, IMC1] - expected[:, IMC1]) <= bound)
+        # The one-patch functions are the batched path's n = 1 case.
+        for patch, m, row in zip(patches, matrices, got):
+            assert np.array_equal(quantize(patch, levels),
+                                  loop_quantize(patch, levels))
+            assert np.array_equal(glcm(patch, config), m)
+            assert np.array_equal(haralick_features(m), row)
+
+    def test_patch_too_small_for_offsets(self):
+        config = GlcmConfig(offsets=((1, 0),))
+        with pytest.raises(ValueError,
+                           match="patch too small for GLCM offsets"):
+            glcm(np.zeros((3, 1)), config)
+        with pytest.raises(ValueError,
+                           match="patch too small for GLCM offsets"):
+            glcm_patch_matrix(np.zeros((3, 4)), [PatchCoords(0, 1, 0, 3),
+                                                 PatchCoords(2, 3, 0, 3)],
+                              config)
+
+    def test_mixed_patch_sizes_rejected(self):
+        coords = [PatchCoords(0, 4, 0, 4), PatchCoords(4, 9, 0, 4)]
+        with pytest.raises(ValueError, match="share one size"):
+            glcm_patch_matrix(np.zeros((4, 9)), coords)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clescreen import patching
 from clescreen.core import ArtifactRect, CleImage
 from clescreen.patching import (PatchCoords, exclude_artifacts, patch_grid,
                                 resize_half, rotate_rect, scale_rect,
@@ -71,6 +72,21 @@ class TestResizeHalf:
         img = CleImage(pixels=np.array([[9]], dtype=np.uint16),
                        mask_center=(0.5, 0.5), mask_radius=0.5)
         assert resize_half(img).pixels.tolist() == [[9]]
+
+    @pytest.mark.parametrize("shape", [(576, 576), (577, 301), (2, 2),
+                                       (3, 5)])
+    def test_equals_block_mean_oracle(self, shape):
+        # Oracle: the rounded mean of each 2x2 block, block by block.
+        rng = np.random.default_rng(sum(shape))
+        px = rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        img = CleImage(pixels=px, mask_center=(1.0, 1.0), mask_radius=1.0)
+        out = resize_half(img).pixels
+        h2, w2 = shape[0] // 2, shape[1] // 2
+        expected = np.array(
+            [[(int(px[2 * y:2 * y + 2, 2 * x:2 * x + 2].sum()) + 2) // 4
+              for x in range(w2)] for y in range(h2)], dtype=np.uint16)
+        assert out.dtype == np.uint16
+        assert np.array_equal(out, expected.reshape(h2, w2))
 
 
 class TestPatchGrid:
@@ -151,6 +167,36 @@ class TestPatchGrid:
                   if inside_fraction(c, 288.0, 288.0, 288.0) >= 0.97]
         assert coords == oracle
         assert len(coords) > 21  # denser lattice at full resolution
+
+
+class TestMemoizedGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.integers(40, 240), h=st.integers(40, 240),
+           patch_size=st.sampled_from([16, 20, 40]),
+           overlap=st.sampled_from([0.0, 0.25, 0.5]),
+           dx=st.floats(-30.0, 30.0), dy=st.floats(-30.0, 30.0),
+           r_frac=st.floats(0.2, 0.8), frac=st.floats(0.5, 1.0),
+           masked=st.booleans())
+    def test_equals_uncached_build(self, w, h, patch_size, overlap, dx, dy,
+                                   r_frac, frac, masked):
+        center = (w / 2 + dx, h / 2 + dy)
+        radius = r_frac * min(w, h) if masked else None
+        args = ((w, h), center, radius, patch_size, overlap, frac)
+        built = list(patching._admitted_grid.__wrapped__(*args))
+        assert patch_grid(*args) == built
+        assert patch_grid(*args) == built  # second call hits the cache
+
+    def test_calls_return_distinct_lists(self):
+        a = patch_grid((288, 288), (144.0, 144.0), 144.0)
+        b = patch_grid((288, 288), (144.0, 144.0), 144.0)
+        assert a == b and a is not b
+
+    def test_mutating_a_result_leaves_the_cache_intact(self):
+        a = patch_grid((288, 288), (144.0, 144.0), 144.0)
+        expected = list(a)
+        a.append(PatchCoords(0, 1, 0, 1))
+        a.pop(0)
+        assert patch_grid((288, 288), (144.0, 144.0), 144.0) == expected
 
 
 class TestExcludeArtifacts:
