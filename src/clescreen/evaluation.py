@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify, core, features, forest, fusion, patching, wholeimage
-from .util import default_jobs, run_parallel, stable_seed
+from .util import default_jobs, mem_available, run_parallel, stable_seed
 
 
 class ConfigError(ValueError):
@@ -354,6 +354,28 @@ def represent(prepared: list[tuple[core.CleImage, list]],
             np.arange(len(prepared)))
 
 
+def _check_ppf_memory(prepared: list[tuple[core.CleImage, list]],
+                     kept: list[np.ndarray], config: RunConfig) -> None:
+    """Refuse a PPF run whose float32 patch cache plus its largest fold's
+    copy of kept training rows would not fit in the memory available
+    now.  `kept[f]` holds fold f's kept record indices.  Nothing is
+    checked where available memory cannot be read."""
+    available = mem_available()
+    if available is None:
+        return
+    row_bytes = config.patch_size ** 2 * np.dtype(np.float32).itemsize
+    counts = np.array([len(c) for _img, c in prepared], dtype=np.int64)
+    cache = int(counts.sum()) * row_bytes
+    fold_copy = max(int(counts[k].sum()) for k in kept) * row_bytes
+    if cache + fold_copy > available:
+        mib = 1 << 20
+        raise ConfigError(
+            f"{config.method} needs about {(cache + fold_copy) // mib} MiB "
+            f"(patch cache {cache // mib} MiB + largest fold copy "
+            f"{fold_copy // mib} MiB) but only {available // mib} MiB is "
+            f"available")
+
+
 def _fit(config: RunConfig, X: np.ndarray, y: np.ndarray, seed: int):
     """One fold's classifier: the random forest for texture features and
     forest-PPF, the logistic model for logistic-PPF and the whole-image
@@ -398,26 +420,32 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     # fails at once.
     folds = lopo_folds(augmented)
 
+    fold_seeds = {fold.test_patient: stable_seed(config.seed, "fold",
+                                                 fold.test_patient)
+                  for fold in folds}
+    # Balancing reads labels only, so every fold's kept records are known
+    # before any frame is prepared.
+    kept = [fold.train_idx[classify.balance_classes(
+        labels[fold.train_idx], is_augmented[fold.train_idx],
+        seed=stable_seed(fold_seeds[fold.test_patient], "balance"))]
+        for fold in folds]
+
     prepared = prepare_records(augmented, records, config)
+    if kind == "ppf":
+        _check_ppf_memory(prepared, kept, config)
     X, owner = represent(prepared, config)
 
-    fold_seeds: dict[str, int] = {}
     results: list[ResultRow] = []
     audits: list[FoldAudit] = []
     patch_hits = 0
     patch_total = 0
 
-    for fold in folds:
+    for fold, kept_idx in zip(folds, kept):
         train_idx, test_idx = fold.train_idx, fold.test_idx
         if is_augmented[test_idx].any():
             raise RuntimeError(
                 f"augmented record in test fold {fold.test_patient}")
-        fold_seed = stable_seed(config.seed, "fold", fold.test_patient)
-        fold_seeds[fold.test_patient] = fold_seed
-
-        kept_idx = train_idx[classify.balance_classes(
-            labels[train_idx], is_augmented[train_idx],
-            seed=stable_seed(fold_seed, "balance"))]
+        fold_seed = fold_seeds[fold.test_patient]
         removed_idx = np.setdiff1d(train_idx, kept_idx, assume_unique=True)
 
         rows = np.flatnonzero(np.isin(owner, kept_idx))

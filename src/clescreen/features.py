@@ -12,6 +12,14 @@ An image is summarized by the per-dimension mean and population standard
 deviation of its patch features.  Descriptors take the frame raster and
 the patch coordinates, so LBP codes each center once per scale however
 many overlapping patches contain it.
+
+LBP codes work on the flattened raster.  Its horizontal, vertical and
+cross pixel differences are computed once, so a fractional ring neighbor
+costs three multiplies and three adds per center, and every neighbor is
+read as one contiguous span (the centers' rows plus the 2*radius columns
+between them, whose codes are dropped).  The float operations per sample
+are those of the difference-form bilinear formula, so codes equal the
+per-window ones bit for bit.
 """
 
 from __future__ import annotations
@@ -92,36 +100,25 @@ class GlcmConfig(_Descriptor):
 # ---------------------------------------------------------------------------
 
 
-def _ring_sample(stack: np.ndarray, radius: int, ch: int, cw: int,
-                 dx: float, dy: float) -> np.ndarray:
-    """Sample every center's neighbor at offset (dx, dy), batched over the
-    patch stack.  Near-integer offsets snap to exact pixels; fractional
-    ones use difference-form bilinear interpolation, which returns the
-    exact pixel value on locally constant data (so equal neighbors always
-    tie with the center)."""
+# Centers `_lbp_codes` codes per pass (256 KB per float64 temporary), so
+# a pass's spans and temporaries stay in a core's L2 cache: about 15 %
+# faster than whole spans on 288 px frames; 16K was no faster.
+_LBP_BAND = 1 << 15
 
-    def window(oy: int, ox: int) -> np.ndarray:
-        return stack[:, radius + oy: radius + oy + ch,
-                     radius + ox: radius + ox + cw]
 
+def _ring_offset(radius: int, neighbors: int, k: int
+                 ) -> tuple[int, int, float, float]:
+    """(iy, ix, ty, tx): the whole and fractional parts of neighbor k's
+    offset on the radius circle.  Near-integer offsets snap to exact
+    pixels, so their fractional part is 0."""
+    angle = 2.0 * math.pi * k / neighbors
+    dx, dy = radius * math.cos(angle), radius * math.sin(angle)
     if abs(dx - round(dx)) < 1e-9:
         dx = float(round(dx))
     if abs(dy - round(dy)) < 1e-9:
         dy = float(round(dy))
     ix, iy = math.floor(dx), math.floor(dy)
-    tx, ty = dx - ix, dy - iy
-    if tx == 0.0 and ty == 0.0:
-        return window(iy, ix)
-    v00 = window(iy, ix)
-    if ty == 0.0:
-        return v00 + tx * (window(iy, ix + 1) - v00)
-    if tx == 0.0:
-        return v00 + ty * (window(iy + 1, ix) - v00)
-    v01 = window(iy, ix + 1)
-    v10 = window(iy + 1, ix)
-    v11 = window(iy + 1, ix + 1)
-    return v00 + tx * (v01 - v00) + ty * (v10 - v00) \
-        + tx * ty * (v11 + v00 - v01 - v10)
+    return iy, ix, dy - iy, dx - ix
 
 
 def _lbp_codes(stack: np.ndarray, radius: int, neighbors: int) -> np.ndarray:
@@ -131,6 +128,15 @@ def _lbp_codes(stack: np.ndarray, radius: int, neighbors: int) -> np.ndarray:
     ties counting as 1.  Patterns with at most two circular transitions
     code as their number of ones (0..P); the rest share the catch-all
     code P + 1.
+
+    A fractional neighbor is the difference-form bilinear sample
+    ((v00 + tx*Dh) + ty*Dv) + (tx*ty)*C, which returns the exact pixel
+    value on locally constant data (so equal neighbors always tie with
+    the center).  The horizontal, vertical and cross differences Dh, Dv
+    and C are computed once per stack on the flattened rasters, so each
+    neighbor is one contiguous span per raster: the centers' rows with
+    the 2*radius columns between them, which are computed and dropped.
+    The span is coded in bands of `_LBP_BAND` centers per pass.
     """
     n, h, w = stack.shape
     if h < 2 * radius + 1 or w < 2 * radius + 1:
@@ -138,24 +144,53 @@ def _lbp_codes(stack: np.ndarray, radius: int, neighbors: int) -> np.ndarray:
             f"patch {h}x{w} too small for radius {radius} (needs "
             f">= {2 * radius + 1})")
     ch, cw = h - 2 * radius, w - 2 * radius
-    center = stack[:, radius: radius + ch, radius: radius + cw]
-    ones = np.zeros((n, ch, cw), dtype=np.int16)
-    transitions = np.zeros((n, ch, cw), dtype=np.int16)
-    first = prev = None
-    for k in range(neighbors):
-        angle = 2.0 * math.pi * k / neighbors
-        sample = _ring_sample(stack, radius, ch, cw,
-                              radius * math.cos(angle),
-                              radius * math.sin(angle))
-        s = sample >= center
-        ones += s
-        if prev is None:
-            first = s
-        else:
-            transitions += prev != s
-        prev = s
-    transitions += prev != first
-    return np.where(transitions <= 2, ones, neighbors + 1)
+    span = (ch - 1) * w + cw
+    flat = np.ascontiguousarray(stack, dtype=np.float64).reshape(n, h * w)
+    # Indexed like `flat` by the top-left pixel v00 of a bilinear cell.
+    dh = flat[:, 1:] - flat[:, :-1]
+    dv = flat[:, w:] - flat[:, :-w]
+    cross = ((flat[:, w + 1:] + flat[:, :-w - 1]) - flat[:, 1:-w]) \
+        - flat[:, w:-1]
+    ring = [_ring_offset(radius, neighbors, k) for k in range(neighbors)]
+    # Codes are at most neighbors + 1, so this type holds every count.
+    codes = np.zeros((n, ch * w), dtype=np.min_scalar_type(neighbors + 1))
+    step = max(1, _LBP_BAND // n)
+    for lo in range(0, span, step):
+        m = min(step, span - lo)
+
+        def at(raster: np.ndarray, oy: int, ox: int) -> np.ndarray:
+            # The (oy, ox) neighbors in `raster` of this band's centers.
+            start = (radius + oy) * w + radius + ox + lo
+            return raster[:, start:start + m]
+
+        center = at(flat, 0, 0)
+        ones = codes[:, lo:lo + m]
+        transitions = np.zeros_like(ones)
+        sample, term = np.empty((n, m)), np.empty((n, m))
+        first, prev, bits = (np.empty((n, m), dtype=bool) for _ in range(3))
+        for k, (iy, ix, ty, tx) in enumerate(ring):
+            value = at(flat, iy, ix)
+            if tx:
+                np.multiply(at(dh, iy, ix), tx, out=sample)
+                value = np.add(value, sample, out=sample)
+            if ty:
+                np.multiply(at(dv, iy, ix), ty, out=term)
+                value = np.add(value, term, out=sample)
+                if tx:
+                    np.multiply(at(cross, iy, ix), tx * ty, out=term)
+                    np.add(value, term, out=sample)
+            np.greater_equal(value, center, out=bits)
+            ones += bits
+            if k == 0:
+                first[:] = bits
+            else:
+                np.not_equal(prev, bits, out=prev)
+                transitions += prev
+            prev, bits = bits, prev
+        np.not_equal(prev, first, out=prev)
+        transitions += prev
+        np.copyto(ones, neighbors + 1, where=transitions > 2)
+    return codes.reshape(n, ch, w)[:, :, :cw]
 
 
 def _histogram_rows(codes: np.ndarray, n_bins: int) -> np.ndarray:
@@ -184,6 +219,8 @@ def lbp_patch_matrix(pixels: np.ndarray, coords,
     code raster.  A center sees the same neighbor pixels either way, so
     the codes equal those of the patches cut out one by one.
     """
+    if not coords:
+        raise ValueError("no patches to describe")
     y0 = min(c.c3 for c in coords)
     x0 = min(c.c1 for c in coords)
     region = np.asarray(pixels[y0:max(c.c4 for c in coords),
@@ -264,9 +301,8 @@ def glcm(patch, config: GlcmConfig = GlcmConfig()) -> np.ndarray:
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    nz = p > 0
-    out[nz] = p[nz] * np.log(p[nz])
+    out = np.log(p, out=np.zeros_like(p), where=p > 0)
+    out *= p
     return out
 
 
@@ -312,9 +348,9 @@ def _haralick_stack(P: np.ndarray) -> np.ndarray:
     hx = -_xlogx(px).sum(axis=1)
     hy = -_xlogx(py).sum(axis=1)
     pxy = px[:, :, None] * py[:, None, :]
-    nz = P > 0  # px(i)*py(j) > 0 wherever P(i,j) > 0
-    cross = np.zeros_like(P)
-    cross[nz] = P[nz] * np.log(pxy[nz])
+    # px(i)*py(j) > 0 wherever P(i,j) > 0
+    cross = np.log(pxy, out=np.zeros_like(P), where=P > 0)
+    cross *= P
     hxy1 = -cross.sum(axis=(1, 2))
     hxy2 = -_xlogx(pxy).sum(axis=(1, 2))
     hmax = np.maximum(hx, hy)

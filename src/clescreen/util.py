@@ -36,6 +36,19 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def mem_available() -> int | None:
+    """Bytes the kernel reports as available for new allocations
+    (`MemAvailable` in /proc/meminfo), or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
 # The function a pool worker maps over its items.  Set once in each worker
 # by the pool initializer; the parent process never writes it.
 _worker_fn: Callable[[Any], Any] | None = None

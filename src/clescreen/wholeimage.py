@@ -107,32 +107,37 @@ def max_square_crop(pixels8: np.ndarray, mask_center: tuple[float, float],
                       pixels=pixels8[oy:oy + side, ox:ox + side].copy())
 
 
-def _bilinear_sample(src: np.ndarray, px: np.ndarray, py: np.ndarray,
+def _edge_pad(src: np.ndarray) -> np.ndarray:
+    """`src` as float64 with a one-pixel border repeating its edge, the
+    raster `_bilinear_sample` gathers from."""
+    return np.pad(src, 1, mode="edge").astype(np.float64)
+
+
+def _bilinear_sample(padded: np.ndarray, px: np.ndarray, py: np.ndarray,
                      fill: float = 0.0) -> np.ndarray:
-    """Sample `src` at float positions with bilinear weights.
+    """Sample the raster that `padded` (from `_edge_pad`) borders at float
+    positions with bilinear weights.
 
     Pixel (x, y) is the point at integer coordinates (x, y).  Positions
-    within half a pixel of the border clamp to the edge sample; anything
-    farther out takes `fill`.  The difference form keeps interpolation
-    exact on locally constant data.
+    within half a pixel of the border read the edge copies, which is the
+    edge sample; anything farther out takes `fill`.  The difference form
+    keeps interpolation exact on locally constant data.
     """
-    h, w = src.shape
+    h, w = padded.shape[0] - 2, padded.shape[1] - 2
     valid = (px >= -0.5) & (px <= w - 0.5) & (py >= -0.5) & (py <= h - 0.5)
     x0f = np.floor(px)
     y0f = np.floor(py)
     tx = px - x0f
     ty = py - y0f
-    xi = x0f.astype(np.int64)
-    yi = y0f.astype(np.int64)
-    x0 = np.clip(xi, 0, w - 1)
-    x1 = np.clip(xi + 1, 0, w - 1)
-    row0 = np.clip(yi, 0, h - 1) * w
-    row1 = np.clip(yi + 1, 0, h - 1) * w
-    flat = src.astype(np.float64, copy=False).ravel()
-    v00 = flat.take(row0 + x0)
-    v01 = flat.take(row0 + x1)
-    v10 = flat.take(row1 + x0)
-    v11 = flat.take(row1 + x1)
+    # Flat index of the cell's top-left pixel v00 in the padded raster;
+    # clipping only keeps positions that take `fill` in bounds.
+    row = w + 2
+    k = ((y0f + 1.0) * row + (x0f + 1.0)).astype(np.intp)
+    flat = padded.ravel()
+    v00 = flat.take(k, mode="clip")
+    v01 = flat.take(k + 1, mode="clip")
+    v10 = flat.take(k + row, mode="clip")
+    v11 = flat.take(k + row + 1, mode="clip")
     out = v00 + tx * (v01 - v00) + ty * (v10 - v00) \
         + tx * ty * (v11 + v00 - v01 - v10)
     return np.where(valid, out, fill)
@@ -152,7 +157,7 @@ def resize_to(crop: SquareCrop | np.ndarray, target: int = TARGET_SIZE) -> np.nd
     pos = (np.arange(target, dtype=np.float64) + 0.5) * scale - 0.5
     pos = np.clip(pos, 0.0, side - 1.0)
     px, py = np.meshgrid(pos, pos)
-    out = _bilinear_sample(src.astype(np.float64), px, py)
+    out = _bilinear_sample(_edge_pad(src), px, py)
     return np.clip(_round_half_up(out), 0, 255).astype(np.uint8)
 
 
@@ -182,7 +187,7 @@ def rotate(image: CleImage, angle_deg: float) -> CleImage:
     s = math.sin(theta)
     cx, cy = image.mask_center
     h, w = image.pixels.shape
-    src = image.pixels.astype(np.float64)
+    padded = _edge_pad(image.pixels)
     dx = np.arange(w, dtype=np.float64) - cx
     dy = np.arange(h, dtype=np.float64) - cy
     out = np.empty((h, w), dtype=np.uint16)
@@ -192,7 +197,7 @@ def rotate(image: CleImage, angle_deg: float) -> CleImage:
         band = dy[r0:r0 + _ROTATE_BAND, None]
         sx = cx + c * dx[None, :] + s * band
         sy = cy - s * dx[None, :] + c * band
-        sampled = _bilinear_sample(src, sx, sy)
+        sampled = _bilinear_sample(padded, sx, sy)
         out[r0:r0 + _ROTATE_BAND] = np.clip(_round_half_up(sampled), 0, 65535)
     return CleImage(pixels=out, mask_center=image.mask_center,
                     mask_radius=image.mask_radius)

@@ -235,6 +235,18 @@ class TestCv:
                    "--trees", "4", "--out", str(tmp_path / "cvout")])
         assert rc == 5
 
+    def test_ppf_beyond_available_memory_exit_code(self, dataset, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setattr(evaluation, "mem_available", lambda: 1 << 20)
+        out = tmp_path / "cvppf"
+        rc = main(["cv", "--data", str(dataset), "--method", "PPF@0.5x",
+                   "--out", str(out), "--jobs", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "MiB" in err[0] and "only 1 MiB is available" in err[0]
+        assert not out.exists()
+
     def test_wholeimage_without_source_is_config_error(self, dataset, tmp_path):
         rc = main(["cv", "--data", str(dataset), "--method",
                    "WHOLEIMAGE@0.55x", "--out", str(tmp_path / "cvw")])

@@ -382,6 +382,46 @@ class TestRunCv:
             run_cv(manifest, RunConfig(method="RF-LBP@0.5x", jobs=1))
         assert prepared == []
 
+    def test_ppf_refused_when_memory_is_short(self, small_dataset,
+                                              monkeypatch):
+        # Refused after preparing and before the patch cache exists, with
+        # the predicted need (cache + largest fold copy) and what is free.
+        prepared = []
+        real_prepare = evaluation.prepare_records
+        monkeypatch.setattr(
+            evaluation, "prepare_records",
+            lambda *args: prepared.append(real_prepare(*args)) or prepared[0])
+        monkeypatch.setattr(evaluation, "represent",
+                            lambda *args: pytest.fail("cache allocated"))
+        monkeypatch.setattr(evaluation, "mem_available", lambda: 3 << 20)
+        with pytest.raises(ConfigError) as info:
+            run_cv(small_dataset, RunConfig(method="PPF@0.5x", seed=5,
+                                            jobs=1))
+        n_patches = sum(len(coords) for _img, coords in prepared[0])
+        cache_mib = n_patches * 80 * 80 * 4 // (1 << 20)
+        message = str(info.value)
+        assert f"patch cache {cache_mib} MiB" in message
+        assert message.endswith("but only 3 MiB is available")
+
+    def test_ppf_memory_check_arithmetic(self, monkeypatch):
+        # Two records of 3 and 5 patches; the largest fold keeps both.
+        prepared = [(None, [None] * 3), (None, [None] * 5)]
+        kept = [np.array([1]), np.array([0, 1])]
+        config = RunConfig(method="PPF@0.5x", patch_size=512)
+        need = (8 + 8) * 512 * 512 * 4  # 16 MiB
+        for available, refused in ((need, False), (need - 1, True),
+                                   (None, False)):
+            monkeypatch.setattr(evaluation, "mem_available",
+                                lambda: available)
+            if refused:
+                with pytest.raises(ConfigError,
+                                   match=r"needs about 16 MiB \(patch cache "
+                                         r"8 MiB \+ largest fold copy 8 "
+                                         r"MiB\) but only 15 MiB"):
+                    evaluation._check_ppf_memory(prepared, kept, config)
+            else:
+                evaluation._check_ppf_memory(prepared, kept, config)
+
     def test_balancing_decisions_recorded(self, small_dataset):
         config = RunConfig(method="RF-LBP@0.5x", seed=5, trees=10, jobs=2)
         report = run_cv(small_dataset, config)

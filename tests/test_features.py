@@ -68,6 +68,58 @@ def lbp_reference(patch: np.ndarray, radius: int, neighbors: int) -> np.ndarray:
     return hist / hist.sum()
 
 
+def parent_ring_sample(stack, radius, ch, cw, dx, dy):
+    """The earlier ring sampler, kept as the oracle: strided 2-D windows,
+    each neighbor interpolated from its own four pixel windows."""
+
+    def window(oy, ox):
+        return stack[:, radius + oy: radius + oy + ch,
+                     radius + ox: radius + ox + cw]
+
+    if abs(dx - round(dx)) < 1e-9:
+        dx = float(round(dx))
+    if abs(dy - round(dy)) < 1e-9:
+        dy = float(round(dy))
+    ix, iy = math.floor(dx), math.floor(dy)
+    tx, ty = dx - ix, dy - iy
+    if tx == 0.0 and ty == 0.0:
+        return window(iy, ix)
+    v00 = window(iy, ix)
+    if ty == 0.0:
+        return v00 + tx * (window(iy, ix + 1) - v00)
+    if tx == 0.0:
+        return v00 + ty * (window(iy + 1, ix) - v00)
+    v01 = window(iy, ix + 1)
+    v10 = window(iy + 1, ix)
+    v11 = window(iy + 1, ix + 1)
+    return v00 + tx * (v01 - v00) + ty * (v10 - v00) \
+        + tx * ty * (v11 + v00 - v01 - v10)
+
+
+def parent_lbp_codes(stack, radius, neighbors):
+    """The earlier riu2 coder over `parent_ring_sample`."""
+    n, h, w = stack.shape
+    ch, cw = h - 2 * radius, w - 2 * radius
+    center = stack[:, radius: radius + ch, radius: radius + cw]
+    ones = np.zeros((n, ch, cw), dtype=np.int16)
+    transitions = np.zeros((n, ch, cw), dtype=np.int16)
+    first = prev = None
+    for k in range(neighbors):
+        angle = 2.0 * math.pi * k / neighbors
+        sample = parent_ring_sample(stack, radius, ch, cw,
+                                    radius * math.cos(angle),
+                                    radius * math.sin(angle))
+        s = sample >= center
+        ones += s
+        if prev is None:
+            first = s
+        else:
+            transitions += prev != s
+        prev = s
+    transitions += prev != first
+    return np.where(transitions <= 2, ones, neighbors + 1)
+
+
 class TestLbpCodes:
     def test_constant_patch_all_ones_bin(self):
         # Ties count as 1: every neighbor equals the center, giving the
@@ -123,6 +175,32 @@ class TestLbpCodes:
         with pytest.raises(ValueError, match="too small"):
             lbp_histogram(np.zeros((5, 5)), 3, 16)
 
+    @settings(max_examples=150, deadline=None)
+    @given(radius=st.integers(1, 6), neighbors=st.integers(4, 30),
+           n=st.integers(1, 3), levels=st.sampled_from([2, 3, 4, 5, 6, 0]),
+           band=st.sampled_from([1 << 15, 64, 7]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_matches_parent_ring_sampler(self, radius, neighbors, n, levels,
+                                         band, seed, data):
+        # Codes equal the strided-window coder's exactly: same float
+        # operations per sample.  Counts that are not a multiple of 4 snap
+        # only neighbor 0 (and P/2 when even) to a pixel; few gray levels
+        # make ties common, levels 0 draws from the full 16-bit range, and
+        # small bands split the span into many passes.
+        h = data.draw(st.integers(2 * radius + 1, 40), label="h")
+        w = data.draw(st.integers(2 * radius + 1, 40), label="w")
+        rng = np.random.default_rng(seed)
+        if levels:
+            stack = rng.integers(0, levels, size=(n, h, w)) \
+                * (65535 // (levels - 1))
+        else:
+            stack = rng.integers(0, 65536, size=(n, h, w))
+        stack = stack.astype(np.float64)
+        with mock.patch.object(features, "_LBP_BAND", band):
+            got = features._lbp_codes(stack, radius, neighbors)
+        assert got.shape == (n, h - 2 * radius, w - 2 * radius)
+        assert np.array_equal(got, parent_lbp_codes(stack, radius, neighbors))
+
 
 class TestLbpImageVector:
     def test_dimension_count(self):
@@ -160,6 +238,10 @@ class TestLbpImageVector:
                                      config)
         with pytest.raises(ValueError, match="no admissible patches"):
             represent([(img, coords)], config)
+
+    def test_no_coords_rejected(self):
+        with pytest.raises(ValueError, match="no patches to describe"):
+            lbp_patch_matrix(np.zeros((16, 16)), [])
 
     def test_batch_matrix_matches_per_patch(self):
         rng = np.random.default_rng(4)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clescreen.core import CleImage
-from clescreen.wholeimage import (SquareCrop, max_square_crop,
+from clescreen.wholeimage import (SquareCrop, _bilinear_sample, _edge_pad,
+                                  max_square_crop,
                                   max_square_side, nearest_rank_percentile,
                                   percentile_compress, resize_to, rotate)
 from conftest import make_image
@@ -274,3 +277,108 @@ class TestRotate:
         out = rotate(img, angle)
         assert out.pixels.dtype == np.uint16
         assert np.array_equal(out.pixels, rotate_reference(img, angle))
+
+
+def parent_bilinear_sample(src, px, py, fill=0.0):
+    """The earlier sampler, kept as the oracle: four clipped coordinate
+    arrays gathered from the unpadded raster."""
+    h, w = src.shape
+    valid = (px >= -0.5) & (px <= w - 0.5) & (py >= -0.5) & (py <= h - 0.5)
+    x0f = np.floor(px)
+    y0f = np.floor(py)
+    tx = px - x0f
+    ty = py - y0f
+    xi = x0f.astype(np.int64)
+    yi = y0f.astype(np.int64)
+    x0 = np.clip(xi, 0, w - 1)
+    x1 = np.clip(xi + 1, 0, w - 1)
+    row0 = np.clip(yi, 0, h - 1) * w
+    row1 = np.clip(yi + 1, 0, h - 1) * w
+    flat = src.astype(np.float64, copy=False).ravel()
+    v00 = flat.take(row0 + x0)
+    v01 = flat.take(row0 + x1)
+    v10 = flat.take(row1 + x0)
+    v11 = flat.take(row1 + x1)
+    out = v00 + tx * (v01 - v00) + ty * (v10 - v00) \
+        + tx * ty * (v11 + v00 - v01 - v10)
+    return np.where(valid, out, fill)
+
+
+def parent_rotate(image, angle_deg):
+    """The earlier `rotate` over the whole frame at once."""
+    theta = math.radians(angle_deg % 360.0)
+    if theta == 0.0:
+        return image.pixels.copy()
+    c, s = math.cos(theta), math.sin(theta)
+    cx, cy = image.mask_center
+    h, w = image.pixels.shape
+    dx = np.arange(w, dtype=np.float64) - cx
+    dy = np.arange(h, dtype=np.float64) - cy
+    sx = cx + c * dx[None, :] + s * dy[:, None]
+    sy = cy - s * dx[None, :] + c * dy[:, None]
+    sampled = parent_bilinear_sample(image.pixels.astype(np.float64), sx, sy)
+    return np.clip(np.floor(sampled + 0.5), 0, 65535).astype(np.uint16)
+
+
+def parent_resize_to(src, target):
+    """The earlier `resize_to` on a raster."""
+    side = src.shape[0]
+    pos = (np.arange(target, dtype=np.float64) + 0.5) * (side / target) - 0.5
+    pos = np.clip(pos, 0.0, side - 1.0)
+    px, py = np.meshgrid(pos, pos)
+    out = parent_bilinear_sample(src.astype(np.float64), px, py)
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+class TestPaddedGatherMatchesParentSampler:
+    """The edge-padded gather reads the same four pixels as the clipped
+    coordinate arrays, so every output equals the earlier sampler's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(1, 23), w=st.integers(1, 23),
+           fill=st.sampled_from([0.0, -3.0, 7.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_positions_on_and_beyond_the_border(self, h, w, fill, seed):
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, 65536, size=(h, w)).astype(np.float64)
+
+        def axis(n):
+            # Exactly on the +-0.5 border, one ulp either side of it,
+            # pixel centers, and anywhere from well outside to inside.
+            edges = np.array([-0.5, n - 0.5, 0.0, n - 1.0])
+            near = np.concatenate([np.nextafter(edges, -np.inf),
+                                   np.nextafter(edges, np.inf)])
+            return np.concatenate([edges, near,
+                                   rng.uniform(-3.0, n + 2.0, 40)])
+
+        px, py = np.meshgrid(axis(w), axis(h))
+        got = _bilinear_sample(_edge_pad(src), px, py, fill)
+        assert np.array_equal(got, parent_bilinear_sample(src, px, py, fill))
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(2, 61), w=st.integers(2, 61),
+           cx=st.integers(-4, 4), cy=st.integers(-4, 4),
+           angle=st.one_of(st.sampled_from([90.0, 180.0, 270.0, 45.0]),
+                           st.floats(0.0, 360.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rotate(self, h, w, cx, cy, angle, seed):
+        # Off-center masks on half- and quarter-pixel positions: quarter
+        # turns then map border pixels onto (or within rounding of) the
+        # +-0.5 limit.
+        rng = np.random.default_rng(seed)
+        img = CleImage(pixels=rng.integers(0, 65536, size=(h, w),
+                                           dtype=np.uint16),
+                       mask_center=((w - 1) / 2 + cx / 4,
+                                    (h - 1) / 2 + cy / 4),
+                       mask_radius=(min(h, w) - 1) / 2)
+        assert np.array_equal(rotate(img, angle).pixels,
+                              parent_rotate(img, angle))
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(2, 61), target=st.integers(1, 90),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_resize_to(self, side, target, seed):
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, 256, size=(side, side)).astype(np.uint8)
+        assert np.array_equal(resize_to(src, target),
+                              parent_resize_to(src, target))
