@@ -19,8 +19,8 @@ from .forest import (RandomForestModel, load_forest, save_forest,
 from .fusion import (FusionMaps, ImageProbability, build_maps,
                      export_probability_map, image_probability)
 from .evaluation import (EvalReport, RunConfig, confusion_metrics,
-                         lopo_folds, prepare_records, represent, roc_auc,
-                         run_cv)
+                         describe_records, lopo_folds, prepare_records,
+                         represent, roc_auc, run_cv)
 from .synth import SynthConfig, generate_dataset
 
 __all__ = [name for name in dir() if not name.startswith("_")]

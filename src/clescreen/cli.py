@@ -21,9 +21,9 @@ from . import __version__
 from .core import (LABELS, DatasetManifest, ManifestError, PgmError,
                    dataset_stats, load_manifest)
 from .evaluation import (ConfigError, InsufficientPatients, METHODS,
-                         RunConfig, confusion_metrics, prepare_records,
-                         represent, results_csv, roc_auc, roc_csv, run_cv,
-                         summary_dict)
+                         RunConfig, confusion_metrics, describe_records,
+                         prepare_records, results_csv, roc_auc, roc_csv,
+                         run_cv, summary_dict)
 from .forest import load_forest, save_forest, train_random_forest
 from .fusion import fuse
 from .synth import SynthConfig, generate_dataset
@@ -165,8 +165,7 @@ def cmd_featurize(args) -> int:
     header = ("patient,sequence,frame,label,"
               + ",".join(config.descriptor.row_names()))
     records = manifest.records
-    rows, _owner = represent(prepare_records(manifest, records, config),
-                             config)
+    rows, _owner = describe_records(manifest, records, config)
     lines = [header]
     for rec, row in zip(records, rows):
         values = ",".join(repr(float(v)) for v in row)

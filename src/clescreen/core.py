@@ -10,6 +10,7 @@ augmentation lineage.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -226,10 +227,13 @@ def load_image(path: str | Path, mask: tuple | None = None) -> CleImage:
                 (cx, cy), radius = meta["center"], meta["radius"]
             except (ValueError, KeyError, TypeError):
                 cx = cy = radius = None
-            if not all(type(v) in (int, float) for v in (cx, cy, radius)):
+            # Rejects NaN, infinities and integers beyond the float range.
+            if not all(type(v) in (int, float)
+                       and abs(v) <= sys.float_info.max
+                       for v in (cx, cy, radius)):
                 raise PgmError(
-                    f"{sidecar}: mask sidecar needs numeric \"center\": "
-                    f"[x, y] and \"radius\"")
+                    f"{sidecar}: mask sidecar needs finite numeric "
+                    f"\"center\": [x, y] and \"radius\"")
             mask = ((cx, cy), float(radius))
         else:
             mask = default_mask(width, height)

@@ -7,6 +7,16 @@ from which threshold metrics, the ROC curve, and the tie-aware
 Mann-Whitney AUC are computed.  Every random draw derives from the master
 seed plus the fold's patient id, so runs are reproducible and independent
 of worker count.
+
+A run makes two forked passes, and only rows and probabilities cross the
+process boundary.  The record pass prepares each record and, for RF-* and
+the whole-image baseline, describes it in the same worker, so frames
+never reach this process; PPF brings its frames back and fills one patch
+cache here.  The fold pass fits and scores one fold per worker, each
+forest growing its trees in turn.  Logistic folds (logistic-PPF, the
+whole-image baseline) run in this process, since OpenBLAS already uses
+every core.  With more jobs than folds, the extra cores sit idle in the
+fold pass.
 """
 
 from __future__ import annotations
@@ -302,21 +312,55 @@ def record_patch_coords(img: core.CleImage, rects, config: RunConfig):
     return patching.exclude_artifacts(coords, rects)
 
 
+def _prepare(manifest: core.DatasetManifest, record: core.ImageRecord,
+             config: RunConfig) -> tuple[core.CleImage, list]:
+    """(frame, admitted patch coords) of one record at the method's scale.
+    The whole-image method builds no grid, so its frame may be tiny."""
+    kind, _, scale = _METHOD_SPEC[config.method]
+    img, rects = prepare_record_image(manifest, record, scale)
+    if kind == "wholeimage":
+        return img, []
+    return img, record_patch_coords(img, rects, config)
+
+
 def prepare_records(manifest: core.DatasetManifest,
                     records: list[core.ImageRecord], config: RunConfig
                     ) -> list[tuple[core.CleImage, list[patching.PatchCoords]]]:
     """(frame, admitted patch coords) of every record at the method's
-    scale, on `config.jobs` worker processes, in record order.  The
-    whole-image method builds no grid, so its frames may be tiny."""
-    kind, _, scale = _METHOD_SPEC[config.method]
+    scale, on `config.jobs` worker processes, in record order."""
+    return run_parallel(lambda record: _prepare(manifest, record, config),
+                        records, config.jobs)
 
-    def prepare(record: core.ImageRecord):
-        img, rects = prepare_record_image(manifest, record, scale)
-        if kind == "wholeimage":
-            return img, []
-        return img, record_patch_coords(img, rects, config)
 
-    return run_parallel(prepare, records, config.jobs)
+def _describe(img: core.CleImage, coords: list, config: RunConfig,
+              index: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Classifier rows of record `index`, prepared as (`img`, `coords`):
+    one texture row (RF-*) or whitened float32 raster (whole-image), or
+    one whitened float32 patch per admitted patch, in grid order, written
+    into the `(len(coords), patch_size**2)` block `out` (PPF)."""
+    kind = _METHOD_SPEC[config.method][0]
+    if kind != "wholeimage" and not coords:
+        raise ValueError(f"record {index} has no admissible patches")
+    if kind == "ppf":
+        for row, c in zip(out, coords):
+            row[:] = patching.whiten_values(
+                img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
+        return out
+    if kind == "features":
+        return features.image_row(img.pixels, coords, config.descriptor)
+    _compressed, _crop, raster = wholeimage.preprocess(img, config.target_size)
+    white, _ = patching.whiten_values(raster.astype(np.float64).ravel())
+    return white.astype(np.float32)
+
+
+def _rows_per_record(prepared_at, n: int, config: RunConfig
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked `_describe` rows of records 0..n-1, each prepared by
+    `prepared_at(i)` and described in the same worker, and owner
+    `arange(n)`."""
+    return (np.stack(run_parallel(
+        lambda i: _describe(*prepared_at(i), config, i), range(n),
+        config.jobs)), np.arange(n))
 
 
 def represent(prepared: list[tuple[core.CleImage, list]],
@@ -326,52 +370,67 @@ def represent(prepared: list[tuple[core.CleImage, list]],
     `config.descriptor.row_names()`) or whitened float32 raster
     (whole-image); per admitted patch, in grid order, one whitened
     float32 patch (PPF)."""
-    kind = _METHOD_SPEC[config.method][0]
+    if _METHOD_SPEC[config.method][0] != "ppf":
+        return _rows_per_record(prepared.__getitem__, len(prepared), config)
     counts = np.array([len(c) for _img, c in prepared], dtype=np.intp)
-    if kind != "wholeimage" and not counts.all():
-        raise ValueError(f"record {int(np.argmin(counts))} has no "
-                         f"admissible patches")
-    # One preallocated PPF cache: stacking per-record blocks would double it.
-    if kind == "ppf":
-        X = np.empty((counts.sum(), config.patch_size ** 2), dtype=np.float32)
-        cuts = [(img.pixels, c) for img, coords in prepared for c in coords]
-        for row, (pixels, c) in enumerate(cuts):
-            X[row] = patching.whiten_values(
-                pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
-        return X, np.repeat(np.arange(len(prepared)), counts)
+    # One preallocated PPF cache, filled here: stacking per-record blocks
+    # would double it, and pickling rows back from workers costs more
+    # than whitening them.
+    X = np.empty((counts.sum(), config.patch_size ** 2), dtype=np.float32)
+    ends = np.cumsum(counts)
+    for i, (img, coords) in enumerate(prepared):
+        _describe(img, coords, config, i, out=X[ends[i] - counts[i]:ends[i]])
+    return X, np.repeat(np.arange(len(prepared)), counts)
 
-    def record_row(index: int) -> np.ndarray:
-        img, coords = prepared[index]
-        if kind == "features":
-            return features.image_row(img.pixels, coords, config.descriptor)
-        _compressed, _crop, raster = wholeimage.preprocess(
-            img, config.target_size)
-        white, _ = patching.whiten_values(raster.astype(np.float64).ravel())
-        return white.astype(np.float32)
 
-    return (np.stack(run_parallel(record_row, range(len(prepared)),
-                                  config.jobs)),
-            np.arange(len(prepared)))
+def describe_records(manifest: core.DatasetManifest,
+                     records: list[core.ImageRecord], config: RunConfig
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """`represent(prepare_records(manifest, records, config), config)` in
+    one pass: for RF-* and the whole-image baseline, the worker that
+    prepares a record also describes it, so only its row comes back and
+    no frame is held here.  PPF fills its patch cache from the prepared
+    frames in this process."""
+    if _METHOD_SPEC[config.method][0] == "ppf":
+        return represent(prepare_records(manifest, records, config), config)
+    return _rows_per_record(
+        lambda i: _prepare(manifest, records[i], config), len(records),
+        config)
+
+
+def _uses_forest(config: RunConfig) -> bool:
+    kind = _METHOD_SPEC[config.method][0]
+    return kind == "features" or (kind == "ppf"
+                                  and config.patch_classifier == "forest")
 
 
 def _check_ppf_memory(prepared: list[tuple[core.CleImage, list]],
-                     kept: list[np.ndarray], config: RunConfig) -> None:
-    """Refuse a PPF run whose float32 patch cache plus its largest fold's
-    copy of kept training rows would not fit in the memory available
-    now.  `kept[f]` holds fold f's kept record indices.  Nothing is
-    checked where available memory cannot be read."""
+                      kept: list[np.ndarray], config: RunConfig) -> None:
+    """Refuse a PPF run whose float32 patch cache plus the fold copies
+    alive at once would not fit in the memory available now.  `kept[f]`
+    holds fold f's kept record indices.  A logistic fold holds its
+    float32 `X[rows]`, one fold at a time.  A forest fold also holds the
+    float64 copy `train_random_forest` makes and the float64 bootstrap
+    resample of the tree it grows (5x the float32 rows), and up to
+    `min(jobs, folds)` forest folds run at once.  Nothing is checked
+    where available memory cannot be read."""
     available = mem_available()
     if available is None:
         return
     row_bytes = config.patch_size ** 2 * np.dtype(np.float32).itemsize
     counts = np.array([len(c) for _img, c in prepared], dtype=np.int64)
     cache = int(counts.sum()) * row_bytes
-    fold_copy = max(int(counts[k].sum()) for k in kept) * row_bytes
+    largest = max(int(counts[k].sum()) for k in kept) * row_bytes
+    if _uses_forest(config):
+        folds = min(max(1, config.jobs), len(kept))
+        fold_copy, what = 5 * largest * folds, f"{folds} forest fold copies"
+    else:
+        fold_copy, what = largest, "largest fold copy"
     if cache + fold_copy > available:
         mib = 1 << 20
         raise ConfigError(
             f"{config.method} needs about {(cache + fold_copy) // mib} MiB "
-            f"(patch cache {cache // mib} MiB + largest fold copy "
+            f"(patch cache {cache // mib} MiB + {what} "
             f"{fold_copy // mib} MiB) but only {available // mib} MiB is "
             f"available")
 
@@ -379,12 +438,11 @@ def _check_ppf_memory(prepared: list[tuple[core.CleImage, list]],
 def _fit(config: RunConfig, X: np.ndarray, y: np.ndarray, seed: int):
     """One fold's classifier: the random forest for texture features and
     forest-PPF, the logistic model for logistic-PPF and the whole-image
-    baseline."""
-    kind = _METHOD_SPEC[config.method][0]
-    if kind == "features" or (kind == "ppf"
-                              and config.patch_classifier == "forest"):
+    baseline.  The forest grows its trees in this process: folds are
+    what runs in parallel."""
+    if _uses_forest(config):
         return forest.train_random_forest(X, y, trees=config.trees,
-                                          seed=seed, jobs=config.jobs)
+                                          seed=seed, jobs=1)
     return classify.train_logistic(X, y.astype(np.float32),
                                    epochs=config.epochs, rate=config.rate,
                                    l2=config.l2)
@@ -400,8 +458,8 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
 
     Per fold: balance the training records (augmented majority rows go
     first), fit the method's classifier, score the held-out patient's
-    originals, and concatenate.  Returns the full report with metrics,
-    ROC/AUC, and a per-fold provenance audit.
+    originals, and concatenate in fold order.  Returns the full report
+    with metrics, ROC/AUC, and a per-fold provenance audit.
     """
     config.validate()
     kind = _METHOD_SPEC[config.method][0]
@@ -430,40 +488,59 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
         seed=stable_seed(fold_seeds[fold.test_patient], "balance"))]
         for fold in folds]
 
-    prepared = prepare_records(augmented, records, config)
+    for fold in folds:
+        if is_augmented[fold.test_idx].any():
+            raise RuntimeError(
+                f"augmented record in test fold {fold.test_patient}")
+
+    # Record pass.  PPF keeps the frames: folds fuse over their patches,
+    # and the cache is refused before it exists if it cannot fit.
     if kind == "ppf":
+        prepared = prepare_records(augmented, records, config)
         _check_ppf_memory(prepared, kept, config)
-    X, owner = represent(prepared, config)
+        X, owner = represent(prepared, config)
+    else:
+        X, owner = describe_records(augmented, records, config)
+
+    def fold_pass(f: int) -> tuple[np.ndarray, int, int]:
+        """Fold f fitted on its kept rows and scored on its held-out
+        originals: (p per test record, patch hits, patches scored)."""
+        test_idx = folds[f].test_idx
+        rows = np.flatnonzero(np.isin(owner, kept[f]))
+        model = _fit(config, X[rows], labels[owner[rows]],
+                     fold_seeds[folds[f].test_patient])
+        if kind != "ppf":  # one row per record
+            return model.predict_proba(X[test_idx])[:, 1], 0, 0
+        # Fuse each test record's patch posteriors.
+        probs = np.empty(len(test_idx), dtype=np.float64)
+        hits = total = 0
+        for n, i in enumerate(test_idx):
+            lo, hi = np.searchsorted(owner, (i, i + 1))
+            pp = model.predict_proba(X[lo:hi])[:, 1]
+            img, coords = prepared[i]
+            probs[n] = fusion.fuse(list(zip(coords, pp)),
+                                   (img.width, img.height)).p
+            hits += int(((pp >= config.threshold).astype(int)
+                         == labels[i]).sum())
+            total += len(pp)
+        return probs, hits, total
+
+    # Fold pass.  Forest folds run on `config.jobs` forked workers that
+    # inherit X, so only probabilities come back.  Logistic folds run here
+    # one after another: OpenBLAS already spreads their matrix products
+    # over every core, and forked workers would each start its threads
+    # (on a 2-core machine, forking the 4 PPF@0.5x folds of a 4-patient
+    # cohort onto 2 workers took run_cv from 1.8 s to 3.9 s).
+    outcomes = run_parallel(fold_pass, range(len(folds)),
+                            config.jobs if _uses_forest(config) else 1)
 
     results: list[ResultRow] = []
     audits: list[FoldAudit] = []
-    patch_hits = 0
-    patch_total = 0
-
-    for fold, kept_idx in zip(folds, kept):
-        train_idx, test_idx = fold.train_idx, fold.test_idx
-        if is_augmented[test_idx].any():
-            raise RuntimeError(
-                f"augmented record in test fold {fold.test_patient}")
-        fold_seed = fold_seeds[fold.test_patient]
-        removed_idx = np.setdiff1d(train_idx, kept_idx, assume_unique=True)
-
-        rows = np.flatnonzero(np.isin(owner, kept_idx))
-        model = _fit(config, X[rows], labels[owner[rows]], fold_seed)
-        if kind != "ppf":  # one row per record
-            probs = model.predict_proba(X[test_idx])[:, 1]
-        else:  # fuse each test record's patch posteriors
-            probs = np.empty(len(test_idx), dtype=np.float64)
-            for n, i in enumerate(test_idx):
-                lo, hi = np.searchsorted(owner, (i, i + 1))
-                pp = model.predict_proba(X[lo:hi])[:, 1]
-                img, coords = prepared[i]
-                probs[n] = fusion.fuse(list(zip(coords, pp)),
-                                       (img.width, img.height)).p
-                patch_hits += int(((pp >= config.threshold).astype(int)
-                                   == labels[i]).sum())
-                patch_total += len(pp)
-
+    for fold, kept_idx, (probs, _hits, _total) in zip(folds, kept,
+                                                      outcomes):
+        test_idx = fold.test_idx
+        removed_idx = np.setdiff1d(fold.train_idx, kept_idx,
+                                   assume_unique=True)
         for i, p in zip(test_idx, probs):
             rec = records[i]
             results.append(ResultRow(
@@ -471,7 +548,7 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
                 label=int(labels[i]), p=float(p)))
         audits.append(FoldAudit(
             test_patient=fold.test_patient,
-            fold_seed=fold_seed,
+            fold_seed=fold_seeds[fold.test_patient],
             train_patients=tuple(sorted({records[i].patient
                                          for i in kept_idx})),
             train_keys=[records[i].key() for i in kept_idx],
@@ -479,6 +556,8 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
             balancing_removed=[records[i].key() for i in removed_idx],
             n_augmented_in_test=int(is_augmented[test_idx].sum()),
         ))
+    patch_hits = sum(hits for _p, hits, _total in outcomes)
+    patch_total = sum(total for _p, _hits, total in outcomes)
 
     y_all = np.array([r.label for r in results])
     p_all = np.array([r.p for r in results])

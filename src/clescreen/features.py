@@ -127,30 +127,48 @@ def _lbp_codes(stack: np.ndarray, radius: int, neighbors: int) -> np.ndarray:
     Neighbors on the radius circle are compared against the center with
     ties counting as 1.  Patterns with at most two circular transitions
     code as their number of ones (0..P); the rest share the catch-all
-    code P + 1.
+    code P + 1.  The one-scale case of `_lbp_scale_codes`.
+    """
+    return _lbp_scale_codes(stack, ((radius, neighbors),))[0]
+
+
+def _lbp_scale_codes(stack: np.ndarray, scales) -> list[np.ndarray]:
+    """`_lbp_codes(stack, radius, neighbors)` for each (radius, neighbors)
+    of `scales`.
 
     A fractional neighbor is the difference-form bilinear sample
     ((v00 + tx*Dh) + ty*Dv) + (tx*ty)*C, which returns the exact pixel
     value on locally constant data (so equal neighbors always tie with
     the center).  The horizontal, vertical and cross differences Dh, Dv
-    and C are computed once per stack on the flattened rasters, so each
-    neighbor is one contiguous span per raster: the centers' rows with
-    the 2*radius columns between them, which are computed and dropped.
-    The span is coded in bands of `_LBP_BAND` centers per pass.
+    and C do not depend on the radius, so they are computed once per
+    stack, on the flattened rasters, for every scale.  Each neighbor is
+    then one contiguous span per raster: the centers' rows with the
+    2*radius columns between them, which are computed and dropped.  The
+    span is coded in bands of `_LBP_BAND` centers per pass.
     """
     n, h, w = stack.shape
-    if h < 2 * radius + 1 or w < 2 * radius + 1:
-        raise ValueError(
-            f"patch {h}x{w} too small for radius {radius} (needs "
-            f">= {2 * radius + 1})")
-    ch, cw = h - 2 * radius, w - 2 * radius
-    span = (ch - 1) * w + cw
+    for radius, _neighbors in scales:
+        if h < 2 * radius + 1 or w < 2 * radius + 1:
+            raise ValueError(
+                f"patch {h}x{w} too small for radius {radius} (needs "
+                f">= {2 * radius + 1})")
     flat = np.ascontiguousarray(stack, dtype=np.float64).reshape(n, h * w)
     # Indexed like `flat` by the top-left pixel v00 of a bilinear cell.
     dh = flat[:, 1:] - flat[:, :-1]
     dv = flat[:, w:] - flat[:, :-w]
     cross = ((flat[:, w + 1:] + flat[:, :-w - 1]) - flat[:, 1:-w]) \
         - flat[:, w:-1]
+    return [_lbp_span_codes(flat, dh, dv, cross, w, radius, neighbors)
+            for radius, neighbors in scales]
+
+
+def _lbp_span_codes(flat, dh, dv, cross, w: int, radius: int,
+                    neighbors: int) -> np.ndarray:
+    """One scale's (n, h - 2r, w - 2r) codes of the flattened (n, h*w)
+    stack `flat` with difference rasters `dh`, `dv`, `cross`."""
+    n = flat.shape[0]
+    ch, cw = flat.shape[1] // w - 2 * radius, w - 2 * radius
+    span = (ch - 1) * w + cw
     ring = [_ring_offset(radius, neighbors, k) for k in range(neighbors)]
     # Codes are at most neighbors + 1, so this type holds every count.
     codes = np.zeros((n, ch * w), dtype=np.min_scalar_type(neighbors + 1))
@@ -215,9 +233,10 @@ def lbp_patch_matrix(pixels: np.ndarray, coords,
     `coords` cut from `pixels`.
 
     Every center is coded once per scale, on the frame region that bounds
-    the patches; each patch then histograms its interior window of that
-    code raster.  A center sees the same neighbor pixels either way, so
-    the codes equal those of the patches cut out one by one.
+    the patches, from difference rasters computed once for all scales;
+    each patch then histograms its interior window of that code raster.
+    A center sees the same neighbor pixels either way, so the codes equal
+    those of the patches cut out one by one.
     """
     if not coords:
         raise ValueError("no patches to describe")
@@ -226,16 +245,17 @@ def lbp_patch_matrix(pixels: np.ndarray, coords,
     region = np.asarray(pixels[y0:max(c.c4 for c in coords),
                                x0:max(c.c2 for c in coords)],
                         dtype=np.float64)
-    parts = []
-    for r, p in config.scales:
+    for r, _p in config.scales:
         for c in coords:
             h, w = c.c4 - c.c3, c.c2 - c.c1
             if h < 2 * r + 1 or w < 2 * r + 1:
                 raise ValueError(
                     f"patch {h}x{w} too small for radius {r} (needs "
                     f">= {2 * r + 1})")
-        codes = _lbp_codes(region[None], r, p)[0]
-        windows = np.stack([codes[c.c3 - y0: c.c4 - y0 - 2 * r,
+    parts = []
+    for (r, p), codes in zip(config.scales,
+                             _lbp_scale_codes(region[None], config.scales)):
+        windows = np.stack([codes[0, c.c3 - y0: c.c4 - y0 - 2 * r,
                                   c.c1 - x0: c.c2 - x0 - 2 * r]
                             for c in coords])
         parts.append(_histogram_rows(windows, p + 2))

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from clescreen import evaluation
+from clescreen import evaluation, forest
 from clescreen.cli import main
 from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
                             load_manifest, save_image, save_manifest)
@@ -312,6 +312,49 @@ class TestCv:
         monkeypatch.setattr(evaluation, "prepare_record_image", dying)
         out = tmp_path / "cv"
         rc = main(["cv", "--data", str(dataset), "--method", "RF-GLCM@0.5x",
+                   "--trees", "4", "--out", str(out), "--jobs", "2"])
+        err = capsys.readouterr().err
+        assert rc == 7
+        assert len(err.splitlines()) == 1
+        assert "worker process died" in err
+        assert "Traceback" not in err
+        assert not (out / "results.csv").exists()
+
+
+class TestFoldPass:
+    @pytest.mark.parametrize("options", [
+        ["--method", "RF-LBP@0.5x", "--trees", "12"],
+        ["--method", "RF-GLCM@0.5x", "--trees", "12"],
+        ["--method", "PPF@0.5x", "--epochs", "6"],
+        ["--method", "PPF@0.5x", "--patch-classifier", "forest",
+         "--trees", "8"],
+        ["--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
+         "--epochs", "4"],
+    ], ids=["rf-lbp", "rf-glcm", "ppf-logistic", "ppf-forest", "wholeimage"])
+    def test_outputs_identical_across_jobs(self, dataset, tmp_path, options):
+        for jobs in ("1", "2"):
+            assert main(["cv", "--data", str(dataset), "--seed", "5",
+                         "--out", str(tmp_path / jobs), "--jobs", jobs,
+                         *options]) == 0
+        for name in ("results.csv", "roc.csv", "summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes()
+
+    def test_dead_fold_worker_exit_code(self, dataset, tmp_path, capsys,
+                                        monkeypatch):
+        # Every fold's forest grows in a forked worker, and each worker
+        # dies on its first fold, as an out-of-memory kill would end it.
+        parent = os.getpid()
+        train = forest.train_random_forest
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "train_random_forest", dying)
+        out = tmp_path / "cv"
+        rc = main(["cv", "--data", str(dataset), "--method", "RF-LBP@0.5x",
                    "--trees", "4", "--out", str(out), "--jobs", "2"])
         err = capsys.readouterr().err
         assert rc == 7

@@ -78,6 +78,22 @@ class TestLoadImage:
         with pytest.raises(PgmError, match="a.mask.json"):
             load_image(p)
 
+    @pytest.mark.parametrize("text", [
+        '{"center": [NaN, 4.5], "radius": 3.0}',
+        '{"center": [3.5, 4.5], "radius": NaN}',
+        '{"center": [3.5, -Infinity], "radius": 3.0}',
+        '{"center": [3.5, 4.5], "radius": 1' + "0" * 400 + '}',
+    ])
+    def test_non_finite_sidecar_rejected(self, tmp_path, text):
+        # json reads NaN and Infinity as floats, and a NaN circle would
+        # pass every fit comparison and admit no patch; a 401-digit radius
+        # does not convert to a float.
+        p = tmp_path / "a.pgm"
+        write_pgm(p, 8, 8, 255, bytes(64))
+        (tmp_path / "a.mask.json").write_text(text)
+        with pytest.raises(PgmError, match="a.mask.json: .* finite"):
+            load_image(p)
+
     def test_bad_magic_rejected_with_position(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P6\n1 1\n255\n\x00")

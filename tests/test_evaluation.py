@@ -421,6 +421,59 @@ class TestRunCv:
                     evaluation._check_ppf_memory(prepared, kept, config)
             else:
                 evaluation._check_ppf_memory(prepared, kept, config)
+        # A forest fold holds X[rows], its float64 copy and the float64
+        # bootstrap resample (5x the float32 rows), and min(jobs, folds)
+        # forest folds run at once.
+        for jobs, folds, need_mib in ((4, 2, 8 + 2 * 5 * 8),
+                                      (1, 1, 8 + 5 * 8)):
+            config = RunConfig(method="PPF@0.5x", patch_size=512,
+                               patch_classifier="forest", jobs=jobs)
+            need = need_mib << 20
+            monkeypatch.setattr(evaluation, "mem_available", lambda: need)
+            evaluation._check_ppf_memory(prepared, kept, config)
+            monkeypatch.setattr(evaluation, "mem_available",
+                                lambda: need - 1)
+            with pytest.raises(ConfigError,
+                               match=rf"needs about {need_mib} MiB \(patch "
+                                     rf"cache 8 MiB \+ {folds} forest fold "
+                                     rf"copies {need_mib - 8} MiB\) but only "
+                                     rf"{need_mib - 1} MiB"):
+                evaluation._check_ppf_memory(prepared, kept, config)
+
+    def test_rf_runs_one_record_pass_and_one_fold_pass(self, small_dataset,
+                                                       monkeypatch):
+        # Frames are prepared and described in the same workers, and the
+        # folds are fitted in the second pool: the parent maps exactly
+        # twice, over the 72 records and over the 4 folds.
+        calls = []
+        real = evaluation.run_parallel
+
+        def counting(fn, items, jobs):
+            calls.append((len(items), jobs))
+            return real(fn, items, jobs)
+
+        monkeypatch.setattr(evaluation, "run_parallel", counting)
+        for method in ("RF-LBP@0.5x", "RF-GLCM@0.5x"):
+            calls.clear()
+            run_cv(small_dataset, RunConfig(method=method, seed=5, trees=6,
+                                            jobs=2))
+            assert calls == [(72, 2), (4, 2)]
+
+    @pytest.mark.parametrize("method", ["RF-LBP@0.5x", "PPF@0.5x",
+                                        "WHOLEIMAGE@0.55x"])
+    def test_single_patient_reads_no_frame(self, monkeypatch, method):
+        manifest = DatasetManifest(
+            records=[make_record(patient="p0", frame=f,
+                                 label=CARCINOGENIC if f % 2 else NORMAL)
+                     for f in range(6)],
+            root_path="nowhere")
+        read = []
+        monkeypatch.setattr(evaluation, "prepare_record_image",
+                            lambda *args: read.append(args))
+        with pytest.raises(InsufficientPatients):
+            run_cv(manifest, RunConfig(method=method, jobs=2,
+                                       wholeimage_baseline=True))
+        assert read == []
 
     def test_balancing_decisions_recorded(self, small_dataset):
         config = RunConfig(method="RF-LBP@0.5x", seed=5, trees=10, jobs=2)

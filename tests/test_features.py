@@ -201,6 +201,28 @@ class TestLbpCodes:
         assert got.shape == (n, h - 2 * radius, w - 2 * radius)
         assert np.array_equal(got, parent_lbp_codes(stack, radius, neighbors))
 
+    @settings(max_examples=60, deadline=None)
+    @given(scales=st.lists(st.tuples(st.integers(1, 5), st.integers(4, 26)),
+                           min_size=1, max_size=4),
+           n=st.integers(1, 2), band=st.sampled_from([1 << 15, 64, 7]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_scales_share_difference_rasters(self, scales, n, band, seed,
+                                             data):
+        # One set of difference rasters serves every scale; each scale's
+        # codes still equal the parent coder's run on its own.
+        reach = 2 * max(r for r, _p in scales) + 1
+        h = data.draw(st.integers(reach, 36), label="h")
+        w = data.draw(st.integers(reach, 36), label="w")
+        rng = np.random.default_rng(seed)
+        stack = (rng.integers(0, 4, size=(n, h, w)) * 21845).astype(
+            np.float64)
+        with mock.patch.object(features, "_LBP_BAND", band):
+            got = features._lbp_scale_codes(stack, scales)
+        assert len(got) == len(scales)
+        for codes, (radius, neighbors) in zip(got, scales):
+            assert np.array_equal(
+                codes, parent_lbp_codes(stack, radius, neighbors))
+
 
 class TestLbpImageVector:
     def test_dimension_count(self):
