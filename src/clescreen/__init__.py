@@ -20,7 +20,7 @@ from .fusion import (FusionMaps, ImageProbability, build_maps,
                      export_probability_map, image_probability)
 from .evaluation import (EvalReport, RunConfig, confusion_metrics,
                          describe_records, lopo_folds, prepare_records,
-                         represent, roc_auc, run_cv)
+                         roc_auc, run_cv)
 from .synth import SynthConfig, generate_dataset
 
 __all__ = [name for name in dir() if not name.startswith("_")]

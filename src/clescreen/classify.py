@@ -150,14 +150,17 @@ def train_logistic(X: np.ndarray, y: np.ndarray, epochs: int = 60,
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
     losses = np.empty(epochs + 1, dtype=np.float64)
-    for e in range(epochs):
-        loss, gw, gb = logistic_loss_grad(w, b, X, y, l2)
-        if not np.isfinite(loss):
-            raise FloatingPointError(
-                f"non-finite loss {loss} at epoch {e} "
-                f"(rate={rate}, |w|={float(np.abs(w).max())})")
-        losses[e] = loss
-        w -= rate * gw
-        b -= rate * gb
-    losses[-1], _, _ = logistic_loss_grad(w, b, X, y, l2)
+    # A diverging descent overflows; that shows up as a non-finite loss,
+    # raised below, rather than as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(epochs + 1):
+            loss, gw, gb = logistic_loss_grad(w, b, X, y, l2)
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"non-finite loss {loss} at epoch {e} "
+                    f"(rate={rate}, |w|={float(np.abs(w).max())})")
+            losses[e] = loss
+            if e < epochs:
+                w -= rate * gw
+                b -= rate * gb
     return LogisticModel(weights=w, bias=b, losses=losses)

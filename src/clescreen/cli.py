@@ -420,31 +420,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    """Print `message` as one stderr line and return exit `code`.  Line
+    breaks and other unprintable characters (say, in a file name from a
+    manifest) are escaped."""
+    line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+    print(f"clescreen: {line}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"clescreen: invalid configuration: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+        return _fail(f"invalid configuration: {exc}", _EXIT_CONFIG)
     except InsufficientPatients as exc:
-        print(f"clescreen: {exc}", file=sys.stderr)
-        return _EXIT_PATIENTS
+        return _fail(str(exc), _EXIT_PATIENTS)
     except (ManifestError, PgmError) as exc:
-        print(f"clescreen: bad data: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+        return _fail(f"bad data: {exc}", _EXIT_DATA)
     except OSError as exc:
-        print(f"clescreen: IO error: {exc}", file=sys.stderr)
-        return _EXIT_IO
+        return _fail(f"IO error: {exc}", _EXIT_IO)
     except ValueError as exc:
-        print(f"clescreen: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+        return _fail(str(exc), _EXIT_DATA)
     except BrokenExecutor:
-        print("clescreen: a worker process died, most likely killed (for "
-              "example by running out of memory); try fewer --jobs",
-              file=sys.stderr)
-        return _EXIT_WORKER
+        return _fail("a worker process died, most likely killed (for "
+                     "example by running out of memory); try fewer --jobs",
+                     _EXIT_WORKER)
 
 
 if __name__ == "__main__":

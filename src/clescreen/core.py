@@ -100,6 +100,9 @@ class ArtifactRect:
     def __post_init__(self) -> None:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"degenerate artifact rect {self}")
+        # Far beyond any raster; rotating such a corner overflows a float.
+        if max(map(abs, (self.x0, self.y0, self.x1, self.y1))) >= 1 << 31:
+            raise ValueError(f"artifact rect {self} beyond 2**31 pixels")
 
 
 @dataclass
@@ -272,7 +275,7 @@ def _record_from_json(obj: dict, index: int) -> ImageRecord:
                           if "rotation_deg" in obj else None),
             label_override=bool(obj.get("label_override", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"record {index}: {exc}") from exc
     return rec
 

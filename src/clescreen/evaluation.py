@@ -9,19 +9,21 @@ seed plus the fold's patient id, so runs are reproducible and independent
 of worker count.
 
 A run makes two forked passes, and only rows and probabilities cross the
-process boundary.  The record pass prepares each record and, for RF-* and
-the whole-image baseline, describes it in the same worker, so frames
-never reach this process; PPF brings its frames back and fills one patch
-cache here.  The fold pass fits and scores one fold per worker, each
-forest growing its trees in turn.  Logistic folds (logistic-PPF, the
-whole-image baseline) run in this process, since OpenBLAS already uses
-every core.  With more jobs than folds, the extra cores sit idle in the
-fold pass.
+process boundary.  The record pass is `describe_records`: it prepares
+each record and, for RF-* and the whole-image baseline, describes it in
+the same worker, so frames never reach this process; PPF brings its
+frames back, fills one patch cache here and then keeps only each
+record's patch layout.  The fold pass fits and scores one fold per
+worker, each forest growing its trees in turn.  Logistic folds
+(logistic-PPF, the whole-image baseline) run in this process, since
+OpenBLAS already uses every core.  With more jobs than folds, the extra
+cores sit idle in the fold pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -55,6 +57,15 @@ _FIELD_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real,
                 "str": str}
 
 
+def _finite(value: numbers.Real) -> bool:
+    """Whether `value` is a finite float; an int beyond the float range
+    is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class RunConfig:
     method: str = "RF-LBP@0.5x"
@@ -80,6 +91,8 @@ class RunConfig:
             if (not isinstance(value, _FIELD_TYPES[f.type])
                     or (isinstance(value, bool) and f.type != "bool")):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not _finite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.method not in _METHOD_SPEC:
             raise ConfigError(
                 f"unknown method {self.method!r}; choose from "
@@ -320,7 +333,10 @@ def _prepare(manifest: core.DatasetManifest, record: core.ImageRecord,
     img, rects = prepare_record_image(manifest, record, scale)
     if kind == "wholeimage":
         return img, []
-    return img, record_patch_coords(img, rects, config)
+    try:
+        return img, record_patch_coords(img, rects, config)
+    except ValueError as exc:  # a frame smaller than a patch
+        raise ValueError(f"{manifest.image_path(record)}: {exc}") from None
 
 
 def prepare_records(manifest: core.DatasetManifest,
@@ -333,19 +349,20 @@ def prepare_records(manifest: core.DatasetManifest,
 
 
 def _describe(img: core.CleImage, coords: list, config: RunConfig,
-              index: int, out: np.ndarray | None = None) -> np.ndarray:
+              index: int) -> np.ndarray:
     """Classifier rows of record `index`, prepared as (`img`, `coords`):
     one texture row (RF-*) or whitened float32 raster (whole-image), or
-    one whitened float32 patch per admitted patch, in grid order, written
-    into the `(len(coords), patch_size**2)` block `out` (PPF)."""
+    one whitened float32 patch per admitted patch, in grid order (PPF)."""
     kind = _METHOD_SPEC[config.method][0]
     if kind != "wholeimage" and not coords:
         raise ValueError(f"record {index} has no admissible patches")
     if kind == "ppf":
-        for row, c in zip(out, coords):
+        block = np.empty((len(coords), config.patch_size ** 2),
+                         dtype=np.float32)
+        for row, c in zip(block, coords):
             row[:] = patching.whiten_values(
                 img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
-        return out
+        return block
     if kind == "features":
         return features.image_row(img.pixels, coords, config.descriptor)
     _compressed, _crop, raster = wholeimage.preprocess(img, config.target_size)
@@ -353,49 +370,39 @@ def _describe(img: core.CleImage, coords: list, config: RunConfig,
     return white.astype(np.float32)
 
 
-def _rows_per_record(prepared_at, n: int, config: RunConfig
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked `_describe` rows of records 0..n-1, each prepared by
-    `prepared_at(i)` and described in the same worker, and owner
-    `arange(n)`."""
-    return (np.stack(run_parallel(
-        lambda i: _describe(*prepared_at(i), config, i), range(n),
-        config.jobs)), np.arange(n))
-
-
-def represent(prepared: list[tuple[core.CleImage, list]],
-              config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Classifier rows of prepared records and the ascending record index
-    `owner[j]` of row j: per record one texture row (RF-*, named by
-    `config.descriptor.row_names()`) or whitened float32 raster
-    (whole-image); per admitted patch, in grid order, one whitened
-    float32 patch (PPF)."""
-    if _METHOD_SPEC[config.method][0] != "ppf":
-        return _rows_per_record(prepared.__getitem__, len(prepared), config)
+def _patch_cache(prepared: list[tuple[core.CleImage, list]],
+                 config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The PPF rows of prepared records, one whitened float32 patch per
+    admitted patch, and the ascending record index `owner[j]` of row j.
+    The cache is preallocated and filled here: stacking per-record blocks
+    would double it, and pickling rows back from workers costs more than
+    whitening them."""
     counts = np.array([len(c) for _img, c in prepared], dtype=np.intp)
-    # One preallocated PPF cache, filled here: stacking per-record blocks
-    # would double it, and pickling rows back from workers costs more
-    # than whitening them.
     X = np.empty((counts.sum(), config.patch_size ** 2), dtype=np.float32)
     ends = np.cumsum(counts)
     for i, (img, coords) in enumerate(prepared):
-        _describe(img, coords, config, i, out=X[ends[i] - counts[i]:ends[i]])
+        X[ends[i] - counts[i]:ends[i]] = _describe(img, coords, config, i)
     return X, np.repeat(np.arange(len(prepared)), counts)
 
 
 def describe_records(manifest: core.DatasetManifest,
                      records: list[core.ImageRecord], config: RunConfig
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """`represent(prepare_records(manifest, records, config), config)` in
-    one pass: for RF-* and the whole-image baseline, the worker that
-    prepares a record also describes it, so only its row comes back and
-    no frame is held here.  PPF fills its patch cache from the prepared
-    frames in this process."""
+    """Classifier rows of `records` and the ascending record index
+    `owner[j]` of row j: per record one texture row (RF-*, named by
+    `config.descriptor.row_names()`) or whitened float32 raster
+    (whole-image); per admitted patch, in grid order, one whitened
+    float32 patch (PPF).  For RF-* and the whole-image baseline, the
+    worker that prepares a record also describes it, so only its row
+    comes back and no frame is held here.  PPF fills its patch cache from
+    the prepared frames in this process."""
     if _METHOD_SPEC[config.method][0] == "ppf":
-        return represent(prepare_records(manifest, records, config), config)
-    return _rows_per_record(
-        lambda i: _prepare(manifest, records[i], config), len(records),
-        config)
+        return _patch_cache(prepare_records(manifest, records, config),
+                            config)
+    return (np.stack(run_parallel(
+        lambda i: _describe(*_prepare(manifest, records[i], config),
+                            config, i),
+        range(len(records)), config.jobs)), np.arange(len(records)))
 
 
 def _uses_forest(config: RunConfig) -> bool:
@@ -410,9 +417,9 @@ def _check_ppf_memory(prepared: list[tuple[core.CleImage, list]],
     alive at once would not fit in the memory available now.  `kept[f]`
     holds fold f's kept record indices.  A logistic fold holds its
     float32 `X[rows]`, one fold at a time.  A forest fold also holds the
-    float64 copy `train_random_forest` makes and the float64 bootstrap
-    resample of the tree it grows (5x the float32 rows), and up to
-    `min(jobs, folds)` forest folds run at once.  Nothing is checked
+    float64 copy `train_random_forest` makes and its split temporaries
+    (3.26x the float32 rows: the tracemalloc peak of one forest on 1000 x
+    6400 rows), and up to `min(jobs, folds)` forest folds run at once.  Nothing is checked
     where available memory cannot be read."""
     available = mem_available()
     if available is None:
@@ -423,7 +430,8 @@ def _check_ppf_memory(prepared: list[tuple[core.CleImage, list]],
     largest = max(int(counts[k].sum()) for k in kept) * row_bytes
     if _uses_forest(config):
         folds = min(max(1, config.jobs), len(kept))
-        fold_copy, what = 5 * largest * folds, f"{folds} forest fold copies"
+        fold_copy = largest * folds * 326 // 100
+        what = f"{folds} forest fold copies"
     else:
         fold_copy, what = largest, "largest fold copy"
     if cache + fold_copy > available:
@@ -443,9 +451,13 @@ def _fit(config: RunConfig, X: np.ndarray, y: np.ndarray, seed: int):
     if _uses_forest(config):
         return forest.train_random_forest(X, y, trees=config.trees,
                                           seed=seed, jobs=1)
-    return classify.train_logistic(X, y.astype(np.float32),
-                                   epochs=config.epochs, rate=config.rate,
-                                   l2=config.l2)
+    try:
+        return classify.train_logistic(X, y.astype(np.float32),
+                                       epochs=config.epochs,
+                                       rate=config.rate, l2=config.l2)
+    except FloatingPointError as exc:
+        raise ConfigError(f"logistic fit diverged: {exc}; choose a "
+                          f"smaller rate") from None
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +505,16 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
             raise RuntimeError(
                 f"augmented record in test fold {fold.test_patient}")
 
-    # Record pass.  PPF keeps the frames: folds fuse over their patches,
-    # and the cache is refused before it exists if it cannot fit.
+    # Record pass.  PPF brings its frames back, so the cache is refused
+    # before it exists if it cannot fit; once it is filled, the folds keep
+    # only each record's patch layout to fuse over, and no frame.
     if kind == "ppf":
         prepared = prepare_records(augmented, records, config)
         _check_ppf_memory(prepared, kept, config)
-        X, owner = represent(prepared, config)
+        X, owner = _patch_cache(prepared, config)
+        layouts = [(coords, (img.width, img.height))
+                   for img, coords in prepared]
+        del prepared
     else:
         X, owner = describe_records(augmented, records, config)
 
@@ -517,9 +533,8 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
         for n, i in enumerate(test_idx):
             lo, hi = np.searchsorted(owner, (i, i + 1))
             pp = model.predict_proba(X[lo:hi])[:, 1]
-            img, coords = prepared[i]
-            probs[n] = fusion.fuse(list(zip(coords, pp)),
-                                   (img.width, img.height)).p
+            coords, dims = layouts[i]
+            probs[n] = fusion.fuse(list(zip(coords, pp)), dims).p
             hits += int(((pp >= config.threshold).astype(int)
                          == labels[i]).sum())
             total += len(pp)

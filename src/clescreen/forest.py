@@ -2,7 +2,9 @@
 
 Trees are grown to purity (or until fewer than two samples remain) on
 bootstrap resamples, inspecting sqrt(D) randomly chosen non-constant
-features per node.  Tree t draws from a generator seeded with
+features per node.  A resample is an array of row indices into the one
+float64 training matrix, and each node holds its share of them, so no
+tree copies the rows.  Tree t draws from a generator seeded with
 (master seed XOR t), so training is reproducible and independent of how
 trees are scheduled across workers.
 
@@ -99,12 +101,13 @@ class RandomForestModel:
         return np.stack([1.0 - p1, p1], axis=1)
 
 
-def _best_split(Xb, y_float, idx, perm, mtry):
-    """Best Gini split over the first mtry non-constant features in `perm`
-    order.  Returns (feature, threshold) or None when every feature is
-    constant on this node."""
-    m = idx.size
-    yn = y_float[idx]
+def _best_split(X, y_float, rows, perm, mtry):
+    """Best Gini split of the node holding `rows` (indices into X, with
+    repeats from the bootstrap) over the first mtry non-constant features
+    in `perm` order.  Returns (feature, threshold) or None when every
+    feature is constant on this node."""
+    m = rows.size
+    yn = y_float[rows]
     n1_total = yn.sum()
     best = None
     best_score = np.inf
@@ -116,7 +119,7 @@ def _best_split(Xb, y_float, idx, perm, mtry):
     while start < n_feat and seen_nonconst < mtry:
         cand = perm[start:start + (mtry - seen_nonconst)]
         start += len(cand)
-        V = Xb[idx[:, None], cand[None, :]]
+        V = X[rows[:, None], cand[None, :]]
         order = np.argsort(V, axis=0, kind="stable")
         sv = np.take_along_axis(V, order, axis=0)
         nonconst = sv[0] < sv[-1]
@@ -147,9 +150,7 @@ def _grow_tree(X, y, seed, mtry):
     n = len(y)
     rng = np.random.Generator(np.random.PCG64(seed))
     boot = rng.integers(0, n, size=n)
-    Xb = X[boot]
-    yb = y[boot]
-    y_float = yb.astype(np.float64)
+    y_float = y.astype(np.float64)
 
     feature, threshold, left, right, counts = [], [], [], [], []
 
@@ -161,28 +162,28 @@ def _grow_tree(X, y, seed, mtry):
         counts.append((0, 0))
         return len(feature) - 1
 
-    stack = [(new_node(), np.arange(n, dtype=np.int64))]
+    stack = [(new_node(), boot)]
     while stack:
-        node_id, idx = stack.pop()
-        c1 = int(yb[idx].sum())
-        c0 = idx.size - c1
+        node_id, rows = stack.pop()
+        c1 = int(y[rows].sum())
+        c0 = rows.size - c1
         counts[node_id] = (c0, c1)
-        if c0 == 0 or c1 == 0 or idx.size < 2:
+        if c0 == 0 or c1 == 0 or rows.size < 2:
             continue
         perm = rng.permutation(X.shape[1])
-        split = _best_split(Xb, y_float, idx, perm, mtry)
+        split = _best_split(X, y_float, rows, perm, mtry)
         if split is None:
             continue
         f, thr = split
-        go_left = Xb[idx, f] <= thr
+        go_left = X[rows, f] <= thr
         lid = new_node()
         rid = new_node()
         feature[node_id] = f
         threshold[node_id] = thr
         left[node_id] = lid
         right[node_id] = rid
-        stack.append((rid, idx[~go_left]))
-        stack.append((lid, idx[go_left]))
+        stack.append((rid, rows[~go_left]))
+        stack.append((lid, rows[go_left]))
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -219,15 +220,10 @@ def train_random_forest(
         mtry = max(1, int(math.sqrt(X.shape[1])))
 
     seed = int(seed) & _SEED_MASK
-    ids = list(range(trees))
-    batch = max(1, trees // (max(1, jobs) * 4))
-    batches = [ids[i:i + batch] for i in range(0, trees, batch)]
-    results = util.run_parallel(
-        lambda tree_ids: [_grow_tree(X, y, (seed ^ t) & _SEED_MASK, mtry)
-                          for t in tree_ids],
-        batches, jobs)
-    all_trees = [t for group in results for t in group]
-    return RandomForestModel(trees=all_trees, seed=seed,
+    grown = util.run_parallel(
+        lambda t: _grow_tree(X, y, (seed ^ t) & _SEED_MASK, mtry),
+        range(trees), jobs)
+    return RandomForestModel(trees=grown, seed=seed,
                              n_features=X.shape[1], mtry=mtry)
 
 

@@ -73,8 +73,9 @@ def run_parallel(fn: Callable[[Any], Any], items: Sequence[Any],
     keep items small (indices rather than frames).  The result is
     independent of `jobs` whenever `fn`'s output depends only on its item.
     """
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(items) <= 1:
+    # Capped at one worker per item: the pool forks every worker at once.
+    jobs = min(max(1, int(jobs)), len(items))
+    if jobs <= 1:
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(items) // (jobs * 4))

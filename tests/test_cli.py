@@ -25,6 +25,17 @@ def dataset(tmp_path_factory):
     return out
 
 
+def edited_manifest(dataset, tmp_path, change: dict):
+    """A copy of `dataset`'s manifest whose record 0 has `change` applied,
+    reading the frames where they are."""
+    doc = json.loads((dataset / "manifest.json").read_text())
+    doc["root"] = str(dataset / doc["root"])
+    doc["records"][0].update(change)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.fixture
 def tiny_frames(tmp_path):
     """3 patients x 4 frames of 64 px, smaller than one 80 px patch."""
@@ -59,6 +70,40 @@ class TestSynthStats:
     def test_missing_manifest_is_data_error(self, tmp_path):
         rc = main(["stats", "--data", str(tmp_path / "nowhere")])
         assert rc in (4, 6)
+
+    @pytest.mark.parametrize("change", [
+        {"frame": float("inf")},
+        {"frame": float("-inf")},
+        {"augmented_from": float("inf"), "rotation_deg": 10.0},
+        {"artifacts": [[0, 0, float("inf"), 5]]},
+    ], ids=["frame", "negative-frame", "augmented-from", "artifact"])
+    def test_non_finite_manifest_value_exit_code(self, dataset, tmp_path,
+                                                 capsys, change):
+        path = edited_manifest(dataset, tmp_path, change)
+        capsys.readouterr()
+        assert main(["stats", "--data", str(path)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "record 0" in err[0]
+
+    def test_artifact_beyond_float_range_exit_code(self, dataset, tmp_path,
+                                                  capsys):
+        # Rotating a corner this far away would overflow a float.
+        path = edited_manifest(dataset, tmp_path,
+                               {"artifacts": [[0, 0, 10 ** 400, 5]]})
+        capsys.readouterr()
+        assert main(["cv", "--data", str(path), "--method", "RF-GLCM@0.5x",
+                     "--trees", "2", "--out", str(tmp_path / "cv"),
+                     "--jobs", "1"]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "record 0" in err[0]
+
+    def test_error_with_line_break_in_file_name_is_one_line(
+            self, dataset, tmp_path, capsys):
+        path = edited_manifest(dataset, tmp_path, {"file": "a\nb\u2028c"})
+        capsys.readouterr()
+        assert main(["stats", "--data", str(path)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "a\\nb\\u2028c" in err[0]
 
 
 class TestFeaturePath:
@@ -273,14 +318,52 @@ class TestCv:
         ({"wholeimage_baseline": 1}, 3),
         ({"seed": True}, 3),
         ('{"trees": 2,', 3),  # malformed JSON
+        ({"l2": float("nan")}, 3),
+        ({"l2": float("inf")}, 3),
+        ({"rate": float("nan")}, 3),
+        ({"rate": 10 ** 400}, 3),  # beyond the float range
+        # Finite, but the logistic descent diverges.
+        ({"method": "PPF@0.5x", "rate": 1e30, "epochs": 3}, 3),
     ])
-    def test_bad_config_value_exit_code(self, dataset, tmp_path, doc, code):
+    def test_bad_config_value_exit_code(self, dataset, tmp_path, capsys,
+                                        doc, code):
         cfg = tmp_path / "bad.json"
         cfg.write_text(doc if isinstance(doc, str) else json.dumps(
             {"method": "RF-LBP@0.5x", "trees": 2, **doc}))
+        capsys.readouterr()
         rc = main(["cv", "--data", str(dataset), "--config", str(cfg),
                    "--out", str(tmp_path / "cvb"), "--jobs", "1"])
         assert rc == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_diverged_logistic_fit_names_rate(self, dataset, tmp_path,
+                                              capsys):
+        out = tmp_path / "cvr"
+        rc = main(["cv", "--data", str(dataset), "--method", "PPF@0.5x",
+                   "--rate", "1e30", "--out", str(out), "--jobs", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err) == 1 and "rate" in err[0]
+        assert not out.exists()
+
+    def test_frame_smaller_than_a_patch_named(self, tmp_path, capsys):
+        # One 64 px frame among 176 px frames: its grid cannot hold an
+        # 80 px patch, and the error names its image file.
+        rng = np.random.default_rng(11)
+        records = [make_record(patient=f"p{p}", frame=f,
+                               label=CARCINOGENIC if f % 2 else NORMAL)
+                   for p in range(2) for f in range(2)]
+        for n, rec in enumerate(records):
+            save_image(make_image(size=64 if n == 3 else 176, rng=rng),
+                       tmp_path / rec.file)
+        save_manifest(DatasetManifest(records=records, root_path=tmp_path),
+                      tmp_path / "manifest.json", root=".")
+        rc = main(["cv", "--data", str(tmp_path), "--method", "RF-GLCM@1.0x",
+                   "--trees", "2", "--out", str(tmp_path / "cv"),
+                   "--jobs", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 6
+        assert len(err) == 1 and records[3].file in err[0]
 
     def test_wholeimage_baseline_on_frames_smaller_than_a_patch(
             self, tiny_frames, tmp_path):

@@ -11,10 +11,11 @@ from clescreen import evaluation
 from clescreen.core import CARCINOGENIC, NORMAL, DatasetManifest
 from clescreen.classify import augment_rotations
 from clescreen.evaluation import (ConfigError, InsufficientPatients,
-                                  RunConfig, confusion_metrics, lopo_folds,
+                                  RunConfig, confusion_metrics,
+                                  describe_records, lopo_folds,
                                   mann_whitney_auc, prepare_record_image,
                                   prepare_records, record_patch_coords,
-                                  represent, results_csv, roc_auc, roc_csv,
+                                  results_csv, roc_auc, roc_csv,
                                   roc_points, run_cv, summary_dict)
 from clescreen.features import (LbpConfig, glcm, haralick_features,
                                 lbp_histogram)
@@ -254,7 +255,7 @@ class TestFeatureMatrix:
         for method in ("RF-LBP@0.5x", "RF-GLCM@0.5x"):
             config = RunConfig(method=method, jobs=2)
             prepared = prepare_records(small_dataset, records, config)
-            matrix, owner = represent(prepared, config)
+            matrix, owner = describe_records(small_dataset, records, config)
             assert matrix.shape == (3, len(config.descriptor.row_names()))
             assert owner.tolist() == [0, 1, 2]
             for rec, (img, coords), row in zip(records, prepared, matrix):
@@ -272,9 +273,9 @@ class TestFeatureMatrix:
         # Oracle: one float32 row per admitted patch, whitened on its own,
         # grouped by record in record order.
         config = RunConfig(method="PPF@0.5x", jobs=1)
-        prepared = prepare_records(small_dataset, small_dataset.records[:3],
-                                   config)
-        X, owner = represent(prepared, config)
+        records = small_dataset.records[:3]
+        prepared = prepare_records(small_dataset, records, config)
+        X, owner = describe_records(small_dataset, records, config)
         expected = [
             whiten_values(img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
             for img, coords in prepared for c in coords]
@@ -285,10 +286,10 @@ class TestFeatureMatrix:
 
     def test_wholeimage_builds_no_patch_grid(self, small_dataset):
         config = RunConfig(method="WHOLEIMAGE@0.55x", jobs=2)
-        prepared = prepare_records(small_dataset, small_dataset.records[:3],
-                                   config)
+        records = small_dataset.records[:3]
+        prepared = prepare_records(small_dataset, records, config)
         assert [coords for _img, coords in prepared] == [[], [], []]
-        X, owner = represent(prepared, config)
+        X, owner = describe_records(small_dataset, records, config)
         assert X.shape == (3, config.target_size ** 2)
         assert X.dtype == np.float32
         assert owner.tolist() == [0, 1, 2]
@@ -391,7 +392,7 @@ class TestRunCv:
         monkeypatch.setattr(
             evaluation, "prepare_records",
             lambda *args: prepared.append(real_prepare(*args)) or prepared[0])
-        monkeypatch.setattr(evaluation, "represent",
+        monkeypatch.setattr(evaluation, "_patch_cache",
                             lambda *args: pytest.fail("cache allocated"))
         monkeypatch.setattr(evaluation, "mem_available", lambda: 3 << 20)
         with pytest.raises(ConfigError) as info:
@@ -421,23 +422,25 @@ class TestRunCv:
                     evaluation._check_ppf_memory(prepared, kept, config)
             else:
                 evaluation._check_ppf_memory(prepared, kept, config)
-        # A forest fold holds X[rows], its float64 copy and the float64
-        # bootstrap resample (5x the float32 rows), and min(jobs, folds)
+        # A forest fold holds X[rows], its float64 copy and the split
+        # temporaries (3.26x the float32 rows), and min(jobs, folds)
         # forest folds run at once.
-        for jobs, folds, need_mib in ((4, 2, 8 + 2 * 5 * 8),
-                                      (1, 1, 8 + 5 * 8)):
+        # need = 8 MiB + folds * 8 MiB * 3.26 in whole bytes (60.16 and
+        # 34.08 MiB).
+        for jobs, folds, need, copies_mib in ((4, 2, 63_082_332, 52),
+                                              (1, 1, 35_735_470, 26)):
             config = RunConfig(method="PPF@0.5x", patch_size=512,
                                patch_classifier="forest", jobs=jobs)
-            need = need_mib << 20
             monkeypatch.setattr(evaluation, "mem_available", lambda: need)
             evaluation._check_ppf_memory(prepared, kept, config)
             monkeypatch.setattr(evaluation, "mem_available",
                                 lambda: need - 1)
+            need_mib = need >> 20
             with pytest.raises(ConfigError,
                                match=rf"needs about {need_mib} MiB \(patch "
                                      rf"cache 8 MiB \+ {folds} forest fold "
-                                     rf"copies {need_mib - 8} MiB\) but only "
-                                     rf"{need_mib - 1} MiB"):
+                                     rf"copies {copies_mib} MiB\) but only "
+                                     rf"{need_mib} MiB"):
                 evaluation._check_ppf_memory(prepared, kept, config)
 
     def test_rf_runs_one_record_pass_and_one_fold_pass(self, small_dataset,

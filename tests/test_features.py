@@ -11,14 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clescreen import features
-from clescreen.core import ArtifactRect
-from clescreen.evaluation import RunConfig, record_patch_coords, represent
+from clescreen.core import ArtifactRect, DatasetManifest, save_image
+from clescreen.evaluation import (RunConfig, describe_records,
+                                  record_patch_coords)
 from clescreen.features import (GlcmConfig, HARALICK_NAMES, LbpConfig,
                                 glcm, glcm_patch_matrix, haralick_features,
                                 image_row, lbp_histogram, lbp_patch_matrix,
                                 quantize)
 from clescreen.patching import PatchCoords, resize_half
-from conftest import make_image
+from conftest import make_image, make_record
 
 
 def side_by_side(stack: np.ndarray):
@@ -223,6 +224,50 @@ class TestLbpCodes:
             assert np.array_equal(
                 codes, parent_lbp_codes(stack, radius, neighbors))
 
+    def test_center_tied_to_a_sample_in_documented_order(self):
+        # Float-valued 7x7 patches at radius 3, 16 neighbors (one center
+        # each).  The center is set to the exact sample of one fractional
+        # neighbor, computed in the documented order, and every other
+        # neighbor reads pixels far above it.  A tie counts as 1, so that
+        # neighbor's bit, and the uniform code (16 or 15), shows whether
+        # the coder's sample is the same float down to the last bit.
+        radius, neighbors = 3, 16
+        ring = [features._ring_offset(radius, neighbors, k)
+                for k in range(neighbors)]
+        fractional = [k for k, (_iy, _ix, ty, tx) in enumerate(ring)
+                      if tx and ty]
+        rng = np.random.default_rng(2024)
+        stack = 1e9 + rng.uniform(0.0, 1.0, size=(4000, 7, 7))
+        for patch, k in zip(stack, rng.choice(fractional, size=len(stack))):
+            iy, ix, ty, tx = ring[k]
+            cell = patch[radius + iy:radius + iy + 2,
+                         radius + ix:radius + ix + 2]
+            cell[:] = rng.uniform(0.0, 1000.0, size=(2, 2))
+            patch[radius, radius] = documented_sample(cell, ty, tx)
+        want = []
+        for patch in stack:
+            # Axis-aligned neighbors at the rim weigh the padding by 0.
+            padded = np.pad(patch, ((0, 1), (0, 1)), mode="edge")
+            bits = [documented_sample(padded[radius + iy:radius + iy + 2,
+                                             radius + ix:radius + ix + 2],
+                                      ty, tx) >= patch[radius, radius]
+                    for iy, ix, ty, tx in ring]
+            u = sum(bits[k] != bits[k - 1] for k in range(neighbors))
+            want.append(sum(bits) if u <= 2 else neighbors + 1)
+        codes = features._lbp_codes(stack, radius, neighbors)
+        assert codes.shape == (len(stack), 1, 1)
+        assert set(want) == {neighbors}  # every tie held, all ones
+        assert codes[:, 0, 0].tolist() == want
+
+
+def documented_sample(cell, ty: float, tx: float) -> float:
+    """Bilinear sample of the 2x2 `cell` at fractional offset (ty, tx),
+    in the documented order ((v00 + tx*Dh) + ty*Dv) + (tx*ty)*C."""
+    (v00, v01), (v10, v11) = cell.tolist()
+    dh, dv = v01 - v00, v10 - v00
+    cross = ((v11 + v00) - v01) - v10
+    return ((v00 + tx * dh) + ty * dv) + (tx * ty) * cross
+
 
 class TestLbpImageVector:
     def test_dimension_count(self):
@@ -252,14 +297,17 @@ class TestLbpImageVector:
                         LbpConfig())
         assert np.allclose(one, two)
 
-    def test_empty_patch_list_rejected(self):
+    def test_empty_patch_list_rejected(self, tmp_path):
         # A frame whose every grid patch touches an artifact has no rows.
         img = make_image(size=160)
         config = RunConfig(method="RF-LBP@1.0x", jobs=1)
-        coords = record_patch_coords(img, [ArtifactRect(0, 0, 160, 160)],
-                                     config)
+        rect = ArtifactRect(0, 0, 160, 160)
+        assert record_patch_coords(img, [rect], config) == []
+        record = make_record(artifacts=[rect])
+        save_image(img, tmp_path / record.file)
+        manifest = DatasetManifest(records=[record], root_path=tmp_path)
         with pytest.raises(ValueError, match="no admissible patches"):
-            represent([(img, coords)], config)
+            describe_records(manifest, [record], config)
 
     def test_no_coords_rejected(self):
         with pytest.raises(ValueError, match="no patches to describe"):

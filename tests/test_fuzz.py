@@ -1,12 +1,14 @@
-"""Malformed image files and mask sidecars end in a documented exit code.
+"""Malformed inputs end in a documented exit code.
 
-Hypothesis corrupts one frame of a tiny valid cohort (its PGM file or its
-`<stem>.mask.json` sidecar) and runs `cv` and `stats` on it.  Each run
-must exit 0, 3, 4, 5 or 6, print exactly one line to stderr when it
-fails and nothing when it succeeds, and never raise.
+Hypothesis corrupts one file of a tiny valid cohort (a frame's PGM file,
+its `<stem>.mask.json` sidecar, or `manifest.json`) and runs `cv` and
+`stats` on it, or hands `cv` a malformed `--config` file.  Each run must
+exit 0, 3, 4, 5 or 6, print exactly one line to stderr when it fails and
+nothing when it succeeds, and never raise.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import shutil
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from clescreen.cli import main
 from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
                             save_image, save_manifest)
+from clescreen.evaluation import METHODS, RunConfig
 from conftest import make_image, make_record
 
 SIZE = 176
@@ -44,20 +47,27 @@ def cohort(tmp_path_factory):
     return root, records[0].file
 
 
-def run_cli(cohort, name: str, content: bytes):
-    """Exit code and stderr lines of `cv` and of `stats` on a copy of the
-    cohort whose file `name` holds `content`."""
+def run_cli(cohort, name: str, content: bytes,
+            commands=("cv", "stats")):
+    """Exit code, stderr lines and warnings of each of `commands` (`cv`,
+    `stats`, or `cv --config <name>`) on a copy of the cohort whose file
+    `name` holds `content`."""
     root, _frame = cohort
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data"
         shutil.copytree(root, data)
         (data / name).write_bytes(content)
-        for args in (["cv", "--data", str(data), "--method", "RF-GLCM@1.0x",
-                      "--trees", "2", "--out", str(Path(tmp) / "cv"),
-                      "--jobs", "1"],
-                     ["stats", "--data", str(data),
-                      "--out", str(Path(tmp) / "stats.csv")]):
+        cv_out = str(Path(tmp) / "cv")
+        for command in commands:
+            args = {"cv": ["cv", "--data", str(data), "--method",
+                           "RF-GLCM@1.0x", "--trees", "2", "--out", cv_out,
+                           "--jobs", "1"],
+                    "stats": ["stats", "--data", str(data),
+                              "--out", str(Path(tmp) / "stats.csv")],
+                    "cv --config": ["cv", "--data", str(data), "--config",
+                                    str(data / name), "--out", cv_out],
+                    }[command]
             err = io.StringIO()
             with contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()), \
@@ -158,3 +168,139 @@ def test_malformed_pgm_exit_codes(cohort, content):
 def test_malformed_mask_sidecar_exit_codes(cohort, content):
     check(run_cli(cohort, Path(cohort[1]).with_suffix(".mask.json").name,
                   content))
+
+
+RECORD_FIELDS = ("patient", "sequence", "frame", "label", "site", "file",
+                 "artifacts", "augmented_from", "rotation_deg",
+                 "label_override")
+# Numbers that do not fit the field they land in: non-finite, beyond the
+# float range, fractional or negative.
+ODD_NUMBERS = st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                               10 ** 400, -10 ** 400, 1e308, 0.5, -1])
+RECTS = st.lists(st.lists(ODD_NUMBERS | st.integers(-5, SIZE + 5),
+                          min_size=4, max_size=4), min_size=1, max_size=2)
+
+
+@st.composite
+def malformed_manifests(draw, valid: bytes):
+    kind = draw(st.sampled_from(["truncate", "overwrite", "json", "records",
+                                 "top", "drop", "field", "field", "field"]))
+    if kind == "truncate":
+        return valid[:draw(st.integers(0, len(valid) - 1))]
+    if kind == "overwrite":
+        at = draw(st.integers(0, len(valid) - 1))
+        junk = draw(st.binary(min_size=1, max_size=6))
+        return valid[:at] + junk + valid[at + len(junk):]
+    if kind == "json":
+        return json.dumps(draw(JSON)).encode()
+    doc = json.loads(valid)
+    if kind == "records":
+        # Some of the records, in any order, possibly repeated.
+        doc["records"] = draw(st.lists(st.sampled_from(doc["records"]),
+                                       max_size=6))
+    elif kind == "top":
+        doc[draw(st.sampled_from(["root", "records"]))] = draw(JSON)
+    else:
+        record = draw(st.sampled_from(doc["records"]))
+        key = draw(st.sampled_from(RECORD_FIELDS))
+        if kind == "drop":
+            record.pop(key, None)
+        else:
+            record[key] = draw(st.one_of(ODD_NUMBERS, RECTS, NUMBERS, JSON))
+    return json.dumps(doc).encode()
+
+
+# Each generated defect is applied to every one of these small valid
+# configs, so no run is long or forks more than two workers, and both
+# classifiers and the logistic descent see it.  Their methods have a grid
+# that fits the cohort's 176 px frames.
+BASES = ({"method": "RF-GLCM@1.0x", "trees": 2, "jobs": 1},
+         {"method": "PPF@1.0x", "epochs": 2, "jobs": 2},
+         {"method": "WHOLEIMAGE@0.55x", "wholeimage_baseline": True,
+          "epochs": 2, "jobs": 1})
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                              10 ** 400, -10 ** 400])
+OUT_OF_RANGE = {
+    "method": st.text(max_size=12).filter(lambda t: t not in METHODS),
+    "patch_classifier": st.text(max_size=8).filter(
+        lambda t: t not in ("logistic", "forest")),
+    "trees": st.integers(max_value=0),
+    "k_aug": st.integers(max_value=-1),
+    "epochs": st.integers(max_value=0),
+    "patch_size": st.integers(max_value=1),
+    "target_size": st.integers(max_value=1),
+    "glcm_levels": st.integers(max_value=1) | st.integers(min_value=257),
+    "rate": st.floats(max_value=0.0) | st.integers(max_value=0),
+    "l2": st.floats(max_value=0.0, exclude_max=True),
+    "threshold": (st.floats(max_value=0.0, exclude_max=True)
+                  | st.floats(min_value=1.0, exclude_min=True)),
+    "overlap": (st.floats(max_value=0.0, exclude_max=True)
+                | st.floats(min_value=1.0)),
+    "admission_fraction": (st.floats(max_value=0.0)
+                           | st.floats(min_value=1.0, exclude_min=True)),
+}
+
+
+def wrong_types(kind: str):
+    """Values of any JSON type but `kind` (an int passes as a float)."""
+    other = [st.none(), st.lists(st.integers(), max_size=2),
+             st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)]
+    if kind != "str":
+        other.append(st.text(max_size=4))
+    if kind != "bool":
+        other.append(st.booleans())
+    if kind in ("int", "str", "bool"):
+        other.append(st.floats(allow_nan=True, allow_infinity=True))
+    if kind in ("str", "bool"):
+        other.append(st.integers())
+    return st.one_of(other)
+
+
+@st.composite
+def config_defects(draw):
+    """One way to break a config: `(key, value)` to set (None for none),
+    whether to wrap the config as a summary.json does, and how many bytes
+    to keep of its text (None for all)."""
+    kind = draw(st.sampled_from(["type", "range", "non-finite", "key",
+                                 "truncate"]))
+    entry, cut = None, None
+    if kind == "type":
+        name = draw(st.sampled_from(sorted(FIELD_TYPES)))
+        entry = name, draw(wrong_types(FIELD_TYPES[name]))
+    elif kind == "range":
+        name = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        entry = name, draw(OUT_OF_RANGE[name])
+    elif kind == "non-finite":
+        entry = (draw(st.sampled_from(sorted(
+            n for n, t in FIELD_TYPES.items() if t == "float"))),
+            draw(NON_FINITE))
+    elif kind == "key":
+        entry = (draw(st.text(min_size=1, max_size=8).filter(
+            lambda k: k not in FIELD_TYPES)), draw(JSON))
+    else:
+        cut = draw(st.integers(0, 200))
+    return entry, draw(st.booleans()), cut
+
+
+def config_text(base: dict, defect) -> bytes:
+    entry, wrap, cut = defect
+    doc = dict(base, **dict([entry] if entry else []))
+    text = json.dumps({"config": doc} if wrap else doc).encode()
+    return text if cut is None else text[:min(cut, len(text) - 1)]
+
+
+@_FUZZ
+@given(data=st.data())
+def test_malformed_manifest_exit_codes(cohort, data):
+    valid = (cohort[0] / "manifest.json").read_bytes()
+    check(run_cli(cohort, "manifest.json",
+                  data.draw(malformed_manifests(valid))))
+
+
+@_FUZZ
+@given(defect=config_defects())
+def test_malformed_config_exit_codes(cohort, defect):
+    for base in BASES:
+        check(run_cli(cohort, "run.json", config_text(base, defect),
+                      commands=("cv --config",)))

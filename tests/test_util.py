@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from clescreen import util
 from clescreen.util import run_parallel
 
 
@@ -19,3 +20,28 @@ def test_nested_call():
         return sum(run_parallel(lambda j: values[i] * j, range(3), jobs=2))
 
     assert run_parallel(outer, range(5), jobs=2) == [3.0 * v for v in values]
+
+
+def test_workers_capped_at_item_count(monkeypatch):
+    # The pool forks all of its workers at the first submit, so a huge
+    # `jobs` must not reach it.  The fake pool runs in this process and
+    # starts none.
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            opened.append(max_workers)
+            self.fn = initargs[0]
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return [self.fn(item) for item in items]
+
+    monkeypatch.setattr(util, "ProcessPoolExecutor", RecordingPool)
+    assert run_parallel(lambda i: i * 2, [1, 2, 3], jobs=10**6) == [2, 4, 6]
+    assert opened == [3]
