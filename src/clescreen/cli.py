@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -54,7 +55,11 @@ def _read_csv(path: str, columns: tuple[str, ...]
     """Header and rows of an input CSV.  The header must begin with
     `columns` and every row must have as many fields as the header;
     anything else is malformed data."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text at byte {exc.start}"
+                            ) from None
     if not lines:
         raise ManifestError(f"{path}: empty file, expected a header")
     header = lines[0].split(",")
@@ -71,12 +76,17 @@ def _read_csv(path: str, columns: tuple[str, ...]
 
 def _field(path: str, line: int, column: str, text: str, kind: type):
     """`text` from `column` of CSV line `line` converted by `kind` (int
-    or float); a value that does not convert is malformed data."""
+    or float); a value that does not convert, and a float that is not
+    finite (nan, inf, or beyond the float range), is malformed data."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        what = "finite float" if kind is float else kind.__name__
         raise ManifestError(f"{path}: line {line}: {column} {text!r} is not "
-                            f"a valid {kind.__name__}") from None
+                            f"a valid {what}")
+    return value
 
 
 def _checked_config(**values) -> RunConfig:
@@ -177,6 +187,8 @@ def cmd_featurize(args) -> int:
 
 def _read_feature_csv(path: str):
     header, rows = _read_csv(path, ("patient", "sequence", "frame", "label"))
+    if not rows:
+        raise ManifestError(f"{path}: no feature rows")
     meta = [(r[0], r[1], _field(path, n, "frame", r[2], int), r[3])
             for n, r in enumerate(rows, start=2)]
     X = np.asarray([[_field(path, n, name, v, float)
@@ -225,6 +237,9 @@ def cmd_fuse(args) -> int:
                 f"{args.probs}: duplicate row for {patient},{sequence},"
                 f"{frame} patch_index {idx}")
         patches[idx] = _field(args.probs, n, "p_c1", p, float)
+        if not 0.0 <= patches[idx] <= 1.0:
+            raise ManifestError(f"{args.probs}: line {n}: p_c1 {p!r} is "
+                                f"outside [0, 1]")
 
     records = [rec for rec in manifest.records
                if (rec.patient, rec.sequence, rec.frame) in probs]

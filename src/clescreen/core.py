@@ -325,13 +325,29 @@ def validate_manifest(manifest: DatasetManifest, check_files: bool = True) -> No
                 raise ManifestError(
                     f"record {i}: label {rec.label!r} contradicts site "
                     f"{rec.site!r}")
-        if check_files and not manifest.image_path(rec).is_file():
-            raise ManifestError(
-                f"record {i}: missing image file {manifest.image_path(rec)}")
+        if check_files:
+            path = manifest.image_path(rec)
+            try:
+                present = path.is_file()
+            except OSError as exc:  # say, a name beyond the OS limit
+                raise ManifestError(
+                    f"record {i}: cannot check image file {path}: "
+                    f"{exc.strerror or exc}") from None
+            if not present:
+                raise ManifestError(f"record {i}: missing image file {path}")
 
 
 def load_manifest(path: str | Path, check_files: bool = True) -> DatasetManifest:
+    """Read and validate a manifest.  A malformed one raises
+    `ManifestError` naming `path`."""
     path = Path(path)
+    try:
+        return _read_manifest(path, check_files)
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
+
+
+def _read_manifest(path: Path, check_files: bool) -> DatasetManifest:
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:

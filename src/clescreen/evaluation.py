@@ -18,6 +18,12 @@ worker, each forest growing its trees in turn.  Logistic folds
 (logistic-PPF, the whole-image baseline) run in this process, since
 OpenBLAS already uses every core.  With more jobs than folds, the extra
 cores sit idle in the fold pass.
+
+A patch method rotates an augmented copy only over the column hull of
+its admitted grid in each row, so such a prepared frame is 0 outside
+the grid's row hulls.  Nothing reads there: PPF whitens the patches,
+GLCM gathers the patch windows, and LBP histograms each patch's interior
+window, whose rings stay inside the patch.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify, core, features, forest, fusion, patching, wholeimage
-from .util import default_jobs, mem_available, run_parallel, stable_seed
+from .util import (default_jobs, mem_available, pool_size, run_parallel,
+                   stable_seed)
 
 
 class ConfigError(ValueError):
@@ -293,11 +300,17 @@ class EvalReport:
 
 
 def prepare_record_image(manifest: core.DatasetManifest,
-                         record: core.ImageRecord,
-                         scale: float) -> tuple[core.CleImage, list]:
+                         record: core.ImageRecord, scale: float,
+                         config: RunConfig | None = None
+                         ) -> tuple[core.CleImage, list]:
     """Load a record at pipeline scale: rotate augmented copies about the
     view center, then downscale.  Artifact rectangles follow the same
-    transforms (conservatively, by outward rounding)."""
+    transforms (conservatively, by outward rounding).
+
+    Given the `config` of a patch method, an augmented copy rotates only
+    the pixels its patch grid can read (`_read_spans`), and every other
+    pixel of the prepared frame is 0.  Without one, as on the
+    whole-image route, the whole frame rotates."""
     img = core.load_image(manifest.image_path(record))
     rects = list(record.artifacts)
     if record.is_augmented:
@@ -306,13 +319,39 @@ def prepare_record_image(manifest: core.DatasetManifest,
                  (patching.rotate_rect(rc, img.mask_center,
                                        record.rotation_deg, dims)
                   for rc in rects) if r is not None]
-        img = wholeimage.rotate(img, record.rotation_deg)
+        spans = None if config is None else _read_spans(img, scale, config)
+        img = wholeimage.rotate(img, record.rotation_deg, spans)
     if scale == 0.5:
         img = patching.resize_half(img)
         rects = [patching.scale_rect(r, 0.5) for r in rects]
     elif scale != 1.0:
         raise ValueError(f"unsupported scale {scale}")
     return img, rects
+
+
+def _read_spans(img: core.CleImage, scale: float,
+                config: RunConfig) -> np.ndarray | None:
+    """Column range [lo, hi) per row of the source frame `img` that the
+    patch grid of `img` prepared at `scale` reads: the grid's row hulls
+    (`patching.grid_row_spans`), at 0.5x mapped back through
+    `resize_half` (prepared row y reads source rows 2y and 2y + 1,
+    columns [2 lo, 2 hi)).  None where no patch fits the prepared frame,
+    which then fails at `record_patch_coords`, naming its file."""
+    dims = (img.width, img.height)
+    center, radius = img.mask_center, img.mask_radius
+    if scale == 0.5:
+        dims = (img.width // 2, img.height // 2)
+        center, radius = (center[0] / 2.0, center[1] / 2.0), radius / 2.0
+    if config.patch_size > min(dims):
+        return None
+    spans = patching.grid_row_spans(
+        dims, center, radius, patch_size=config.patch_size,
+        overlap=config.overlap, admission_fraction=config.admission_fraction)
+    if scale == 1.0:
+        return spans
+    source = np.zeros((img.height, 2), dtype=spans.dtype)
+    source[:2 * len(spans)] = np.repeat(spans * 2, 2, axis=0)
+    return source
 
 
 def record_patch_coords(img: core.CleImage, rects, config: RunConfig):
@@ -330,9 +369,9 @@ def _prepare(manifest: core.DatasetManifest, record: core.ImageRecord,
     """(frame, admitted patch coords) of one record at the method's scale.
     The whole-image method builds no grid, so its frame may be tiny."""
     kind, _, scale = _METHOD_SPEC[config.method]
-    img, rects = prepare_record_image(manifest, record, scale)
     if kind == "wholeimage":
-        return img, []
+        return prepare_record_image(manifest, record, scale)[0], []
+    img, rects = prepare_record_image(manifest, record, scale, config)
     try:
         return img, record_patch_coords(img, rects, config)
     except ValueError as exc:  # a frame smaller than a patch
@@ -343,7 +382,9 @@ def prepare_records(manifest: core.DatasetManifest,
                     records: list[core.ImageRecord], config: RunConfig
                     ) -> list[tuple[core.CleImage, list[patching.PatchCoords]]]:
     """(frame, admitted patch coords) of every record at the method's
-    scale, on `config.jobs` worker processes, in record order."""
+    scale, on `config.jobs` worker processes, in record order.  For a
+    patch method, the frame of a rotated copy is 0 outside its grid's
+    row hulls (see `prepare_record_image`)."""
     return run_parallel(lambda record: _prepare(manifest, record, config),
                         records, config.jobs)
 
@@ -419,8 +460,9 @@ def _check_ppf_memory(prepared: list[tuple[core.CleImage, list]],
     float32 `X[rows]`, one fold at a time.  A forest fold also holds the
     float64 copy `train_random_forest` makes and its split temporaries
     (3.26x the float32 rows: the tracemalloc peak of one forest on 1000 x
-    6400 rows), and up to `min(jobs, folds)` forest folds run at once.  Nothing is checked
-    where available memory cannot be read."""
+    6400 rows), and as many forest folds run at once as the fold pass
+    has workers (`pool_size`).  Nothing is checked where available memory
+    cannot be read."""
     available = mem_available()
     if available is None:
         return
@@ -429,7 +471,7 @@ def _check_ppf_memory(prepared: list[tuple[core.CleImage, list]],
     cache = int(counts.sum()) * row_bytes
     largest = max(int(counts[k].sum()) for k in kept) * row_bytes
     if _uses_forest(config):
-        folds = min(max(1, config.jobs), len(kept))
+        folds = pool_size(config.jobs, len(kept))
         fold_copy = largest * folds * 326 // 100
         what = f"{folds} forest fold copies"
     else:

@@ -127,6 +127,42 @@ def _admitted_grid(dims, mask_center, mask_radius, patch_size, overlap,
     return tuple(coords)
 
 
+def grid_row_spans(
+    dims: tuple[int, int],
+    mask_center: tuple[float, float] | None = None,
+    mask_radius: float | None = None,
+    patch_size: int = DEFAULT_PATCH_SIZE,
+    overlap: float = DEFAULT_OVERLAP,
+    admission_fraction: float = DEFAULT_ADMISSION_FRACTION,
+) -> np.ndarray:
+    """Read-only (height, 2) array holding, for each raster row, the
+    column hull [lo, hi) of the admitted patches of `patch_grid` (same
+    arguments) that cover the row, or [0, 0) where none does.
+
+    The hull holds every pixel of every admitted patch, so it bounds what
+    any subset of them (after artifact exclusion, say) can read.
+    Memoized like the grid itself.
+    """
+    center = None if mask_center is None else tuple(mask_center)
+    return _row_spans(tuple(dims), center, mask_radius, patch_size, overlap,
+                      admission_fraction)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_spans(dims, mask_center, mask_radius, patch_size, overlap,
+               admission_fraction) -> np.ndarray:
+    w, h = dims
+    lo = np.full(h, w, dtype=np.intp)
+    hi = np.zeros(h, dtype=np.intp)
+    for c in _admitted_grid(dims, mask_center, mask_radius, patch_size,
+                            overlap, admission_fraction):
+        np.minimum(lo[c.c3:c.c4], c.c1, out=lo[c.c3:c.c4])
+        np.maximum(hi[c.c3:c.c4], c.c2, out=hi[c.c3:c.c4])
+    spans = np.where((lo < hi)[:, None], np.stack([lo, hi], axis=1), 0)
+    spans.flags.writeable = False
+    return spans
+
+
 def scale_rect(rect: ArtifactRect, factor: float) -> ArtifactRect:
     """Rescale an artifact rectangle with outward rounding, so exclusion
     at reduced resolution is never less conservative than at full."""

@@ -36,6 +36,13 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def pool_size(jobs: int, n_items: int) -> int:
+    """Workers a pool of `jobs` starts for `n_items` items: at least one,
+    and no more than the items or the cores, since the pool forks every
+    worker at once and extra workers only wait for a core."""
+    return max(1, min(int(jobs), n_items, default_jobs()))
+
+
 def mem_available() -> int | None:
     """Bytes the kernel reports as available for new allocations
     (`MemAvailable` in /proc/meminfo), or None where it cannot be read."""
@@ -73,8 +80,7 @@ def run_parallel(fn: Callable[[Any], Any], items: Sequence[Any],
     keep items small (indices rather than frames).  The result is
     independent of `jobs` whenever `fn`'s output depends only on its item.
     """
-    # Capped at one worker per item: the pool forks every worker at once.
-    jobs = min(max(1, int(jobs)), len(items))
+    jobs = pool_size(jobs, len(items))
     if jobs <= 1:
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")

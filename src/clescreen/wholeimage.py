@@ -7,6 +7,11 @@ over the circular view area, then the largest axis-aligned square inside
 the circle (side sqrt(2) * r) is cropped around the center and resampled
 to the classifier input size.  Rotation is applied before cropping when
 augmenting, since the circular view has no natural orientation.
+
+`rotate` also serves the patch methods' augmented copies.  They read
+only the pixels under their patch grid, so they pass the grid's column
+span per row and get a frame that is 0 outside it.  `rotate` and
+`resize_to` share one bilinear sampler.
 """
 
 from __future__ import annotations
@@ -121,26 +126,45 @@ def _bilinear_sample(padded: np.ndarray, px: np.ndarray, py: np.ndarray,
     Pixel (x, y) is the point at integer coordinates (x, y).  Positions
     within half a pixel of the border read the edge copies, which is the
     edge sample; anything farther out takes `fill`.  The difference form
-    keeps interpolation exact on locally constant data.
+    ((v00 + tx*Dh) + ty*Dv) + (tx*ty)*C keeps interpolation exact on
+    locally constant data.  It is evaluated in place in the four gathered
+    arrays, so a call allocates few temporaries the size of `px`.
     """
     h, w = padded.shape[0] - 2, padded.shape[1] - 2
     valid = (px >= -0.5) & (px <= w - 0.5) & (py >= -0.5) & (py <= h - 0.5)
-    x0f = np.floor(px)
-    y0f = np.floor(py)
-    tx = px - x0f
-    ty = py - y0f
-    # Flat index of the cell's top-left pixel v00 in the padded raster;
-    # clipping only keeps positions that take `fill` in bounds.
+    x0 = np.floor(px)
+    y0 = np.floor(py)
+    tx = px - x0
+    ty = py - y0
+    # Flat index of the cell's top-left pixel v00 in the padded raster,
+    # (y0 + 1) * row + (x0 + 1); clipping only keeps positions that take
+    # `fill` in bounds.
     row = w + 2
-    k = ((y0f + 1.0) * row + (x0f + 1.0)).astype(np.intp)
+    y0 += 1.0
+    y0 *= row
+    x0 += 1.0
+    y0 += x0
+    k = y0.astype(np.intp)
     flat = padded.ravel()
-    v00 = flat.take(k, mode="clip")
-    v01 = flat.take(k + 1, mode="clip")
-    v10 = flat.take(k + row, mode="clip")
-    v11 = flat.take(k + row + 1, mode="clip")
-    out = v00 + tx * (v01 - v00) + ty * (v10 - v00) \
-        + tx * ty * (v11 + v00 - v01 - v10)
-    return np.where(valid, out, fill)
+    v00 = flat.take(k, mode="clip", out=x0)
+    v01 = flat[1:].take(k, mode="clip", out=y0)
+    v10 = flat[row:].take(k, mode="clip")
+    v11 = flat[row + 1:].take(k, mode="clip")
+    # C = ((v11 + v00) - v01) - v10, then Dh = v01 - v00, Dv = v10 - v00.
+    v11 += v00
+    v11 -= v01
+    v11 -= v10
+    v01 -= v00
+    v10 -= v00
+    v01 *= tx
+    v00 += v01
+    v10 *= ty
+    v00 += v10
+    tx *= ty
+    v11 *= tx
+    v00 += v11
+    v00[~valid] = fill
+    return v00
 
 
 def resize_to(crop: SquareCrop | np.ndarray, target: int = TARGET_SIZE) -> np.ndarray:
@@ -172,32 +196,57 @@ def preprocess(image: CleImage, target: int = TARGET_SIZE
     return compressed, crop, resize_to(crop, target)
 
 
-def rotate(image: CleImage, angle_deg: float) -> CleImage:
+def _span_runs(spans: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(r0, r1, lo, hi) for each run of at most `_ROTATE_BAND` consecutive
+    rows that share one non-empty column span [lo, hi) of `spans`."""
+    changed = (spans[1:] != spans[:-1]).any(axis=1)
+    cuts = (np.flatnonzero(changed) + 1).tolist()
+    runs = []
+    for start, end in zip([0, *cuts], [*cuts, len(spans)]):
+        lo, hi = spans[start].tolist()
+        if lo < hi:
+            runs += [(r0, min(r0 + _ROTATE_BAND, end), lo, hi)
+                     for r0 in range(start, end, _ROTATE_BAND)]
+    return runs
+
+
+def rotate(image: CleImage, angle_deg: float,
+           spans: np.ndarray | None = None) -> CleImage:
     """Rotate about the mask center with bilinear interpolation.
 
     Pixels whose source position falls outside the raster become 0; the
     mask circle itself is rotation invariant and is kept unchanged.
+
+    `spans`, a (height, 2) integer array, limits the work to the pixels
+    a caller reads: columns [lo, hi) of each row.  Each of those pixels
+    equals the full rotation's, and every other pixel is 0.  None
+    rotates the whole frame.
     """
+    h, w = image.pixels.shape
+    runs = _span_runs(np.tile([0, w], (h, 1)) if spans is None
+                      else np.asarray(spans))
+    out = np.zeros((h, w), dtype=np.uint16)
     theta = math.radians(angle_deg % 360.0)
     if theta == 0.0:
-        return CleImage(pixels=image.pixels.copy(),
-                        mask_center=image.mask_center,
+        for r0, r1, lo, hi in runs:
+            out[r0:r1, lo:hi] = image.pixels[r0:r1, lo:hi]
+        return CleImage(pixels=out, mask_center=image.mask_center,
                         mask_radius=image.mask_radius)
     c = math.cos(theta)
     s = math.sin(theta)
     cx, cy = image.mask_center
-    h, w = image.pixels.shape
     padded = _edge_pad(image.pixels)
     dx = np.arange(w, dtype=np.float64) - cx
     dy = np.arange(h, dtype=np.float64) - cy
-    out = np.empty((h, w), dtype=np.uint16)
-    # Inverse map: where each output pixel samples the source, a band of
-    # rows at a time so the temporaries stay cache-sized.
-    for r0 in range(0, h, _ROTATE_BAND):
-        band = dy[r0:r0 + _ROTATE_BAND, None]
-        sx = cx + c * dx[None, :] + s * band
-        sy = cy - s * dx[None, :] + c * band
+    # Inverse map: output pixel (x, y) samples the source at
+    # sx = (cx + c*dx) + s*dy, sy = (cy - s*dx) + c*dy, one run of rows at
+    # a time so the temporaries stay cache-sized.
+    x_of_dx, y_of_dx = cx + c * dx, cy - s * dx
+    x_of_dy, y_of_dy = s * dy, c * dy
+    for r0, r1, lo, hi in runs:
+        sx = x_of_dx[None, lo:hi] + x_of_dy[r0:r1, None]
+        sy = y_of_dx[None, lo:hi] + y_of_dy[r0:r1, None]
         sampled = _bilinear_sample(padded, sx, sy)
-        out[r0:r0 + _ROTATE_BAND] = np.clip(_round_half_up(sampled), 0, 65535)
+        out[r0:r1, lo:hi] = np.clip(_round_half_up(sampled), 0, 65535)
     return CleImage(pixels=out, mask_center=image.mask_center,
                     mask_radius=image.mask_radius)

@@ -105,6 +105,26 @@ class TestSynthStats:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "a\\nb\\u2028c" in err[0]
 
+    def test_file_name_beyond_os_limit_exit_code(self, dataset, tmp_path,
+                                                 capsys):
+        # A 300-character name exceeds the usual 255-byte limit, so the
+        # file check itself fails rather than finding no file.
+        path = edited_manifest(dataset, tmp_path, {"file": "f" * 300})
+        capsys.readouterr()
+        assert main(["stats", "--data", str(path)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"{path}: record 0: cannot check image file" in err[0]
+
+    def test_manifest_error_names_the_manifest(self, dataset, tmp_path,
+                                               capsys):
+        path = edited_manifest(dataset, tmp_path, {"file": "absent.pgm"})
+        capsys.readouterr()
+        assert main(["stats", "--data", str(path)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"clescreen: bad data: {path}: record 0: missing "
+                       f"image file {dataset / 'images' / 'absent.pgm'}"]
+
 
 class TestFeaturePath:
     def test_featurize_train_predict(self, dataset, tmp_path):
@@ -157,10 +177,18 @@ class TestFeaturePath:
         ("fuse", "patient,sequence,frame,patch_index,p_c1\np00,s0,0,one,0.5\n"),
         ("report", "patient,label,p_image\n"),
         ("report", "patient,label,p_image\np00,normal,0.2\np01,normal,?\n"),
+        ("train", "patient,sequence,frame,label,f0\np00,s0,0,normal,0.5\n"
+                  "p00,s0,1,normal,nan\n"),
+        ("predict", "patient,sequence,frame,label,f0\np00,s0,0,normal,"
+                    "1e400\n"),
+        ("predict", "patient,sequence,frame,label,f0\n"),
+        ("fuse", "patient,sequence,frame,patch_index,p_c1\np00,s3,0,0,1.5\n"),
     ], ids=["train-short-row", "predict-short-row", "train-bad-header",
             "report-empty", "report-short-row", "report-no-label",
             "train-bad-frame", "train-bad-feature", "fuse-bad-p",
-            "fuse-bad-index", "report-no-rows", "report-bad-p"])
+            "fuse-bad-index", "report-no-rows", "report-bad-p",
+            "train-nan-feature", "predict-infinite-feature",
+            "predict-no-rows", "fuse-p-above-one"])
     def test_malformed_csv_exit_code(self, dataset, tmp_path, capsys,
                                      command, text):
         csv = tmp_path / "in.csv"
@@ -387,10 +415,10 @@ class TestCv:
         first = load_manifest(dataset / "manifest.json").records[0]
         prepare = evaluation.prepare_record_image
 
-        def dying(manifest, record, scale):
+        def dying(manifest, record, *rest):
             if os.getpid() != parent and record == first:
                 os._exit(1)
-            return prepare(manifest, record, scale)
+            return prepare(manifest, record, *rest)
 
         monkeypatch.setattr(evaluation, "prepare_record_image", dying)
         out = tmp_path / "cv"

@@ -1,14 +1,16 @@
 """Fold planning, metrics, ROC/AUC, and the cross-validation driver."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clescreen import evaluation
-from clescreen.core import CARCINOGENIC, NORMAL, DatasetManifest
+from clescreen import evaluation, util, wholeimage
+from clescreen.core import (CARCINOGENIC, NORMAL, ArtifactRect, CleImage,
+                            DatasetManifest)
 from clescreen.classify import augment_rotations
 from clescreen.evaluation import (ConfigError, InsufficientPatients,
                                   RunConfig, confusion_metrics,
@@ -19,8 +21,9 @@ from clescreen.evaluation import (ConfigError, InsufficientPatients,
                                   roc_points, run_cv, summary_dict)
 from clescreen.features import (LbpConfig, glcm, haralick_features,
                                 lbp_histogram)
-from clescreen.patching import whiten_values
+from clescreen.patching import patch_grid, resize_half, whiten_values
 from clescreen.synth import SynthConfig, generate_dataset
+from clescreen.wholeimage import rotate
 from conftest import make_record
 
 
@@ -295,6 +298,86 @@ class TestFeatureMatrix:
         assert owner.tolist() == [0, 1, 2]
 
 
+class TestRestrictedRotation:
+    """A patch method rotates an augmented copy only over the row hulls of
+    its grid; everything the grid reads must equal the full rotation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=st.integers(30, 97), w=st.integers(30, 97),
+           cx=st.integers(-6, 6), cy=st.integers(-6, 6),
+           shrink=st.floats(0.5, 1.0),
+           angle=st.one_of(st.sampled_from([0.0, 90.0, 180.0, 45.0]),
+                           st.floats(0.0, 360.0)),
+           scale=st.sampled_from([1.0, 0.5]),
+           patch_size=st.sampled_from([8, 12, 15, 24]),
+           overlap=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+           admission=st.sampled_from([0.3, 0.8, 0.97, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_spans_match_full_rotation(self, h, w, cx, cy, shrink, angle,
+                                       scale, patch_size, overlap,
+                                       admission, seed):
+        # Off-center masks on quarter-pixel positions, odd and even sizes.
+        center = ((w - 1) / 2 + cx / 4, (h - 1) / 2 + cy / 4)
+        radius = shrink * min(center[0] + 1, w + 1 - center[0],
+                              center[1] + 1, h + 1 - center[1])
+        rng = np.random.default_rng(seed)
+        img = CleImage(pixels=rng.integers(0, 65536, size=(h, w),
+                                           dtype=np.uint16),
+                       mask_center=center, mask_radius=radius)
+        config = RunConfig(patch_size=patch_size, overlap=overlap,
+                           admission_fraction=admission)
+        spans = evaluation._read_spans(img, scale, config)
+        assume(spans is not None)
+        full = rotate(img, angle)
+        part = rotate(img, angle, spans)
+        inside = np.zeros((h, w), dtype=bool)
+        for y, (lo, hi) in enumerate(spans):
+            inside[y, lo:hi] = True
+        assert np.array_equal(part.pixels[inside], full.pixels[inside])
+        assert not part.pixels[~inside].any()
+        # Every pixel of every admitted patch of the prepared frame.
+        if scale == 0.5:
+            full, part = resize_half(full), resize_half(part)
+        for c in patch_grid((full.width, full.height), full.mask_center,
+                            full.mask_radius, patch_size, overlap,
+                            admission):
+            assert np.array_equal(part.pixels[c.c3:c.c4, c.c1:c.c2],
+                                  full.pixels[c.c3:c.c4, c.c1:c.c2])
+
+    def test_rows_equal_full_rotation(self, small_dataset, monkeypatch):
+        # Rotated copies (one with an artifact) of 4 frames, described
+        # with the rotation restricted and with it forced to the full frame.
+        originals = [dataclasses.replace(r, artifacts=[])
+                     for r in small_dataset.records[:4]]
+        originals[1] = dataclasses.replace(
+            originals[1], artifacts=[ArtifactRect(0, 150, 20, 170)])
+        manifest = augment_rotations(
+            DatasetManifest(records=originals,
+                            root_path=small_dataset.root_path), k=2, seed=4)
+        records = manifest.records
+        restricted = []
+        real_rotate = wholeimage.rotate
+
+        def recording(image, angle_deg, spans=None):
+            restricted.append(spans is not None)
+            return real_rotate(image, angle_deg, spans)
+
+        for method in ("RF-LBP@0.5x", "RF-GLCM@0.5x", "PPF@0.5x",
+                       "RF-GLCM@1.0x"):
+            config = RunConfig(method=method, jobs=1)
+            monkeypatch.setattr(wholeimage, "rotate", recording)
+            restricted.clear()
+            got = describe_records(manifest, records, config)
+            assert restricted == [True] * 8
+            monkeypatch.setattr(evaluation, "_read_spans",
+                                lambda *args: None)
+            want = describe_records(manifest, records, config)
+            assert restricted[8:] == [False] * 8
+            monkeypatch.undo()
+            assert np.array_equal(got[0], want[0]), method
+            assert np.array_equal(got[1], want[1])
+
+
 class TestRunCv:
     def test_rf_lbp_report_structure_and_determinism(self, small_dataset):
         config = RunConfig(method="RF-LBP@0.5x", seed=5, trees=30, jobs=2)
@@ -423,12 +506,14 @@ class TestRunCv:
             else:
                 evaluation._check_ppf_memory(prepared, kept, config)
         # A forest fold holds X[rows], its float64 copy and the split
-        # temporaries (3.26x the float32 rows), and min(jobs, folds)
-        # forest folds run at once.
+        # temporaries (3.26x the float32 rows), and min(jobs, folds,
+        # cores) forest folds run at once.
         # need = 8 MiB + folds * 8 MiB * 3.26 in whole bytes (60.16 and
         # 34.08 MiB).
-        for jobs, folds, need, copies_mib in ((4, 2, 63_082_332, 52),
-                                              (1, 1, 35_735_470, 26)):
+        for jobs, cores, folds, need, copies_mib in (
+                (4, 8, 2, 63_082_332, 52), (1, 8, 1, 35_735_470, 26),
+                (4, 1, 1, 35_735_470, 26)):
+            monkeypatch.setattr(util, "default_jobs", lambda: cores)
             config = RunConfig(method="PPF@0.5x", patch_size=512,
                                patch_classifier="forest", jobs=jobs)
             monkeypatch.setattr(evaluation, "mem_available", lambda: need)

@@ -2,9 +2,10 @@
 
 Hypothesis corrupts one file of a tiny valid cohort (a frame's PGM file,
 its `<stem>.mask.json` sidecar, or `manifest.json`) and runs `cv` and
-`stats` on it, or hands `cv` a malformed `--config` file.  Each run must
-exit 0, 3, 4, 5 or 6, print exactly one line to stderr when it fails and
-nothing when it succeeds, and never raise.
+`stats` on it, hands `cv` a malformed `--config` file, or hands `train`
+and `predict` a malformed feature CSV and `fuse` a malformed probability
+CSV.  Each run must exit 0, 3, 4, 5 or 6, print exactly one line to
+stderr when it fails and nothing when it succeeds, and never raise.
 """
 
 import contextlib
@@ -44,6 +45,21 @@ def cohort(tmp_path_factory):
         save_image(make_image(size=SIZE, rng=rng), root / rec.file)
     save_manifest(DatasetManifest(records=records, root_path=root),
                   root / "manifest.json", root=".")
+    # The valid tables the table commands read: a feature CSV, a model
+    # trained on it, and one probability per admitted full-scale patch.
+    features = str(root / "features.csv")
+    assert main(["featurize", "--data", str(root), "--features", "glcm",
+                 "--scale", "1.0", "--out", features, "--jobs", "1"]) == 0
+    assert main(["train", "--features", features, "--trees", "2",
+                 "--out", str(root / "model.clef"), "--jobs", "1"]) == 0
+    patches = tmp_path_factory.mktemp("fuzz_patches")
+    assert main(["preprocess", "--data", str(root), "--mode", "patches",
+                 "--scale", "1.0", "--out", str(patches)]) == 0
+    lines = (patches / "patches.csv").read_text().splitlines()
+    (root / "probs.csv").write_text("\n".join(
+        ["patient,sequence,frame,patch_index,p_c1"]
+        + [f"{','.join(line.split(',')[:4])},{(n % 7) / 6!r}"
+           for n, line in enumerate(lines[1:])]) + "\n")
     return root, records[0].file
 
 
@@ -67,6 +83,16 @@ def run_cli(cohort, name: str, content: bytes,
                               "--out", str(Path(tmp) / "stats.csv")],
                     "cv --config": ["cv", "--data", str(data), "--config",
                                     str(data / name), "--out", cv_out],
+                    "train": ["train", "--features", str(data / name),
+                              "--trees", "2", "--jobs", "1",
+                              "--out", str(Path(tmp) / "model.clef")],
+                    "predict": ["predict", "--model",
+                                str(data / "model.clef"), "--features",
+                                str(data / name),
+                                "--out", str(Path(tmp) / "pred.csv")],
+                    "fuse": ["fuse", "--data", str(data), "--probs",
+                             str(data / name), "--scale", "1.0",
+                             "--out", str(Path(tmp) / "fused.csv")],
                     }[command]
             err = io.StringIO()
             with contextlib.redirect_stderr(err), \
@@ -304,3 +330,55 @@ def test_malformed_config_exit_codes(cohort, defect):
     for base in BASES:
         check(run_cli(cohort, "run.json", config_text(base, defect),
                       commands=("cv --config",)))
+
+
+# Cell values a table may hold where a number or a label belongs.
+CELLS = st.one_of(
+    st.sampled_from(["", "nan", "NaN", "inf", "-inf", "1e400", "-1e400",
+                     "9" * 400, "-0", "0x1", " 1", "1_0", "1.5", "-1", "2",
+                     "carcinogenic", "normal", "Normal"]),
+    st.integers().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6))
+
+
+@st.composite
+def malformed_tables(draw, valid: bytes):
+    """`valid` CSV text truncated, overwritten with bytes, with one cell
+    or header field replaced, or with a row dropped, repeated or added."""
+    kind = draw(st.sampled_from(["truncate", "overwrite", "cell", "cell",
+                                 "cell", "header", "rows"]))
+    if kind == "truncate":
+        return valid[:draw(st.integers(0, len(valid) - 1))]
+    if kind == "overwrite":
+        at = draw(st.integers(0, len(valid) - 1))
+        junk = draw(st.binary(min_size=1, max_size=6))
+        return valid[:at] + junk + valid[at + len(junk):]
+    lines = [line.split(",") for line in valid.decode().splitlines()]
+    if kind == "header":
+        lines[0][draw(st.integers(0, len(lines[0]) - 1))] = draw(CELLS)
+    elif kind == "cell":
+        row = lines[draw(st.integers(1, len(lines) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(CELLS)
+    else:
+        body = draw(st.lists(st.sampled_from(lines[1:]) | st.lists(
+            CELLS, max_size=len(lines[0]) + 1), max_size=6))
+        lines = lines[:1] + body
+    return ("\n".join(",".join(row) for row in lines) + "\n").encode()
+
+
+@_FUZZ
+@given(data=st.data())
+def test_malformed_feature_csv_exit_codes(cohort, data):
+    valid = (cohort[0] / "features.csv").read_bytes()
+    check(run_cli(cohort, "features.csv",
+                  data.draw(malformed_tables(valid)),
+                  commands=("train", "predict")))
+
+
+@_FUZZ
+@given(data=st.data())
+def test_malformed_probability_csv_exit_codes(cohort, data):
+    valid = (cohort[0] / "probs.csv").read_bytes()
+    check(run_cli(cohort, "probs.csv", data.draw(malformed_tables(valid)),
+                  commands=("fuse",)))

@@ -43,5 +43,11 @@ def test_workers_capped_at_item_count(monkeypatch):
             return [self.fn(item) for item in items]
 
     monkeypatch.setattr(util, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(util, "default_jobs", lambda: 8)
     assert run_parallel(lambda i: i * 2, [1, 2, 3], jobs=10**6) == [2, 4, 6]
     assert opened == [3]
+    # 720 records (a synth cohort) on 4 cores: 4 workers, not 720.
+    monkeypatch.setattr(util, "default_jobs", lambda: 4)
+    assert run_parallel(lambda i: i, range(720), jobs=10**6) == \
+        list(range(720))
+    assert opened == [3, 4]
