@@ -18,9 +18,9 @@ from .forest import (RandomForestModel, load_forest, save_forest,
                      train_random_forest)
 from .fusion import (FusionMaps, ImageProbability, build_maps,
                      export_probability_map, image_probability)
-from .evaluation import (EvalReport, RunConfig, confusion_metrics,
-                         describe_records, lopo_folds, prepare_records,
-                         roc_auc, run_cv)
+from .evaluation import (EvalReport, RecordPlan, RunConfig,
+                         confusion_metrics, describe_records, lopo_folds,
+                         plan_records, roc_auc, run_cv)
 from .synth import SynthConfig, generate_dataset
 
 __all__ = [name for name in dir() if not name.startswith("_")]

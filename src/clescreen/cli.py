@@ -1,7 +1,8 @@
 """Command-line entry point wiring the pipeline stages together.
 
-Exit codes: 0 success, 2 usage error, 3 invalid configuration,
-4 IO failure, 5 insufficient patients for cross-validation,
+Exit codes: 0 success, 2 usage error, 3 invalid configuration (a run
+predicted not to fit in memory included) or out of memory, 4 IO failure,
+5 insufficient patients for cross-validation,
 6 malformed data (manifest, image, or probability file), 7 a worker
 process died (for example, killed when the machine ran out of memory).
 """
@@ -23,8 +24,8 @@ from .core import (LABELS, DatasetManifest, ManifestError, PgmError,
                    dataset_stats, load_manifest)
 from .evaluation import (ConfigError, InsufficientPatients, METHODS,
                          RunConfig, confusion_metrics, describe_records,
-                         prepare_records, results_csv, roc_auc, roc_csv,
-                         run_cv, summary_dict)
+                         plan_records, prepare_record_image, results_csv,
+                         roc_auc, roc_csv, run_cv, summary_dict)
 from .forest import load_forest, save_forest, train_random_forest
 from .fusion import fuse
 from .synth import SynthConfig, generate_dataset
@@ -146,10 +147,10 @@ def cmd_preprocess(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = manifest.records
-    prepared = prepare_records(manifest, records, config)
     if args.mode == "wholeimage":
         sidecar = ["patient,sequence,frame,p_low,p_high,side,origin_x,origin_y"]
-        for rec, (img, _) in zip(records, prepared):
+        for rec in records:
+            img, _rects = prepare_record_image(manifest, rec, 1.0)
             comp, crop, raster = wholeimage.preprocess(img, args.target)
             name = f"{rec.patient}_{rec.sequence}_f{rec.frame:04d}.pgm"
             header = f"P5\n{args.target} {args.target}\n255\n".encode()
@@ -160,7 +161,8 @@ def cmd_preprocess(args) -> int:
         _write(out / "preprocess.csv", "\n".join(sidecar) + "\n")
     else:
         lines = ["patient,sequence,frame,patch_index,c1,c2,c3,c4"]
-        for rec, (_img, coords) in zip(records, prepared):
+        for rec, (coords, _dims) in zip(
+                records, plan_records(manifest, records, config)):
             for j, c in enumerate(coords):
                 lines.append(f"{rec.patient},{rec.sequence},{rec.frame},{j},"
                              f"{c.c1},{c.c2},{c.c3},{c.c4}")
@@ -175,7 +177,8 @@ def cmd_featurize(args) -> int:
     header = ("patient,sequence,frame,label,"
               + ",".join(config.descriptor.row_names()))
     records = manifest.records
-    rows, _owner = describe_records(manifest, records, config)
+    rows, _owner = describe_records(manifest, records, config,
+                                    plan_records(manifest, records, config))
     lines = [header]
     for rec, row in zip(records, rows):
         values = ",".join(repr(float(v)) for v in row)
@@ -201,8 +204,11 @@ def _read_feature_csv(path: str):
 def cmd_train(args) -> int:
     _checked_config(trees=args.trees, seed=args.seed, jobs=args.jobs)
     _meta, X, y = _read_feature_csv(args.features)
-    model = train_random_forest(X, y, trees=args.trees, seed=args.seed,
-                                jobs=args.jobs)
+    try:
+        model = train_random_forest(X, y, trees=args.trees, seed=args.seed,
+                                    jobs=args.jobs)
+    except ValueError as exc:  # too few rows of a class
+        raise ManifestError(f"{args.features}: {exc}") from None
     save_forest(model, args.out)
     print(f"saved {model.n_trees}-tree model ({model.n_features} features) "
           f"to {args.out}")
@@ -224,13 +230,18 @@ def cmd_fuse(args) -> int:
     config = _checked_config(method=f"PPF@{args.scale:.1f}x", jobs=1)
     manifest = _load_data(args.data)
     probs: dict[tuple, dict[int, float]] = {}
+    known = {(rec.patient, rec.sequence, rec.frame)
+             for rec in manifest.records}
     _header, rows = _read_csv(
         args.probs, ("patient", "sequence", "frame", "patch_index", "p_c1"))
     for n, row in enumerate(rows, start=2):
         patient, sequence, frame, idx, p = row[:5]
-        patches = probs.setdefault(
-            (patient, sequence, _field(args.probs, n, "frame", frame, int)),
-            {})
+        key = (patient, sequence, _field(args.probs, n, "frame", frame, int))
+        if key not in known:
+            raise ManifestError(
+                f"{args.probs}: line {n}: no manifest record for "
+                f"{','.join(map(str, key))}")
+        patches = probs.setdefault(key, {})
         idx = _field(args.probs, n, "patch_index", idx, int)
         if idx in patches:
             raise ManifestError(
@@ -244,10 +255,10 @@ def cmd_fuse(args) -> int:
     records = [rec for rec in manifest.records
                if (rec.patient, rec.sequence, rec.frame) in probs]
     if not records:
-        raise ManifestError("no probability rows matched any manifest record")
+        raise ManifestError(f"{args.probs}: no probability rows")
     out_lines = ["patient,sequence,frame,label,p_image"]
-    prepared = prepare_records(manifest, records, config)
-    for rec, (img, coords) in zip(records, prepared):
+    for rec, (coords, dims) in zip(records,
+                                   plan_records(manifest, records, config)):
         key = (rec.patient, rec.sequence, rec.frame)
         pairs = []
         for idx, p in sorted(probs[key].items()):
@@ -256,7 +267,7 @@ def cmd_fuse(args) -> int:
                     f"{args.probs}: patch_index {idx} out of range for "
                     f"{key} ({len(coords)} admitted patches)")
             pairs.append((coords[idx], p))
-        fused = fuse(pairs, (img.width, img.height))
+        fused = fuse(pairs, dims)
         out_lines.append(f"{rec.patient},{rec.sequence},{rec.frame},"
                          f"{rec.label},{fused.p!r}")
     _write(Path(args.out), "\n".join(out_lines) + "\n")
@@ -338,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="clescreen",
         description="Patch-based screening pipeline for circular-field "
                     "endomicroscopy images.",
-        epilog="exit codes: 0 ok, 2 usage, 3 invalid config, 4 IO failure, "
-               "5 insufficient patients, 6 malformed data, 7 worker died",
+        epilog="exit codes: 0 ok, 2 usage, 3 invalid config or out of "
+               "memory, 4 IO failure, 5 insufficient patients, 6 malformed "
+               "data, 7 worker died",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,6 +471,9 @@ def main(argv=None) -> int:
         return _fail(f"IO error: {exc}", _EXIT_IO)
     except ValueError as exc:
         return _fail(str(exc), _EXIT_DATA)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {str(exc) or 'allocation failed'}; try "
+                     f"a smaller input or fewer --jobs", _EXIT_CONFIG)
     except BrokenExecutor:
         return _fail("a worker process died, most likely killed (for "
                      "example by running out of memory); try fewer --jobs",

@@ -9,7 +9,10 @@ augmentation lineage.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,16 +66,7 @@ class CleImage:
             raise ValueError("pixels must be a 2-D raster")
         if self.pixels.dtype != np.uint16:
             raise ValueError(f"pixels must be uint16, got {self.pixels.dtype}")
-        if self.mask_radius <= 0:
-            raise ValueError("mask_radius must be positive")
-        cx, cy = self.mask_center
-        r = self.mask_radius
-        slack = 1.0
-        if (cx - r < -slack or cx + r > self.width + slack
-                or cy - r < -slack or cy + r > self.height + slack):
-            raise ValueError(
-                f"mask circle (center=({cx}, {cy}), r={r}) does not fit a "
-                f"{self.width}x{self.height} raster")
+        check_mask(self.width, self.height, self.mask_center, self.mask_radius)
 
     def inside_mask(self, strict: bool = False) -> np.ndarray:
         """Boolean raster of pixels whose integer coordinate lies in the circle."""
@@ -81,6 +75,21 @@ class CleImage:
         d2 = (xx - cx) ** 2 + (yy - cy) ** 2
         r2 = self.mask_radius ** 2
         return d2 < r2 if strict else d2 <= r2
+
+
+def check_mask(width: int, height: int, center: tuple[float, float],
+               radius: float) -> None:
+    """Raise ValueError unless the mask circle has a positive radius and
+    fits a `width` x `height` raster up to 1 px slack."""
+    if radius <= 0:
+        raise ValueError("mask_radius must be positive")
+    cx, cy = center
+    slack = 1.0
+    if (cx - radius < -slack or cx + radius > width + slack
+            or cy - radius < -slack or cy + radius > height + slack):
+        raise ValueError(
+            f"mask circle (center=({cx}, {cy}), r={radius}) does not fit a "
+            f"{width}x{height} raster")
 
 
 def default_mask(width: int, height: int) -> tuple[tuple[float, float], float]:
@@ -185,17 +194,10 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
         ) from None
 
 
-def load_image(path: str | Path, mask: tuple | None = None) -> CleImage:
-    """Read a binary P5 graymap as a 16-bit circular-field image.
-
-    Accepts maxval 65535 (two big-endian bytes per sample) or maxval 255;
-    8-bit samples are widened by x257 so full scale maps to 65535.  The
-    mask defaults to the inscribed circle unless `mask` is given or a
-    sidecar `<stem>.mask.json` with {"center": [x, y], "radius": r}
-    sits next to the file.
-    """
-    path = Path(path)
-    data = path.read_bytes()
+def _parse_header(data) -> tuple[int, int, int, int]:
+    """(width, height, bytes per sample, payload offset) of the P5 graymap
+    `data` (bytes, or a read-only mapping of the file), checking that the
+    payload the header announces is all there."""
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmError(f"not a binary graymap: magic {magic!r} at byte 0")
@@ -211,37 +213,67 @@ def load_image(path: str | Path, mask: tuple | None = None) -> CleImage:
     pos += 1
     bytes_per = 2 if maxval == 65535 else 1
     need = width * height * bytes_per
-    payload = data[pos : pos + need]
-    if len(payload) != need:
-        raise PgmError(
-            f"truncated payload at byte {pos + len(payload)}: "
-            f"need {need} bytes, have {len(payload)}")
+    have = min(need, len(data) - pos)
+    if have != need:
+        raise PgmError(f"truncated payload at byte {pos + have}: "
+                       f"need {need} bytes, have {have}")
+    return width, height, bytes_per, pos
+
+
+def _sidecar_mask(path: Path, width: int, height: int) -> tuple:
+    """The mask of the graymap at `path`: its sidecar's, else the
+    inscribed circle."""
+    sidecar = path.with_suffix(".mask.json")
+    if not sidecar.exists():
+        return default_mask(width, height)
+    try:
+        meta = json.loads(sidecar.read_text())
+        (cx, cy), radius = meta["center"], meta["radius"]
+    except (ValueError, KeyError, TypeError):
+        cx = cy = radius = None
+    # Rejects NaN, infinities and integers beyond the float range.
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+               for v in (cx, cy, radius)):
+        raise PgmError(f"{sidecar}: mask sidecar needs finite numeric "
+                       f"\"center\": [x, y] and \"radius\"")
+    return (cx, cy), float(radius)
+
+
+def read_geometry(path: str | Path) -> tuple[int, int, tuple]:
+    """(width, height, mask) of the graymap at `path` as `load_image`
+    reads them, from its header and mask sidecar; the payload is never
+    decoded, but its length is checked against the file's."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size  # mmap refuses an empty file
+        with (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size
+              else contextlib.nullcontext(b"")) as data:
+            width, height, _bytes_per, _pos = _parse_header(data)
+    mask = _sidecar_mask(path, width, height)
+    check_mask(width, height, *mask)
+    return width, height, mask
+
+
+def load_image(path: str | Path) -> CleImage:
+    """Read a binary P5 graymap as a 16-bit circular-field image.
+
+    Accepts maxval 65535 (two big-endian bytes per sample) or maxval 255;
+    8-bit samples are widened by x257 so full scale maps to 65535.  The
+    mask defaults to the inscribed circle unless a sidecar
+    `<stem>.mask.json` with {"center": [x, y], "radius": r} sits next to
+    the file.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    width, height, bytes_per, pos = _parse_header(data)
+    payload = data[pos : pos + width * height * bytes_per]
     if bytes_per == 2:
         pixels = np.frombuffer(payload, dtype=">u2").astype(np.uint16)
     else:
         pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.uint16) * 257
-    pixels = pixels.reshape(height, width)
-
-    if mask is None:
-        sidecar = path.with_suffix(".mask.json")
-        if sidecar.exists():
-            try:
-                meta = json.loads(sidecar.read_text())
-                (cx, cy), radius = meta["center"], meta["radius"]
-            except (ValueError, KeyError, TypeError):
-                cx = cy = radius = None
-            # Rejects NaN, infinities and integers beyond the float range.
-            if not all(type(v) in (int, float)
-                       and abs(v) <= sys.float_info.max
-                       for v in (cx, cy, radius)):
-                raise PgmError(
-                    f"{sidecar}: mask sidecar needs finite numeric "
-                    f"\"center\": [x, y] and \"radius\"")
-            mask = ((cx, cy), float(radius))
-        else:
-            mask = default_mask(width, height)
-    center, radius = mask
-    return CleImage(pixels=pixels, mask_center=tuple(center), mask_radius=float(radius))
+    center, radius = _sidecar_mask(path, width, height)
+    return CleImage(pixels=pixels.reshape(height, width),
+                    mask_center=center, mask_radius=radius)
 
 
 def save_image(image: CleImage, path: str | Path) -> None:

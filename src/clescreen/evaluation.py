@@ -8,20 +8,20 @@ Mann-Whitney AUC are computed.  Every random draw derives from the master
 seed plus the fold's patient id, so runs are reproducible and independent
 of worker count.
 
-A run makes two forked passes, and only rows and probabilities cross the
-process boundary.  The record pass is `describe_records`: it prepares
-each record and, for RF-* and the whole-image baseline, describes it in
-the same worker, so frames never reach this process; PPF brings its
-frames back, fills one patch cache here and then keeps only each
-record's patch layout.  The fold pass fits and scores one fold per
-worker, each forest growing its trees in turn.  Logistic folds
+A run plans every record from its image header (`plan_records`): the
+admitted patches and size of its prepared frame, hence its rows.  Then
+it makes two forked passes.  The record pass is `describe_records`: the
+worker that prepares a record writes its rows into one matrix in a
+shared mapping, so no frame or row crosses the process boundary.  The
+fold pass fits and scores one fold per worker, each forest growing its
+trees in turn.  Logistic folds
 (logistic-PPF, the whole-image baseline) run in this process, since
 OpenBLAS already uses every core.  With more jobs than folds, the extra
 cores sit idle in the fold pass.
 
 A patch method rotates an augmented copy only over the column hull of
-its admitted grid in each row, so such a prepared frame is 0 outside
-the grid's row hulls.  Nothing reads there: PPF whitens the patches,
+its planned patches in each row, so such a prepared frame is 0 outside
+those row hulls.  Nothing reads there: PPF whitens the patches,
 GLCM gathers the patch windows, and LBP histograms each patch's interior
 window, whose rings stay inside the patch.
 """
@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import mmap
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -301,149 +303,167 @@ class EvalReport:
 
 def prepare_record_image(manifest: core.DatasetManifest,
                          record: core.ImageRecord, scale: float,
-                         config: RunConfig | None = None
+                         coords: list | None = None
                          ) -> tuple[core.CleImage, list]:
     """Load a record at pipeline scale: rotate augmented copies about the
     view center, then downscale.  Artifact rectangles follow the same
     transforms (conservatively, by outward rounding).
 
-    Given the `config` of a patch method, an augmented copy rotates only
-    the pixels its patch grid can read (`_read_spans`), and every other
-    pixel of the prepared frame is 0.  Without one, as on the
+    Given the planned patch `coords` of the prepared frame, an augmented
+    copy rotates only the pixels they read (`_read_spans`), and every
+    other pixel of the prepared frame is 0.  Without them, as on the
     whole-image route, the whole frame rotates."""
     img = core.load_image(manifest.image_path(record))
-    rects = list(record.artifacts)
+    rects = _prepared_rects(record, (img.width, img.height), img.mask_center,
+                            scale)
     if record.is_augmented:
-        dims = (img.width, img.height)
-        rects = [r for r in
-                 (patching.rotate_rect(rc, img.mask_center,
-                                       record.rotation_deg, dims)
-                  for rc in rects) if r is not None]
-        spans = None if config is None else _read_spans(img, scale, config)
+        spans = None if coords is None else _read_spans(coords, img.height,
+                                                        scale)
         img = wholeimage.rotate(img, record.rotation_deg, spans)
     if scale == 0.5:
         img = patching.resize_half(img)
-        rects = [patching.scale_rect(r, 0.5) for r in rects]
-    elif scale != 1.0:
-        raise ValueError(f"unsupported scale {scale}")
     return img, rects
 
 
-def _read_spans(img: core.CleImage, scale: float,
-                config: RunConfig) -> np.ndarray | None:
-    """Column range [lo, hi) per row of the source frame `img` that the
-    patch grid of `img` prepared at `scale` reads: the grid's row hulls
-    (`patching.grid_row_spans`), at 0.5x mapped back through
-    `resize_half` (prepared row y reads source rows 2y and 2y + 1,
-    columns [2 lo, 2 hi)).  None where no patch fits the prepared frame,
-    which then fails at `record_patch_coords`, naming its file."""
-    dims = (img.width, img.height)
-    center, radius = img.mask_center, img.mask_radius
+def _prepared_rects(record: core.ImageRecord, dims: tuple[int, int],
+                    center: tuple[float, float], scale: float) -> list:
+    """The artifact rectangles of `record`, whose source frame has `dims`
+    and mask `center`, in the frame that `prepare_record_image` gives."""
+    rects = list(record.artifacts)
+    if record.is_augmented:
+        rects = [r for r in (patching.rotate_rect(rc, center,
+                                                  record.rotation_deg, dims)
+                             for rc in rects) if r is not None]
     if scale == 0.5:
-        dims = (img.width // 2, img.height // 2)
-        center, radius = (center[0] / 2.0, center[1] / 2.0), radius / 2.0
-    if config.patch_size > min(dims):
-        return None
-    spans = patching.grid_row_spans(
+        return [patching.scale_rect(r, 0.5) for r in rects]
+    if scale != 1.0:
+        raise ValueError(f"unsupported scale {scale}")
+    return rects
+
+
+def _read_spans(coords, height: int, scale: float) -> np.ndarray:
+    """Column range [lo, hi) per row of a source frame `height` rows high
+    that the patches `coords` of that frame prepared at `scale` read: the
+    hull of the patches covering the row, or [0, 0).  At 0.5x, prepared
+    row y reads source rows 2y and 2y + 1, columns [2 c1, 2 c2)."""
+    f = 2 if scale == 0.5 else 1
+    lo = np.full(height, np.iinfo(np.intp).max, dtype=np.intp)
+    hi = np.zeros(height, dtype=np.intp)
+    for c in coords:
+        rows = slice(f * c.c3, f * c.c4)
+        np.minimum(lo[rows], f * c.c1, out=lo[rows])
+        np.maximum(hi[rows], f * c.c2, out=hi[rows])
+    return np.where((lo < hi)[:, None], np.stack([lo, hi], axis=1), 0)
+
+
+def record_patch_coords(dims: tuple[int, int], center: tuple[float, float],
+                        radius: float, rects, config: RunConfig):
+    """Admitted patch coordinates of a prepared frame of size `dims` with
+    mask circle (`center`, `radius`), artifact-free, in grid order.  This
+    ordering defines patch_index everywhere."""
+    coords = patching.patch_grid(
         dims, center, radius, patch_size=config.patch_size,
         overlap=config.overlap, admission_fraction=config.admission_fraction)
-    if scale == 1.0:
-        return spans
-    source = np.zeros((img.height, 2), dtype=spans.dtype)
-    source[:2 * len(spans)] = np.repeat(spans * 2, 2, axis=0)
-    return source
-
-
-def record_patch_coords(img: core.CleImage, rects, config: RunConfig):
-    """Admitted patch coordinates of a prepared record, artifact-free,
-    in grid order.  This ordering defines patch_index everywhere."""
-    coords = patching.patch_grid(
-        (img.width, img.height), img.mask_center, img.mask_radius,
-        patch_size=config.patch_size, overlap=config.overlap,
-        admission_fraction=config.admission_fraction)
     return patching.exclude_artifacts(coords, rects)
 
 
-def _prepare(manifest: core.DatasetManifest, record: core.ImageRecord,
-             config: RunConfig) -> tuple[core.CleImage, list]:
-    """(frame, admitted patch coords) of one record at the method's scale.
-    The whole-image method builds no grid, so its frame may be tiny."""
+class RecordPlan(NamedTuple):
+    """The admitted patch coords of a record's prepared frame in grid
+    order (none on the whole-image route) and its (width, height)."""
+
+    coords: list[patching.PatchCoords]
+    dims: tuple[int, int]
+
+
+def plan_records(manifest: core.DatasetManifest,
+                 records: list[core.ImageRecord],
+                 config: RunConfig) -> list[RecordPlan]:
+    """Every record's `RecordPlan`, from its header, mask sidecar and
+    artifacts alone: `prepare_record_image`'s frame, halved at 0.5x by
+    `resize_half`'s rule (odd sizes drop a row or column; 1x1 stays)."""
     kind, _, scale = _METHOD_SPEC[config.method]
-    if kind == "wholeimage":
-        return prepare_record_image(manifest, record, scale)[0], []
-    img, rects = prepare_record_image(manifest, record, scale, config)
-    try:
-        return img, record_patch_coords(img, rects, config)
-    except ValueError as exc:  # a frame smaller than a patch
-        raise ValueError(f"{manifest.image_path(record)}: {exc}") from None
+    plan = []
+    for record in records:
+        path = manifest.image_path(record)
+        width, height, (center, radius) = core.read_geometry(path)
+        rects = _prepared_rects(record, (width, height), center, scale)
+        if scale == 0.5 and (width, height) != (1, 1):
+            width, height = width // 2, height // 2
+            center, radius = (center[0] / 2.0, center[1] / 2.0), radius / 2.0
+        if kind == "wholeimage":  # builds no grid, so the frame may be tiny
+            plan.append(RecordPlan([], (width, height)))
+            continue
+        try:
+            coords = record_patch_coords((width, height), center, radius,
+                                         rects, config)
+        except ValueError as exc:  # a frame smaller than a patch
+            raise ValueError(f"{path}: {exc}") from None
+        if not coords:
+            raise ValueError(f"{path}: no admissible patches")
+        plan.append(RecordPlan(coords, (width, height)))
+    return plan
 
 
-def prepare_records(manifest: core.DatasetManifest,
-                    records: list[core.ImageRecord], config: RunConfig
-                    ) -> list[tuple[core.CleImage, list[patching.PatchCoords]]]:
-    """(frame, admitted patch coords) of every record at the method's
-    scale, on `config.jobs` worker processes, in record order.  For a
-    patch method, the frame of a rotated copy is 0 outside its grid's
-    row hulls (see `prepare_record_image`)."""
-    return run_parallel(lambda record: _prepare(manifest, record, config),
-                        records, config.jobs)
+def _row_counts(plan: list[RecordPlan], config: RunConfig) -> np.ndarray:
+    """Each planned record's rows: one per admitted patch for PPF, else
+    one."""
+    if _METHOD_SPEC[config.method][0] == "ppf":
+        return np.array([len(p.coords) for p in plan], dtype=np.intp)
+    return np.ones(len(plan), dtype=np.intp)
 
 
-def _describe(img: core.CleImage, coords: list, config: RunConfig,
-              index: int) -> np.ndarray:
-    """Classifier rows of record `index`, prepared as (`img`, `coords`):
-    one texture row (RF-*) or whitened float32 raster (whole-image), or
-    one whitened float32 patch per admitted patch, in grid order (PPF)."""
+def _row_format(config: RunConfig) -> tuple[int, np.dtype]:
+    """(columns, dtype) of a float64 texture row (RF-*), or of a whitened
+    float32 patch (PPF) or raster (whole-image)."""
     kind = _METHOD_SPEC[config.method][0]
-    if kind != "wholeimage" and not coords:
-        raise ValueError(f"record {index} has no admissible patches")
-    if kind == "ppf":
-        block = np.empty((len(coords), config.patch_size ** 2),
-                         dtype=np.float32)
-        for row, c in zip(block, coords):
-            row[:] = patching.whiten_values(
-                img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
-        return block
     if kind == "features":
-        return features.image_row(img.pixels, coords, config.descriptor)
-    _compressed, _crop, raster = wholeimage.preprocess(img, config.target_size)
-    white, _ = patching.whiten_values(raster.astype(np.float64).ravel())
-    return white.astype(np.float32)
+        return len(config.descriptor.row_names()), np.dtype(np.float64)
+    side = config.patch_size if kind == "ppf" else config.target_size
+    return side * side, np.dtype(np.float32)
 
 
-def _patch_cache(prepared: list[tuple[core.CleImage, list]],
-                 config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The PPF rows of prepared records, one whitened float32 patch per
-    admitted patch, and the ascending record index `owner[j]` of row j.
-    The cache is preallocated and filled here: stacking per-record blocks
-    would double it, and pickling rows back from workers costs more than
-    whitening them."""
-    counts = np.array([len(c) for _img, c in prepared], dtype=np.intp)
-    X = np.empty((counts.sum(), config.patch_size ** 2), dtype=np.float32)
-    ends = np.cumsum(counts)
-    for i, (img, coords) in enumerate(prepared):
-        X[ends[i] - counts[i]:ends[i]] = _describe(img, coords, config, i)
-    return X, np.repeat(np.arange(len(prepared)), counts)
+def _shared_rows(n: int, columns: int, dtype: np.dtype) -> np.ndarray:
+    """An `n` x `columns` matrix in an anonymous shared mapping, so that
+    what forked workers write into it is seen by this process."""
+    buffer = mmap.mmap(-1, max(n * columns * dtype.itemsize, 1))
+    return np.frombuffer(buffer, dtype, n * columns).reshape(n, columns)
 
 
 def describe_records(manifest: core.DatasetManifest,
-                     records: list[core.ImageRecord], config: RunConfig
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     records: list[core.ImageRecord], config: RunConfig,
+                     plan: list[RecordPlan]) -> tuple[np.ndarray, np.ndarray]:
     """Classifier rows of `records` and the ascending record index
     `owner[j]` of row j: per record one texture row (RF-*, named by
     `config.descriptor.row_names()`) or whitened float32 raster
     (whole-image); per admitted patch, in grid order, one whitened
-    float32 patch (PPF).  For RF-* and the whole-image baseline, the
-    worker that prepares a record also describes it, so only its row
-    comes back and no frame is held here.  PPF fills its patch cache from
-    the prepared frames in this process."""
-    if _METHOD_SPEC[config.method][0] == "ppf":
-        return _patch_cache(prepare_records(manifest, records, config),
-                            config)
-    return (np.stack(run_parallel(
-        lambda i: _describe(*_prepare(manifest, records[i], config),
-                            config, i),
-        range(len(records)), config.jobs)), np.arange(len(records)))
+    float32 patch (PPF).  The rows are allocated once, from the records'
+    `plan_records` plan, in a shared mapping that the worker preparing a
+    record writes its rows into, so no frame or row crosses the process
+    boundary."""
+    kind, _, scale = _METHOD_SPEC[config.method]
+    counts = _row_counts(plan, config)
+    ends = np.cumsum(counts)
+    X = _shared_rows(int(counts.sum()), *_row_format(config))
+
+    def fill(i: int) -> None:
+        coords, out = plan[i].coords, X[ends[i] - counts[i]:ends[i]]
+        img, _rects = prepare_record_image(
+            manifest, records[i], scale,
+            None if kind == "wholeimage" else coords)
+        if kind == "ppf":
+            for row, c in zip(out, coords):
+                row[:] = patching.whiten_values(
+                    img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
+        elif kind == "features":
+            out[0] = features.image_row(img.pixels, coords, config.descriptor)
+        else:
+            _compressed, _crop, raster = wholeimage.preprocess(
+                img, config.target_size)
+            out[0] = patching.whiten_values(
+                raster.astype(np.float64).ravel())[0]
+
+    run_parallel(fill, range(len(records)), config.jobs)
+    return X, np.repeat(np.arange(len(records)), counts)
 
 
 def _uses_forest(config: RunConfig) -> bool:
@@ -452,22 +472,22 @@ def _uses_forest(config: RunConfig) -> bool:
                                   and config.patch_classifier == "forest")
 
 
-def _check_ppf_memory(prepared: list[tuple[core.CleImage, list]],
-                      kept: list[np.ndarray], config: RunConfig) -> None:
-    """Refuse a PPF run whose float32 patch cache plus the fold copies
-    alive at once would not fit in the memory available now.  `kept[f]`
-    holds fold f's kept record indices.  A logistic fold holds its
-    float32 `X[rows]`, one fold at a time.  A forest fold also holds the
-    float64 copy `train_random_forest` makes and its split temporaries
-    (3.26x the float32 rows: the tracemalloc peak of one forest on 1000 x
-    6400 rows), and as many forest folds run at once as the fold pass
-    has workers (`pool_size`).  Nothing is checked where available memory
-    cannot be read."""
+def _check_memory(rows, kept: list[np.ndarray], config: RunConfig) -> None:
+    """Refuse a run whose row matrix plus the fold copies alive at once
+    would not fit in the memory available now.  `rows[i]` is record i's
+    row count and `kept[f]` holds fold f's kept record indices.  A
+    logistic fold holds its `X[rows]`, one fold at a time.  A forest fold
+    also holds the float64 copy `train_random_forest` makes and its split
+    temporaries (3.26x the float32 rows: the tracemalloc peak of one
+    forest on 1000 x 6400 rows), and as many forest folds run at once as
+    the fold pass has workers (`pool_size`).  Nothing is checked where
+    available memory cannot be read."""
     available = mem_available()
     if available is None:
         return
-    row_bytes = config.patch_size ** 2 * np.dtype(np.float32).itemsize
-    counts = np.array([len(c) for _img, c in prepared], dtype=np.int64)
+    columns, dtype = _row_format(config)
+    row_bytes = columns * dtype.itemsize
+    counts = np.asarray(rows, dtype=np.int64)
     cache = int(counts.sum()) * row_bytes
     largest = max(int(counts[k].sum()) for k in kept) * row_bytes
     if _uses_forest(config):
@@ -478,9 +498,11 @@ def _check_ppf_memory(prepared: list[tuple[core.CleImage, list]],
         fold_copy, what = largest, "largest fold copy"
     if cache + fold_copy > available:
         mib = 1 << 20
+        matrix = ("patch cache" if _METHOD_SPEC[config.method][0] == "ppf"
+                  else "row matrix")
         raise ConfigError(
             f"{config.method} needs about {(cache + fold_copy) // mib} MiB "
-            f"(patch cache {cache // mib} MiB + {what} "
+            f"({matrix} {cache // mib} MiB + {what} "
             f"{fold_copy // mib} MiB) but only {available // mib} MiB is "
             f"available")
 
@@ -547,18 +569,11 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
             raise RuntimeError(
                 f"augmented record in test fold {fold.test_patient}")
 
-    # Record pass.  PPF brings its frames back, so the cache is refused
-    # before it exists if it cannot fit; once it is filled, the folds keep
-    # only each record's patch layout to fuse over, and no frame.
-    if kind == "ppf":
-        prepared = prepare_records(augmented, records, config)
-        _check_ppf_memory(prepared, kept, config)
-        X, owner = _patch_cache(prepared, config)
-        layouts = [(coords, (img.width, img.height))
-                   for img, coords in prepared]
-        del prepared
-    else:
-        X, owner = describe_records(augmented, records, config)
+    # Record pass.  The plan reads headers only, so a run that cannot fit
+    # is refused before any frame is read.
+    plan = plan_records(augmented, records, config)
+    _check_memory(_row_counts(plan, config), kept, config)
+    X, owner = describe_records(augmented, records, config, plan)
 
     def fold_pass(f: int) -> tuple[np.ndarray, int, int]:
         """Fold f fitted on its kept rows and scored on its held-out
@@ -575,8 +590,8 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
         for n, i in enumerate(test_idx):
             lo, hi = np.searchsorted(owner, (i, i + 1))
             pp = model.predict_proba(X[lo:hi])[:, 1]
-            coords, dims = layouts[i]
-            probs[n] = fusion.fuse(list(zip(coords, pp)), dims).p
+            probs[n] = fusion.fuse(list(zip(plan[i].coords, pp)),
+                                   plan[i].dims).p
             hits += int(((pp >= config.threshold).astype(int)
                          == labels[i]).sum())
             total += len(pp)

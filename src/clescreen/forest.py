@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import util
+from . import core, util
 
 MAGIC = b"CLEF"
 FORMAT_VERSION = 1
@@ -213,7 +213,9 @@ def train_random_forest(
         raise ValueError("X must be (n, d) with matching labels")
     n1 = int(y.sum())
     if n1 < 2 or len(y) - n1 < 2:
-        raise ValueError("need at least two training rows per class")
+        raise ValueError(
+            f"need at least two training rows per class, have "
+            f"{len(y) - n1} {core.LABELS[0]} and {n1} {core.LABELS[1]}")
     if trees < 1:
         raise ValueError("tree count must be positive")
     if mtry is None:

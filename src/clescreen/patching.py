@@ -109,58 +109,30 @@ def _admitted_grid(dims, mask_center, mask_radius, patch_size, overlap,
     if mask_center is None:
         mask_center, _ = default_mask(w, h)
     cx, cy = mask_center
-    xx = np.arange(w, dtype=np.float64) - cx
-    yy = np.arange(h, dtype=np.float64) - cy
-    inside = (xx[None, :] ** 2 + yy[:, None] ** 2) <= mask_radius ** 2
-    # Summed-area table: per-patch inside counts in O(1).
-    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(inside, axis=0), axis=1, out=sat[1:, 1:])
+    dx2 = (np.arange(w, dtype=np.float64) - cx) ** 2
+    dy2 = (np.arange(h, dtype=np.float64) - cy) ** 2
+    # Summed-area table of the inside test, per-patch inside counts in
+    # O(1): sat[y][x] counts the inside pixels of rows [0, y) and columns
+    # [0, x).  Only the rows that patch corners read are kept, and the
+    # sums build up one raster row at a time.
+    corners = set(ys) | {y + patch_size for y in ys}
+    sat, above = {}, np.zeros(w + 1, dtype=np.int64)
+    for y in range(h + 1):
+        if y in corners:
+            sat[y] = above.copy()
+        if y < h:
+            above[1:] += np.cumsum(dx2 + dy2[y] <= mask_radius ** 2)
 
     need = admission_fraction * patch_size * patch_size - 1e-9
     coords = []
     for y in ys:
         for x in xs:
-            count = (sat[y + patch_size, x + patch_size] - sat[y, x + patch_size]
-                     - sat[y + patch_size, x] + sat[y, x])
+            count = (sat[y + patch_size][x + patch_size]
+                     - sat[y][x + patch_size] - sat[y + patch_size][x]
+                     + sat[y][x])
             if count >= need:
                 coords.append(PatchCoords(x, x + patch_size, y, y + patch_size))
     return tuple(coords)
-
-
-def grid_row_spans(
-    dims: tuple[int, int],
-    mask_center: tuple[float, float] | None = None,
-    mask_radius: float | None = None,
-    patch_size: int = DEFAULT_PATCH_SIZE,
-    overlap: float = DEFAULT_OVERLAP,
-    admission_fraction: float = DEFAULT_ADMISSION_FRACTION,
-) -> np.ndarray:
-    """Read-only (height, 2) array holding, for each raster row, the
-    column hull [lo, hi) of the admitted patches of `patch_grid` (same
-    arguments) that cover the row, or [0, 0) where none does.
-
-    The hull holds every pixel of every admitted patch, so it bounds what
-    any subset of them (after artifact exclusion, say) can read.
-    Memoized like the grid itself.
-    """
-    center = None if mask_center is None else tuple(mask_center)
-    return _row_spans(tuple(dims), center, mask_radius, patch_size, overlap,
-                      admission_fraction)
-
-
-@functools.lru_cache(maxsize=64)
-def _row_spans(dims, mask_center, mask_radius, patch_size, overlap,
-               admission_fraction) -> np.ndarray:
-    w, h = dims
-    lo = np.full(h, w, dtype=np.intp)
-    hi = np.zeros(h, dtype=np.intp)
-    for c in _admitted_grid(dims, mask_center, mask_radius, patch_size,
-                            overlap, admission_fraction):
-        np.minimum(lo[c.c3:c.c4], c.c1, out=lo[c.c3:c.c4])
-        np.maximum(hi[c.c3:c.c4], c.c2, out=hi[c.c3:c.c4])
-    spans = np.where((lo < hi)[:, None], np.stack([lo, hi], axis=1), 0)
-    spans.flags.writeable = False
-    return spans
 
 
 def scale_rect(rect: ArtifactRect, factor: float) -> ArtifactRect:

@@ -9,7 +9,7 @@ to the classifier input size.  Rotation is applied before cropping when
 augmenting, since the circular view has no natural orientation.
 
 `rotate` also serves the patch methods' augmented copies.  They read
-only the pixels under their patch grid, so they pass the grid's column
+only the pixels under their patches, so they pass the patches' column
 span per row and get a frame that is 0 outside it.  `rotate` and
 `resize_to` share one bilinear sampler.
 """

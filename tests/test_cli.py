@@ -2,11 +2,14 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from clescreen import evaluation, forest
+from clescreen import core, evaluation, forest
 from clescreen.cli import main
 from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
                             load_manifest, save_image, save_manifest)
@@ -66,6 +69,27 @@ class TestSynthStats:
     def test_synth_rejects_bad_config(self, tmp_path):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--size", "100"])
         assert rc == 3
+
+    def test_out_of_memory_exit_code(self, tmp_path):
+        # A 200000 px frame cannot be rendered.  The address space of the
+        # child alone is capped, so the allocation fails at once instead
+        # of being attempted for real.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [os.path.join(os.path.dirname(__file__), "..", "src"),
+                        os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "clescreen", "synth", "--out",
+             str(tmp_path / "big"), "--patients", "2",
+             "--images-per-patient", "1", "--size", "200000", "--jobs", "1"],
+            capture_output=True, text=True, env=env,
+            preexec_fn=cap_address_space, timeout=120)
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 3, proc.stderr
+        assert len(err) == 1 and err[0].startswith("clescreen: out of memory")
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         rc = main(["stats", "--data", str(tmp_path / "nowhere")])
@@ -206,6 +230,20 @@ class TestFeaturePath:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(csv) in err[0]
 
+    def test_train_names_class_counts(self, tmp_path, capsys):
+        feat = tmp_path / "feat.csv"
+        feat.write_text("patient,sequence,frame,label,f0\n"
+                        "p00,s0,0,normal,0.5\np00,s0,1,carcinogenic,0.7\n"
+                        "p00,s0,2,carcinogenic,0.9\n"
+                        "p00,s0,3,carcinogenic,0.1\n")
+        capsys.readouterr()
+        assert main(["train", "--features", str(feat), "--trees", "2",
+                     "--out", str(tmp_path / "m.clef")]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(feat) in err[0]
+        assert "1 normal and 3 carcinogenic" in err[0]
+        assert not (tmp_path / "m.clef").exists()
+
     def test_glcm_featurize_dimensions(self, dataset, tmp_path):
         feat = tmp_path / "feat_glcm.csv"
         assert main(["featurize", "--data", str(dataset), "--features",
@@ -318,6 +356,29 @@ class TestCv:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "MiB" in err[0] and "only 1 MiB is available" in err[0]
+        assert not out.exists()
+
+    def test_wholeimage_beyond_available_memory_exit_code(
+            self, dataset, tmp_path, monkeypatch, capsys):
+        # Rows of 60000^2 float32 cannot fit: refused from the plan,
+        # before any frame is read or resampled.
+        monkeypatch.setattr(evaluation, "mem_available", lambda: 4 << 30)
+        monkeypatch.setattr(core, "load_image",
+                            lambda *args: pytest.fail("frame read"))
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"target_size": 60000}))
+        out = tmp_path / "cvw"
+        rc = main(["cv", "--data", str(dataset), "--method",
+                   "WHOLEIMAGE@0.55x", "--wholeimage-baseline", "--config",
+                   str(cfg), "--out", str(out), "--jobs", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        # 36 rows (12 frames, 24 rotated copies) of 13.4 GiB, and a fold
+        # keeps the 24 rows of two patients.
+        assert err == ["clescreen: invalid configuration: WHOLEIMAGE@0.55x "
+                       "needs about 823974 MiB (row matrix 494384 MiB + "
+                       "largest fold copy 329589 MiB) but only 4096 MiB is "
+                       "available"]
         assert not out.exists()
 
     def test_wholeimage_without_source_is_config_error(self, dataset, tmp_path):
@@ -486,7 +547,9 @@ class TestFuse:
         expected = {}
         for rec in manifest.records[:5]:
             img, rects = prepare_record_image(manifest, rec, 0.5)
-            coords = record_patch_coords(img, rects, config)
+            coords = record_patch_coords((img.width, img.height),
+                                         img.mask_center, img.mask_radius,
+                                         rects, config)
             probs = rng.uniform(size=len(coords))
             for j, p in enumerate(probs):
                 rows.append(f"{rec.patient},{rec.sequence},{rec.frame},{j},"
@@ -529,6 +592,22 @@ class TestFuse:
                          str(probs_csv), "--out", str(out)]) == 0
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
+
+    def test_unmatched_row_rejected(self, dataset, tmp_path, capsys):
+        # One row's patient renamed to a patient the manifest lacks.
+        probs_csv = tmp_path / "probs.csv"
+        probs_csv.write_text(
+            "patient,sequence,frame,patch_index,p_c1\n"
+            "p00,s3,0,0,0.9\nzz,s3,0,1,0.2\np00,s3,0,2,0.4\n")
+        out = tmp_path / "f.csv"
+        capsys.readouterr()
+        rc = main(["fuse", "--data", str(dataset), "--probs", str(probs_csv),
+                   "--out", str(out)])
+        assert rc == 6
+        assert capsys.readouterr().err.splitlines() == [
+            f"clescreen: bad data: {probs_csv}: line 3: no manifest record "
+            f"for zz,s3,0"]
+        assert not out.exists()
 
     def test_duplicate_row_rejected(self, dataset, tmp_path):
         probs_csv = tmp_path / "probs.csv"

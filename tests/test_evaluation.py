@@ -2,21 +2,23 @@
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clescreen import evaluation, util, wholeimage
+from clescreen import core, evaluation, util, wholeimage
 from clescreen.core import (CARCINOGENIC, NORMAL, ArtifactRect, CleImage,
                             DatasetManifest)
 from clescreen.classify import augment_rotations
 from clescreen.evaluation import (ConfigError, InsufficientPatients,
                                   RunConfig, confusion_metrics,
                                   describe_records, lopo_folds,
-                                  mann_whitney_auc, prepare_record_image,
-                                  prepare_records, record_patch_coords,
+                                  mann_whitney_auc, plan_records,
+                                  prepare_record_image, record_patch_coords,
                                   results_csv, roc_auc, roc_csv,
                                   roc_points, run_cv, summary_dict)
 from clescreen.features import (LbpConfig, glcm, haralick_features,
@@ -257,13 +259,17 @@ class TestFeatureMatrix:
         records = small_dataset.records[:3]
         for method in ("RF-LBP@0.5x", "RF-GLCM@0.5x"):
             config = RunConfig(method=method, jobs=2)
-            prepared = prepare_records(small_dataset, records, config)
-            matrix, owner = describe_records(small_dataset, records, config)
+            plan = plan_records(small_dataset, records, config)
+            matrix, owner = describe_records(small_dataset, records, config,
+                                             plan)
             assert matrix.shape == (3, len(config.descriptor.row_names()))
             assert owner.tolist() == [0, 1, 2]
-            for rec, (img, coords), row in zip(records, prepared, matrix):
+            for rec, layout, row in zip(records, plan, matrix):
+                img, rects = prepare_record_image(small_dataset, rec, 0.5)
+                coords = layout.coords
                 assert coords == record_patch_coords(
-                    *prepare_record_image(small_dataset, rec, 0.5), config)
+                    (img.width, img.height), img.mask_center,
+                    img.mask_radius, rects, config)
                 per_patch = np.stack([
                     patch_descriptor(
                         img.pixels[c.c3:c.c4, c.c1:c.c2].astype(np.float64),
@@ -277,25 +283,107 @@ class TestFeatureMatrix:
         # grouped by record in record order.
         config = RunConfig(method="PPF@0.5x", jobs=1)
         records = small_dataset.records[:3]
-        prepared = prepare_records(small_dataset, records, config)
-        X, owner = describe_records(small_dataset, records, config)
+        plan = plan_records(small_dataset, records, config)
+        X, owner = describe_records(small_dataset, records, config, plan)
         expected = [
             whiten_values(img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
-            for img, coords in prepared for c in coords]
+            for rec, layout in zip(records, plan)
+            for img in [prepare_record_image(small_dataset, rec, 0.5)[0]]
+            for c in layout.coords]
         assert X.dtype == np.float32
         assert np.array_equal(X, np.stack(expected).astype(np.float32))
-        assert owner.tolist() == [i for i, (_img, coords) in
-                                  enumerate(prepared) for _c in coords]
+        assert owner.tolist() == [i for i, layout in enumerate(plan)
+                                  for _c in layout.coords]
 
     def test_wholeimage_builds_no_patch_grid(self, small_dataset):
         config = RunConfig(method="WHOLEIMAGE@0.55x", jobs=2)
         records = small_dataset.records[:3]
-        prepared = prepare_records(small_dataset, records, config)
-        assert [coords for _img, coords in prepared] == [[], [], []]
-        X, owner = describe_records(small_dataset, records, config)
+        plan = plan_records(small_dataset, records, config)
+        assert [layout.coords for layout in plan] == [[], [], []]
+        X, owner = describe_records(small_dataset, records, config, plan)
         assert X.shape == (3, config.target_size ** 2)
         assert X.dtype == np.float32
         assert owner.tolist() == [0, 1, 2]
+
+
+class TestPlan:
+    """The plan reads headers only; it must give every record the patch
+    coords and frame size of the frame `prepare_record_image` prepares."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(h=st.one_of(st.integers(1, 4), st.integers(30, 97)),
+           w=st.one_of(st.integers(1, 4), st.integers(30, 97)),
+           sidecar=st.booleans(), cx=st.integers(-6, 6),
+           cy=st.integers(-6, 6), shrink=st.floats(0.5, 1.0),
+           angle=st.one_of(st.none(), st.sampled_from([90.0, 45.0]),
+                           st.floats(0.0, 360.0)),
+           rects=st.lists(st.tuples(st.integers(-5, 100),
+                                    st.integers(-5, 100),
+                                    st.integers(1, 30), st.integers(1, 30)),
+                          max_size=2),
+           method=st.sampled_from(["PPF@0.5x", "PPF@1.0x", "RF-GLCM@0.5x",
+                                   "RF-LBP@1.0x", "WHOLEIMAGE@0.55x"]),
+           patch_size=st.sampled_from([8, 12, 15, 24]),
+           overlap=st.sampled_from([0.0, 0.5, 0.75]),
+           admission=st.sampled_from([0.3, 0.97, 1.0]))
+    def test_plan_matches_prepared_frame(self, h, w, sidecar, cx, cy,
+                                         shrink, angle, rects, method,
+                                         patch_size, overlap, admission):
+        record = make_record(
+            file="f.pgm",
+            artifacts=[ArtifactRect(x, y, x + dx, y + dy)
+                       for x, y, dx, dy in rects],
+            augmented_from=None if angle is None else 0,
+            rotation_deg=angle)
+        config = RunConfig(method=method, patch_size=patch_size,
+                           overlap=overlap, admission_fraction=admission)
+        scale = config.scale
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            core.save_image(CleImage(
+                np.zeros((h, w), dtype=np.uint16),
+                *core.default_mask(w, h)), root / record.file)
+            if sidecar:
+                # Off-center masks on quarter-pixel positions.
+                center = ((w - 1) / 2 + cx / 4, (h - 1) / 2 + cy / 4)
+                radius = shrink * min(center[0] + 1, w + 1 - center[0],
+                                      center[1] + 1, h + 1 - center[1])
+                assume(radius > 0)
+                (root / "f.mask.json").write_text(json.dumps(
+                    {"center": list(center), "radius": radius}))
+            manifest = DatasetManifest(records=[record], root_path=root)
+            img, prepared_rects = prepare_record_image(manifest, record,
+                                                       scale)
+            if method.startswith("WHOLEIMAGE"):
+                want = []
+            else:
+                try:
+                    want = record_patch_coords(
+                        (img.width, img.height), img.mask_center,
+                        img.mask_radius, prepared_rects, config)
+                except ValueError:  # a frame smaller than a patch
+                    want = []
+            if method.startswith("WHOLEIMAGE") or want:
+                [layout] = plan_records(manifest, [record], config)
+                assert layout.coords == want
+                assert layout.dims == (img.width, img.height)
+                assert evaluation._row_counts([layout], config).tolist() \
+                    == [len(want) if method.startswith("PPF") else 1]
+            else:
+                with pytest.raises(ValueError, match="f.pgm"):
+                    plan_records(manifest, [record], config)
+
+    def test_header_beyond_file_refused_before_planning(self, tmp_path,
+                                                        monkeypatch):
+        (tmp_path / "f.pgm").write_bytes(b"P5\n1000000000 1000000000\n"
+                                         b"65535\n\0\0")
+        monkeypatch.setattr(evaluation, "record_patch_coords",
+                            lambda *args: pytest.fail("grid planned"))
+        manifest = DatasetManifest(records=[make_record(file="f.pgm")],
+                                   root_path=tmp_path)
+        with pytest.raises(core.PgmError, match="truncated payload"):
+            plan_records(manifest, manifest.records,
+                         RunConfig(method="PPF@0.5x"))
 
 
 class TestRestrictedRotation:
@@ -324,10 +412,12 @@ class TestRestrictedRotation:
         img = CleImage(pixels=rng.integers(0, 65536, size=(h, w),
                                            dtype=np.uint16),
                        mask_center=center, mask_radius=radius)
-        config = RunConfig(patch_size=patch_size, overlap=overlap,
-                           admission_fraction=admission)
-        spans = evaluation._read_spans(img, scale, config)
-        assume(spans is not None)
+        # The grid of the frame prepared at `scale`.
+        dims = (w, h) if scale == 1.0 else (w // 2, h // 2)
+        assume(patch_size <= min(dims))
+        coords = patch_grid(dims, (center[0] * scale, center[1] * scale),
+                            radius * scale, patch_size, overlap, admission)
+        spans = evaluation._read_spans(coords, h, scale)
         full = rotate(img, angle)
         part = rotate(img, angle, spans)
         inside = np.zeros((h, w), dtype=bool)
@@ -338,9 +428,10 @@ class TestRestrictedRotation:
         # Every pixel of every admitted patch of the prepared frame.
         if scale == 0.5:
             full, part = resize_half(full), resize_half(part)
-        for c in patch_grid((full.width, full.height), full.mask_center,
-                            full.mask_radius, patch_size, overlap,
-                            admission):
+        assert coords == patch_grid((full.width, full.height),
+                                    full.mask_center, full.mask_radius,
+                                    patch_size, overlap, admission)
+        for c in coords:
             assert np.array_equal(part.pixels[c.c3:c.c4, c.c1:c.c2],
                                   full.pixels[c.c3:c.c4, c.c1:c.c2])
 
@@ -367,11 +458,12 @@ class TestRestrictedRotation:
             config = RunConfig(method=method, jobs=1)
             monkeypatch.setattr(wholeimage, "rotate", recording)
             restricted.clear()
-            got = describe_records(manifest, records, config)
+            plan = plan_records(manifest, records, config)
+            got = describe_records(manifest, records, config, plan)
             assert restricted == [True] * 8
             monkeypatch.setattr(evaluation, "_read_spans",
                                 lambda *args: None)
-            want = describe_records(manifest, records, config)
+            want = describe_records(manifest, records, config, plan)
             assert restricted[8:] == [False] * 8
             monkeypatch.undo()
             assert np.array_equal(got[0], want[0]), method
@@ -460,7 +552,7 @@ class TestRunCv:
                      for f in range(6)],
             root_path="nowhere")
         prepared = []
-        monkeypatch.setattr(evaluation, "prepare_records",
+        monkeypatch.setattr(evaluation, "plan_records",
                             lambda *args: prepared.append(args))
         with pytest.raises(InsufficientPatients):
             run_cv(manifest, RunConfig(method="RF-LBP@0.5x", jobs=1))
@@ -468,20 +560,23 @@ class TestRunCv:
 
     def test_ppf_refused_when_memory_is_short(self, small_dataset,
                                               monkeypatch):
-        # Refused after preparing and before the patch cache exists, with
-        # the predicted need (cache + largest fold copy) and what is free.
+        # Refused after planning and before any frame is read or the
+        # patch cache exists, with the predicted need (cache + largest
+        # fold copy) and what is free.
         prepared = []
-        real_prepare = evaluation.prepare_records
+        real_plan = evaluation.plan_records
         monkeypatch.setattr(
-            evaluation, "prepare_records",
-            lambda *args: prepared.append(real_prepare(*args)) or prepared[0])
-        monkeypatch.setattr(evaluation, "_patch_cache",
+            evaluation, "plan_records",
+            lambda *args: prepared.append(real_plan(*args)) or prepared[0])
+        monkeypatch.setattr(core, "load_image",
+                            lambda *args: pytest.fail("frame read"))
+        monkeypatch.setattr(evaluation, "_shared_rows",
                             lambda *args: pytest.fail("cache allocated"))
         monkeypatch.setattr(evaluation, "mem_available", lambda: 3 << 20)
         with pytest.raises(ConfigError) as info:
             run_cv(small_dataset, RunConfig(method="PPF@0.5x", seed=5,
                                             jobs=1))
-        n_patches = sum(len(coords) for _img, coords in prepared[0])
+        n_patches = sum(len(layout.coords) for layout in prepared[0])
         cache_mib = n_patches * 80 * 80 * 4 // (1 << 20)
         message = str(info.value)
         assert f"patch cache {cache_mib} MiB" in message
@@ -489,7 +584,7 @@ class TestRunCv:
 
     def test_ppf_memory_check_arithmetic(self, monkeypatch):
         # Two records of 3 and 5 patches; the largest fold keeps both.
-        prepared = [(None, [None] * 3), (None, [None] * 5)]
+        rows = [3, 5]
         kept = [np.array([1]), np.array([0, 1])]
         config = RunConfig(method="PPF@0.5x", patch_size=512)
         need = (8 + 8) * 512 * 512 * 4  # 16 MiB
@@ -502,9 +597,9 @@ class TestRunCv:
                                    match=r"needs about 16 MiB \(patch cache "
                                          r"8 MiB \+ largest fold copy 8 "
                                          r"MiB\) but only 15 MiB"):
-                    evaluation._check_ppf_memory(prepared, kept, config)
+                    evaluation._check_memory(rows, kept, config)
             else:
-                evaluation._check_ppf_memory(prepared, kept, config)
+                evaluation._check_memory(rows, kept, config)
         # A forest fold holds X[rows], its float64 copy and the split
         # temporaries (3.26x the float32 rows), and min(jobs, folds,
         # cores) forest folds run at once.
@@ -517,7 +612,7 @@ class TestRunCv:
             config = RunConfig(method="PPF@0.5x", patch_size=512,
                                patch_classifier="forest", jobs=jobs)
             monkeypatch.setattr(evaluation, "mem_available", lambda: need)
-            evaluation._check_ppf_memory(prepared, kept, config)
+            evaluation._check_memory(rows, kept, config)
             monkeypatch.setattr(evaluation, "mem_available",
                                 lambda: need - 1)
             need_mib = need >> 20
@@ -526,13 +621,14 @@ class TestRunCv:
                                      rf"cache 8 MiB \+ {folds} forest fold "
                                      rf"copies {copies_mib} MiB\) but only "
                                      rf"{need_mib} MiB"):
-                evaluation._check_ppf_memory(prepared, kept, config)
+                evaluation._check_memory(rows, kept, config)
 
     def test_rf_runs_one_record_pass_and_one_fold_pass(self, small_dataset,
                                                        monkeypatch):
         # Frames are prepared and described in the same workers, and the
-        # folds are fitted in the second pool: the parent maps exactly
-        # twice, over the 72 records and over the 4 folds.
+        # folds are fitted in the second pool (logistic folds in this
+        # process): the parent maps exactly twice, over the 72 records and
+        # over the 4 folds.
         calls = []
         real = evaluation.run_parallel
 
@@ -541,11 +637,12 @@ class TestRunCv:
             return real(fn, items, jobs)
 
         monkeypatch.setattr(evaluation, "run_parallel", counting)
-        for method in ("RF-LBP@0.5x", "RF-GLCM@0.5x"):
+        for method, fold_jobs in (("RF-LBP@0.5x", 2), ("RF-GLCM@0.5x", 2),
+                                  ("PPF@0.5x", 1)):
             calls.clear()
             run_cv(small_dataset, RunConfig(method=method, seed=5, trees=6,
-                                            jobs=2))
-            assert calls == [(72, 2), (4, 2)]
+                                            epochs=4, jobs=2))
+            assert calls == [(72, 2), (4, fold_jobs)]
 
     @pytest.mark.parametrize("method", ["RF-LBP@0.5x", "PPF@0.5x",
                                         "WHOLEIMAGE@0.55x"])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from clescreen import features
 from clescreen.core import ArtifactRect, DatasetManifest, save_image
 from clescreen.evaluation import (RunConfig, describe_records,
-                                  record_patch_coords)
+                                  plan_records, record_patch_coords)
 from clescreen.features import (GlcmConfig, HARALICK_NAMES, LbpConfig,
                                 glcm, glcm_patch_matrix, haralick_features,
                                 image_row, lbp_histogram, lbp_patch_matrix,
@@ -302,12 +302,14 @@ class TestLbpImageVector:
         img = make_image(size=160)
         config = RunConfig(method="RF-LBP@1.0x", jobs=1)
         rect = ArtifactRect(0, 0, 160, 160)
-        assert record_patch_coords(img, [rect], config) == []
+        assert record_patch_coords((160, 160), img.mask_center,
+                                   img.mask_radius, [rect], config) == []
         record = make_record(artifacts=[rect])
         save_image(img, tmp_path / record.file)
         manifest = DatasetManifest(records=[record], root_path=tmp_path)
         with pytest.raises(ValueError, match="no admissible patches"):
-            describe_records(manifest, [record], config)
+            describe_records(manifest, [record], config,
+                             plan_records(manifest, [record], config))
 
     def test_no_coords_rejected(self):
         with pytest.raises(ValueError, match="no patches to describe"):
@@ -335,8 +337,10 @@ class TestLbpImageVector:
         config = RunConfig(method=f"RF-LBP@{scale:.1f}x", jobs=1)
         side = img.width
         artifact = [ArtifactRect(0, 0, side // 2, side // 3)]
-        coords = record_patch_coords(img, artifact, config)
-        assert 0 < len(coords) < len(record_patch_coords(img, [], config))
+        geometry = ((side, side), img.mask_center, img.mask_radius)
+        coords = record_patch_coords(*geometry, artifact, config)
+        assert 0 < len(coords) < len(record_patch_coords(*geometry, [],
+                                                         config))
         mat = lbp_patch_matrix(img.pixels, coords)
         assert mat.shape == (len(coords), LbpConfig().n_features)
         for row, c in zip(mat, coords):
