@@ -6,6 +6,13 @@ patches or image feature vectors.  In-repo it is satisfied by the random
 forest (see `forest`) and by a gradient-descent logistic baseline working
 on whitened patch rasters.  Externally computed patch probabilities can
 bypass both through the probability-CSV interface of the CLI.
+
+`train_logistic` descends in pixel space, on one fold's rows.
+`train_logistic_folds` trains every fold of one row matrix: in sample
+space, from the matrix's Gram matrix, when it has fewer rows than
+columns (a small patch cohort, or the whole-image baseline's few
+thousand 224 x 224 rasters), else through `train_logistic`.  Both share
+one descent loop (`_descend`).
 """
 
 from __future__ import annotations
@@ -133,6 +140,32 @@ class LogisticModel:
         return np.stack([1.0 - p1, p1], axis=1)
 
 
+def _descend(loss_grad, size: int, epochs: int, rate: float):
+    """Full-batch gradient descent from zero coefficients and bias.
+
+    `loss_grad(v, b)` gives the loss at (v, b) and its gradients in v and
+    b.  Returns (v, b, loss trace).  A diverging descent overflows; that
+    shows up as a non-finite loss, raised here, rather than as numpy
+    warnings."""
+    if epochs < 1 or rate <= 0:
+        raise ValueError("epochs must be >= 1 and rate > 0")
+    v = np.zeros(size, dtype=np.float64)
+    b = 0.0
+    losses = np.empty(epochs + 1, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(epochs + 1):
+            loss, gv, gb = loss_grad(v, b)
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"non-finite loss {loss} at epoch {e} (rate={rate}, "
+                    f"largest |coefficient| {float(np.abs(v).max())})")
+            losses[e] = loss
+            if e < epochs:
+                v -= rate * gv
+                b -= rate * gb
+    return v, b, losses
+
+
 def train_logistic(X: np.ndarray, y: np.ndarray, epochs: int = 60,
                    rate: float = 0.5, l2: float = 0.0) -> LogisticModel:
     """Full-batch gradient descent on the logistic loss.
@@ -145,22 +178,72 @@ def train_logistic(X: np.ndarray, y: np.ndarray, epochs: int = 60,
     y = np.asarray(y, dtype=X.dtype)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n, d) with matching labels")
-    if epochs < 1 or rate <= 0:
-        raise ValueError("epochs must be >= 1 and rate > 0")
-    w = np.zeros(X.shape[1], dtype=np.float64)
-    b = 0.0
-    losses = np.empty(epochs + 1, dtype=np.float64)
-    # A diverging descent overflows; that shows up as a non-finite loss,
-    # raised below, rather than as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for e in range(epochs + 1):
-            loss, gw, gb = logistic_loss_grad(w, b, X, y, l2)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss {loss} at epoch {e} "
-                    f"(rate={rate}, |w|={float(np.abs(w).max())})")
-            losses[e] = loss
-            if e < epochs:
-                w -= rate * gw
-                b -= rate * gb
+    w, b, losses = _descend(
+        lambda w, b: logistic_loss_grad(w, b, X, y, l2), X.shape[1], epochs,
+        rate)
     return LogisticModel(weights=w, bias=b, losses=losses)
+
+
+def sample_space(shape: tuple[int, int]) -> bool:
+    """Whether `train_logistic_folds` trains on a row matrix of `shape`
+    in sample space: it has fewer rows than columns."""
+    return shape[0] < shape[1]
+
+
+def _gram_loss_grad(alpha: np.ndarray, bias: float, K: np.ndarray,
+                    y: np.ndarray, l2: float):
+    """`logistic_loss_grad` at weights `X_f.T @ alpha`, given the fold's
+    Gram matrix `K = X_f @ X_f.T`, and its gradient in alpha-space: the
+    weight gradient is `X_f.T @ grad`, so descending alpha descends w."""
+    n = len(K)
+    Ka = K @ alpha.astype(K.dtype)
+    z = Ka + bias
+    loss = float(np.logaddexp(0.0, z).sum() - (y * z).sum())
+    err = (_sigmoid(z) - y).astype(K.dtype)
+    # ||w||^2 = alpha . K alpha
+    loss = loss / n + 0.5 * l2 * float(np.dot(alpha, Ka))
+    grad = err.astype(np.float64) / n + l2 * alpha
+    return loss, grad, float(err.sum()) / n
+
+
+def train_logistic_folds(X: np.ndarray, y: np.ndarray,
+                         fold_rows: list[np.ndarray], epochs: int = 60,
+                         rate: float = 0.5, l2: float = 0.0
+                         ) -> list[LogisticModel]:
+    """One `train_logistic` model per fold: fold f descends on the rows
+    `fold_rows[f]` of X, labelled by the same rows of `y`.
+
+    When X has fewer rows than columns (`sample_space`), every fold
+    descends in sample space from one Gram matrix `G = X @ X.T`.  From
+    w = 0, L2 descent keeps w in the span of the fold's rows X_f, so
+    w = X_f.T @ alpha, the logits are `K_f @ alpha + b` with
+    `K_f = G[rows][:, rows]`, and an epoch reads n_f^2 values instead
+    of two passes over n_f x d.  The result matches the pixel-space
+    descent up to float reassociation.  Otherwise each fold runs
+    `train_logistic(X[rows], ...)`, one fold copy at a time."""
+    X = np.asarray(X)
+    y = np.asarray(y, dtype=X.dtype)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be (n, d) with matching labels")
+    if not sample_space(X.shape):
+        return [train_logistic(X[rows], y[rows], epochs, rate, l2)
+                for rows in fold_rows]
+    G = X @ X.T
+    return [_train_gram_fold(X, G, y, rows, epochs, rate, l2)
+            for rows in fold_rows]
+
+
+def _train_gram_fold(X: np.ndarray, G: np.ndarray, y: np.ndarray,
+                     rows: np.ndarray, epochs: int, rate: float,
+                     l2: float) -> LogisticModel:
+    """The fold on `rows` of X trained in sample space from X's Gram
+    matrix G.  Its slice of G dies on return, so one is alive at a
+    time."""
+    K, y_f = G[np.ix_(rows, rows)], y[rows]
+    alpha, b, losses = _descend(
+        lambda a, c: _gram_loss_grad(a, c, K, y_f, l2), len(rows), epochs,
+        rate)
+    full = np.zeros(len(X), dtype=X.dtype)
+    full[rows] = alpha
+    return LogisticModel(weights=(full @ X).astype(np.float64), bias=b,
+                         losses=losses)

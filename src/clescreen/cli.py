@@ -39,11 +39,28 @@ _EXIT_DATA = 6
 _EXIT_WORKER = 7
 
 
-def _load_data(path: str) -> DatasetManifest:
+def _manifest_path(path: str) -> Path:
     p = Path(path)
-    if p.is_dir():
-        p = p / "manifest.json"
-    return load_manifest(p)
+    return p / "manifest.json" if p.is_dir() else p
+
+
+def _load_data(path: str) -> DatasetManifest:
+    return load_manifest(_manifest_path(path))
+
+
+def _load_originals(path: str, command: str) -> DatasetManifest:
+    """The manifest at `path` for a command whose output names a record
+    by (patient, sequence, frame): a rotated copy shares that key with
+    its original, so a manifest listing one is malformed data."""
+    manifest = _load_data(path)
+    for n, rec in enumerate(manifest.records):
+        if rec.is_augmented:
+            raise ManifestError(
+                f"{_manifest_path(path)}: record {n} ({rec.patient},"
+                f"{rec.sequence},{rec.frame}) is a rotated copy "
+                f"(rotation_deg {rec.rotation_deg!r}); {command} takes "
+                f"original frames only")
+    return manifest
 
 
 def _write(path: Path, text: str) -> None:
@@ -87,6 +104,15 @@ def _field(path: str, line: int, column: str, text: str, kind: type):
         what = "finite float" if kind is float else kind.__name__
         raise ManifestError(f"{path}: line {line}: {column} {text!r} is not "
                             f"a valid {what}")
+    return value
+
+
+def _probability(path: str, line: int, column: str, text: str) -> float:
+    """`_field` for a probability: a finite float in [0, 1]."""
+    value = _field(path, line, column, text, float)
+    if not 0.0 <= value <= 1.0:
+        raise ManifestError(f"{path}: line {line}: {column} {text!r} is "
+                            f"outside [0, 1]")
     return value
 
 
@@ -143,7 +169,7 @@ def cmd_preprocess(args) -> int:
         method=("WHOLEIMAGE@0.55x" if args.mode == "wholeimage"
                 else f"PPF@{args.scale:.1f}x"),
         target_size=args.target, jobs=1)
-    manifest = _load_data(args.data)
+    manifest = _load_originals(args.data, "preprocess")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = manifest.records
@@ -217,7 +243,14 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     meta, X, _y = _read_feature_csv(args.features)
-    model = load_forest(args.model)
+    try:
+        model = load_forest(args.model)
+    except ValueError as exc:  # a malformed model file
+        raise ManifestError(f"{args.model}: {exc}") from None
+    if X.shape[1] != model.n_features:
+        raise ManifestError(f"{args.features}: rows have {X.shape[1]} "
+                            f"features, {args.model} expects "
+                            f"{model.n_features}")
     probs = model.predict_proba(X)[:, 1]
     lines = ["patient,sequence,frame,label,p_image"]
     for (patient, sequence, frame, label), p in zip(meta, probs):
@@ -228,7 +261,7 @@ def cmd_predict(args) -> int:
 
 def cmd_fuse(args) -> int:
     config = _checked_config(method=f"PPF@{args.scale:.1f}x", jobs=1)
-    manifest = _load_data(args.data)
+    manifest = _load_originals(args.data, "fuse")
     probs: dict[tuple, dict[int, float]] = {}
     known = {(rec.patient, rec.sequence, rec.frame)
              for rec in manifest.records}
@@ -247,10 +280,7 @@ def cmd_fuse(args) -> int:
             raise ManifestError(
                 f"{args.probs}: duplicate row for {patient},{sequence},"
                 f"{frame} patch_index {idx}")
-        patches[idx] = _field(args.probs, n, "p_c1", p, float)
-        if not 0.0 <= patches[idx] <= 1.0:
-            raise ManifestError(f"{args.probs}: line {n}: p_c1 {p!r} is "
-                                f"outside [0, 1]")
+        patches[idx] = _probability(args.probs, n, "p_c1", p)
 
     records = [rec for rec in manifest.records
                if (rec.patient, rec.sequence, rec.frame) in probs]
@@ -324,7 +354,7 @@ def cmd_report(args) -> int:
         raise ManifestError(f"{args.results}: no result rows")
     li, pi = header.index("label"), header.index("p_image")
     labels = np.array([_label_value(r[li], args.results) for r in rows])
-    probs = np.array([_field(args.results, n, "p_image", r[pi], float)
+    probs = np.array([_probability(args.results, n, "p_image", r[pi])
                       for n, r in enumerate(rows, start=2)])
     acc, sens, spec = confusion_metrics(labels, probs, args.threshold)
     _roc, auc = roc_auc(labels, probs)
@@ -351,7 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "endomicroscopy images.",
         epilog="exit codes: 0 ok, 2 usage, 3 invalid config or out of "
                "memory, 4 IO failure, 5 insufficient patients, 6 malformed "
-               "data, 7 worker died",
+               "data, 7 worker died.  preprocess and fuse name each output "
+               "row or file by (patient, sequence, frame), so they take "
+               "original frames only: a manifest listing a rotated copy "
+               "(augmented_from, rotation_deg) is malformed data (6).",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

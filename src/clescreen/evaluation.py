@@ -14,10 +14,12 @@ it makes two forked passes.  The record pass is `describe_records`: the
 worker that prepares a record writes its rows into one matrix in a
 shared mapping, so no frame or row crosses the process boundary.  The
 fold pass fits and scores one fold per worker, each forest growing its
-trees in turn.  Logistic folds
-(logistic-PPF, the whole-image baseline) run in this process, since
-OpenBLAS already uses every core.  With more jobs than folds, the extra
-cores sit idle in the fold pass.
+trees in turn.  With more jobs than folds, the extra cores sit idle in
+the fold pass.  Logistic folds (logistic-PPF, the whole-image baseline)
+train and score in this process, since OpenBLAS already uses every core:
+`classify.train_logistic_folds` trains them all, from one Gram matrix of
+the rows when they are fewer than the columns, else one fold copy at a
+time.
 
 A patch method rotates an augmented copy only over the column hull of
 its planned patches in each row, so such a prepared frame is 0 outside
@@ -473,52 +475,54 @@ def _uses_forest(config: RunConfig) -> bool:
 
 
 def _check_memory(rows, kept: list[np.ndarray], config: RunConfig) -> None:
-    """Refuse a run whose row matrix plus the fold copies alive at once
-    would not fit in the memory available now.  `rows[i]` is record i's
-    row count and `kept[f]` holds fold f's kept record indices.  A
-    logistic fold holds its `X[rows]`, one fold at a time.  A forest fold
-    also holds the float64 copy `train_random_forest` makes and its split
-    temporaries (3.26x the float32 rows: the tracemalloc peak of one
-    forest on 1000 x 6400 rows), and as many forest folds run at once as
-    the fold pass has workers (`pool_size`).  Nothing is checked where
-    available memory cannot be read."""
+    """Refuse a run whose row matrix plus what its folds train on alive
+    at once would not fit in the memory available now.  `rows[i]` is
+    record i's row count and `kept[f]` holds fold f's kept record
+    indices.  Logistic folds train one at a time: on a row matrix with
+    fewer rows than columns, from its Gram matrix and the fold's slice of
+    it (`classify.sample_space`), else each on its `X[rows]` copy.  A
+    forest fold holds `X[rows]`, the float64 copy `train_random_forest`
+    makes and its split temporaries (3.26x the float32 rows: the
+    tracemalloc peak of one forest on 1000 x 6400 rows), and as many
+    forest folds run at once as the fold pass has workers (`pool_size`).
+    Nothing is checked where available memory cannot be read."""
     available = mem_available()
     if available is None:
         return
     columns, dtype = _row_format(config)
     row_bytes = columns * dtype.itemsize
     counts = np.asarray(rows, dtype=np.int64)
-    cache = int(counts.sum()) * row_bytes
-    largest = max(int(counts[k].sum()) for k in kept) * row_bytes
+    n = int(counts.sum())
+    cache = n * row_bytes
+    fold_rows = max(int(counts[k].sum()) for k in kept)
     if _uses_forest(config):
         folds = pool_size(config.jobs, len(kept))
-        fold_copy = largest * folds * 326 // 100
+        fold_bytes = fold_rows * row_bytes * folds * 326 // 100
         what = f"{folds} forest fold copies"
+    elif classify.sample_space((n, columns)):
+        fold_bytes = (n * n + fold_rows * fold_rows) * dtype.itemsize
+        what = "Gram matrix and largest fold Gram"
     else:
-        fold_copy, what = largest, "largest fold copy"
-    if cache + fold_copy > available:
+        fold_bytes, what = fold_rows * row_bytes, "largest fold copy"
+    if cache + fold_bytes > available:
         mib = 1 << 20
         matrix = ("patch cache" if _METHOD_SPEC[config.method][0] == "ppf"
                   else "row matrix")
         raise ConfigError(
-            f"{config.method} needs about {(cache + fold_copy) // mib} MiB "
+            f"{config.method} needs about {(cache + fold_bytes) // mib} MiB "
             f"({matrix} {cache // mib} MiB + {what} "
-            f"{fold_copy // mib} MiB) but only {available // mib} MiB is "
+            f"{fold_bytes // mib} MiB) but only {available // mib} MiB is "
             f"available")
 
 
-def _fit(config: RunConfig, X: np.ndarray, y: np.ndarray, seed: int):
-    """One fold's classifier: the random forest for texture features and
-    forest-PPF, the logistic model for logistic-PPF and the whole-image
-    baseline.  The forest grows its trees in this process: folds are
-    what runs in parallel."""
-    if _uses_forest(config):
-        return forest.train_random_forest(X, y, trees=config.trees,
-                                          seed=seed, jobs=1)
+def _fit_logistic(config: RunConfig, X: np.ndarray, y: np.ndarray,
+                  fold_rows: list[np.ndarray]) -> list:
+    """Every fold's logistic model, for logistic-PPF and the whole-image
+    baseline; a diverging descent is a configuration error."""
     try:
-        return classify.train_logistic(X, y.astype(np.float32),
-                                       epochs=config.epochs,
-                                       rate=config.rate, l2=config.l2)
+        return classify.train_logistic_folds(
+            X, y.astype(np.float32), fold_rows, epochs=config.epochs,
+            rate=config.rate, l2=config.l2)
     except FloatingPointError as exc:
         raise ConfigError(f"logistic fit diverged: {exc}; choose a "
                           f"smaller rate") from None
@@ -575,13 +579,27 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     _check_memory(_row_counts(plan, config), kept, config)
     X, owner = describe_records(augmented, records, config, plan)
 
+    fold_rows = [np.flatnonzero(np.isin(owner, k)) for k in kept]
+    # Logistic folds train here, before the fold pass: OpenBLAS already
+    # spreads their matrix products over every core, and forked workers
+    # would each start its threads (on a 2-core machine, forking the 4
+    # PPF@0.5x folds of a 4-patient cohort onto 2 workers took run_cv
+    # from 1.8 s to 3.9 s).
+    models = (None if _uses_forest(config)
+              else _fit_logistic(config, X, labels[owner], fold_rows))
+
     def fold_pass(f: int) -> tuple[np.ndarray, int, int]:
-        """Fold f fitted on its kept rows and scored on its held-out
-        originals: (p per test record, patch hits, patches scored)."""
-        test_idx = folds[f].test_idx
-        rows = np.flatnonzero(np.isin(owner, kept[f]))
-        model = _fit(config, X[rows], labels[owner[rows]],
-                     fold_seeds[folds[f].test_patient])
+        """Fold f fitted on its kept rows (a forest grows its trees in
+        this worker: folds are what runs in parallel) and scored on its
+        held-out originals: (p per test record, patch hits, patches
+        scored)."""
+        test_idx, rows = folds[f].test_idx, fold_rows[f]
+        if models is None:
+            model = forest.train_random_forest(
+                X[rows], labels[owner[rows]], trees=config.trees,
+                seed=fold_seeds[folds[f].test_patient], jobs=1)
+        else:
+            model = models[f]
         if kind != "ppf":  # one row per record
             return model.predict_proba(X[test_idx])[:, 1], 0, 0
         # Fuse each test record's patch posteriors.
@@ -598,11 +616,8 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
         return probs, hits, total
 
     # Fold pass.  Forest folds run on `config.jobs` forked workers that
-    # inherit X, so only probabilities come back.  Logistic folds run here
-    # one after another: OpenBLAS already spreads their matrix products
-    # over every core, and forked workers would each start its threads
-    # (on a 2-core machine, forking the 4 PPF@0.5x folds of a 4-patient
-    # cohort onto 2 workers took run_cv from 1.8 s to 3.9 s).
+    # inherit X, so only probabilities come back; logistic folds are
+    # scored here.
     outcomes = run_parallel(fold_pass, range(len(folds)),
                             config.jobs if _uses_forest(config) else 1)
 

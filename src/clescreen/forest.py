@@ -280,7 +280,32 @@ def load_forest(path: str | Path) -> RandomForestModel:
         counts = np.frombuffer(take(16 * n_nodes), "<i8").astype(
             np.int64).reshape(n_nodes, 2)
         trees.append(DecisionTree(feature, threshold, left, right, counts))
+        _check_tree(trees[-1], n_features, len(trees) - 1)
     if pos != len(data):
         raise ValueError(f"trailing bytes in model file at offset {pos}")
+    if not trees:
+        raise ValueError("model file holds no trees")
     return RandomForestModel(trees=trees, seed=seed,
                              n_features=n_features, mtry=mtry)
+
+
+def _check_tree(tree: DecisionTree, n_features: int, index: int) -> None:
+    """Refuse a loaded tree that `predict_p1` could not walk: a split on
+    a feature the model lacks or at a non-finite threshold, a child that
+    is not a later node (a cycle would never end), or a leaf with
+    negative or no class counts."""
+    n = tree.n_nodes
+    if n == 0:
+        raise ValueError(f"tree {index} has no nodes")
+    node = np.arange(n)
+    leaf = tree.feature == -1
+    inner_ok = ((tree.feature >= 0) & (tree.feature < n_features)
+                & np.isfinite(tree.threshold)
+                & (tree.left > node) & (tree.left < n)
+                & (tree.right > node) & (tree.right < n))
+    leaf_ok = ((tree.left == -1) & (tree.right == -1)
+               & (tree.counts.sum(axis=1) > 0))
+    bad = ~np.where(leaf, leaf_ok, inner_ok) | (tree.counts < 0).any(axis=1)
+    if bad.any():
+        raise ValueError(f"tree {index}: node {int(np.argmax(bad))} is "
+                         f"malformed")

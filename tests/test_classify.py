@@ -5,7 +5,8 @@ import pytest
 
 from clescreen.classify import (LogisticModel, augment_rotations,
                                 balance_classes, logistic_loss_grad,
-                                train_logistic)
+                                sample_space, train_logistic,
+                                train_logistic_folds)
 from clescreen.core import CARCINOGENIC, NORMAL, DatasetManifest
 from conftest import make_record
 
@@ -214,3 +215,78 @@ class TestLogistic:
                               losses=np.array([]))
         with pytest.raises(ValueError, match="features"):
             model.predict_proba(np.zeros((2, 3)))
+
+
+def _folds_of(rng, n, k=3):
+    """`k` random ascending row subsets of two thirds of `n` rows."""
+    return [np.sort(rng.choice(n, 2 * n // 3, replace=False))
+            for _ in range(k)]
+
+
+class TestLogisticFolds:
+    def test_space_chosen_from_shape(self):
+        assert sample_space((5, 6))
+        assert not sample_space((6, 6))
+        assert not sample_space((7, 6))
+
+    def test_sample_space_matches_pixel_space(self):
+        # Fewer rows than columns: the Gram-matrix descent is the pixel
+        # descent up to float32 reassociation.
+        rng = np.random.default_rng(6)
+        for n, d in ((40, 300), (90, 91)):
+            X = rng.normal(size=(n, d)).astype(np.float32)
+            y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.float32)
+            folds = _folds_of(rng, n)
+            models = train_logistic_folds(X, y, folds, epochs=30, rate=0.02,
+                                          l2=0.05)
+            for model, rows in zip(models, folds):
+                ref = train_logistic(X[rows], y[rows], epochs=30, rate=0.02,
+                                     l2=0.05)
+                assert np.allclose(model.losses, ref.losses, rtol=0,
+                                   atol=1e-6)
+                scale = np.abs(ref.weights).max()
+                assert np.abs(model.weights - ref.weights).max() \
+                    <= 1e-5 * scale
+                assert abs(model.bias - ref.bias) <= 1e-6
+                assert np.allclose(model.predict_proba(X),
+                                   ref.predict_proba(X), rtol=0, atol=1e-6)
+
+    def test_pixel_space_bit_identical(self):
+        # At least as many rows as columns: each fold is train_logistic
+        # on its row copy, bit for bit.
+        rng = np.random.default_rng(7)
+        for n, d in ((50, 50), (80, 6)):
+            X = rng.normal(size=(n, d)).astype(np.float32)
+            y = (X[:, 0] > 0).astype(np.float32)
+            folds = _folds_of(rng, n)
+            models = train_logistic_folds(X, y, folds, epochs=12, rate=0.1,
+                                          l2=1e-3)
+            for model, rows in zip(models, folds):
+                ref = train_logistic(X[rows], y[rows], epochs=12, rate=0.1,
+                                     l2=1e-3)
+                assert np.array_equal(model.losses, ref.losses)
+                assert np.array_equal(model.weights, ref.weights)
+                assert model.bias == ref.bias
+
+    def test_sample_space_weights_span_fold_rows(self):
+        # Rows outside the fold take no part: changing them changes
+        # nothing but G's unused entries.
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 100)).astype(np.float32)
+        y = (X[:, 1] > 0).astype(np.float32)
+        rows = np.arange(0, 30, 2)
+        model = train_logistic_folds(X, y, [rows], epochs=5, rate=0.05)[0]
+        X2 = X.copy()
+        X2[1::2] = rng.normal(size=(15, 100))
+        other = train_logistic_folds(X2, y, [rows], epochs=5, rate=0.05)[0]
+        assert np.allclose(model.weights, other.weights, rtol=0, atol=1e-6)
+        assert np.allclose(model.losses, other.losses, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(20, 60), (60, 20)])
+    def test_diverging_rate_raises_in_both_spaces(self, shape):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=shape).astype(np.float32)
+        y = (X[:, 0] > 0).astype(np.float32)
+        with pytest.raises(FloatingPointError, match="non-finite.*rate=1e"):
+            train_logistic_folds(X, y, [np.arange(shape[0])], epochs=10,
+                                 rate=1e30, l2=1e-3)

@@ -173,6 +173,26 @@ class TestFeaturePath:
         assert lines[0] == "patient,sequence,frame,label,p_image"
         assert len(lines) == 13  # 12 images
 
+    def test_predict_feature_count_mismatch_names_files(self, tmp_path,
+                                                        capsys):
+        feat = tmp_path / "feat.csv"
+        feat.write_text("patient,sequence,frame,label,f0,f1\n"
+                        "p0,s0,0,normal,0.1,0.5\np0,s0,1,normal,0.2,0.4\n"
+                        "p0,s0,2,carcinogenic,0.8,0.3\n"
+                        "p0,s0,3,carcinogenic,0.9,0.2\n")
+        model = tmp_path / "model.clef"
+        assert main(["train", "--features", str(feat), "--trees", "2",
+                     "--out", str(model), "--jobs", "1"]) == 0
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("patient,sequence,frame,label,f0\n"
+                          "p1,s0,0,normal,0.3\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--features",
+                     str(narrow), "--out", str(tmp_path / "p.csv")]) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            f"clescreen: bad data: {narrow}: rows have 1 features, {model} "
+            f"expects 2"]
+
     def test_unknown_label_rejected(self, tmp_path, capsys):
         feat = tmp_path / "feat.csv"
         feat.write_text("patient,sequence,frame,label,f0\n"
@@ -281,6 +301,42 @@ class TestPreprocess:
         assert len(lines) > 12
 
 
+class TestRotatedCopies:
+    @pytest.mark.parametrize("command", [
+        ["fuse", "--probs", "PROBS"],
+        ["preprocess", "--mode", "wholeimage"],
+        ["preprocess", "--mode", "patches"],
+    ], ids=["fuse", "preprocess-wholeimage", "preprocess-patches"])
+    def test_manifest_with_rotated_copy_refused(self, dataset, tmp_path,
+                                                capsys, command):
+        # A rotated copy of record 0 shares its (patient, sequence,
+        # frame): fuse would emit the frame twice from one probability
+        # row, and preprocess would write the copy over the original's
+        # file.  Both refuse the manifest, naming the record.
+        doc = json.loads((dataset / "manifest.json").read_text())
+        doc["root"] = str(dataset / doc["root"])
+        first = doc["records"][0]
+        doc["records"].append(dict(first, augmented_from=first["frame"],
+                                   rotation_deg=30.0))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        probs = tmp_path / "probs.csv"
+        probs.write_text("patient,sequence,frame,patch_index,p_c1\n"
+                         f"{first['patient']},{first['sequence']},"
+                         f"{first['frame']},0,0.9\n")
+        out = tmp_path / "out"
+        args = [str(probs) if a == "PROBS" else a for a in command]
+        capsys.readouterr()
+        rc = main(args + ["--data", str(manifest), "--out", str(out)])
+        assert rc == 6
+        n = len(doc["records"]) - 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"clescreen: bad data: {manifest}: record {n} ({first['patient']},"
+            f"{first['sequence']},{first['frame']}) is a rotated copy "
+            f"(rotation_deg 30.0); {command[0]} takes original frames only"]
+        assert not out.exists()
+
+
 class TestOptionValidation:
     @pytest.mark.parametrize("command, option, value", [
         ("preprocess", "--target", "0"),
@@ -348,14 +404,16 @@ class TestCv:
 
     def test_ppf_beyond_available_memory_exit_code(self, dataset, tmp_path,
                                                    monkeypatch, capsys):
-        monkeypatch.setattr(evaluation, "mem_available", lambda: 1 << 20)
+        # 36 patches of 80 x 80 px, fewer rows than columns: the cache
+        # (0.88 MiB) plus the Gram matrices (7 KiB) exceed 512 KiB.
+        monkeypatch.setattr(evaluation, "mem_available", lambda: 1 << 19)
         out = tmp_path / "cvppf"
         rc = main(["cv", "--data", str(dataset), "--method", "PPF@0.5x",
                    "--out", str(out), "--jobs", "1"])
         assert rc == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert "MiB" in err[0] and "only 1 MiB is available" in err[0]
+        assert "MiB" in err[0] and "only 0 MiB is available" in err[0]
         assert not out.exists()
 
     def test_wholeimage_beyond_available_memory_exit_code(
@@ -374,11 +432,13 @@ class TestCv:
         err = capsys.readouterr().err.splitlines()
         assert rc == 3
         # 36 rows (12 frames, 24 rotated copies) of 13.4 GiB, and a fold
-        # keeps the 24 rows of two patients.
+        # keeps the 24 rows of two patients.  Fewer rows than columns, so
+        # the folds train from the 36 x 36 Gram matrix and a 24 x 24
+        # slice of it, not from a 24-row copy.
         assert err == ["clescreen: invalid configuration: WHOLEIMAGE@0.55x "
-                       "needs about 823974 MiB (row matrix 494384 MiB + "
-                       "largest fold copy 329589 MiB) but only 4096 MiB is "
-                       "available"]
+                       "needs about 494384 MiB (row matrix 494384 MiB + "
+                       "Gram matrix and largest fold Gram 0 MiB) but only "
+                       "4096 MiB is available"]
         assert not out.exists()
 
     def test_wholeimage_without_source_is_config_error(self, dataset, tmp_path):
@@ -632,3 +692,14 @@ class TestReport:
         assert doc["accuracy"] == pytest.approx(summary["accuracy"])
         assert doc["auc"] == pytest.approx(summary["auc"])
         assert doc["n_images"] == 12
+
+    def test_probability_outside_unit_interval_rejected(self, tmp_path,
+                                                         capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("patient,label,p_image\np0,normal,0.2\n"
+                           "p1,carcinogenic,5.0\n")
+        capsys.readouterr()
+        assert main(["report", "--results", str(results)]) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            f"clescreen: bad data: {results}: line 3: p_image '5.0' is "
+            f"outside [0, 1]"]

@@ -561,8 +561,9 @@ class TestRunCv:
     def test_ppf_refused_when_memory_is_short(self, small_dataset,
                                               monkeypatch):
         # Refused after planning and before any frame is read or the
-        # patch cache exists, with the predicted need (cache + largest
-        # fold copy) and what is free.
+        # patch cache exists, with the predicted need (cache + Gram
+        # matrices, about 1.8 MiB for these 72 patches) and what is
+        # free.
         prepared = []
         real_plan = evaluation.plan_records
         monkeypatch.setattr(
@@ -572,7 +573,7 @@ class TestRunCv:
                             lambda *args: pytest.fail("frame read"))
         monkeypatch.setattr(evaluation, "_shared_rows",
                             lambda *args: pytest.fail("cache allocated"))
-        monkeypatch.setattr(evaluation, "mem_available", lambda: 3 << 20)
+        monkeypatch.setattr(evaluation, "mem_available", lambda: 1 << 20)
         with pytest.raises(ConfigError) as info:
             run_cv(small_dataset, RunConfig(method="PPF@0.5x", seed=5,
                                             jobs=1))
@@ -580,13 +581,15 @@ class TestRunCv:
         cache_mib = n_patches * 80 * 80 * 4 // (1 << 20)
         message = str(info.value)
         assert f"patch cache {cache_mib} MiB" in message
-        assert message.endswith("but only 3 MiB is available")
+        assert message.endswith("but only 1 MiB is available")
 
     def test_ppf_memory_check_arithmetic(self, monkeypatch):
-        # Two records of 3 and 5 patches; the largest fold keeps both.
-        rows = [3, 5]
+        # Two records of 768 and 1280 patches of 32 x 32 px; the largest
+        # fold keeps both.  More rows than columns, so a logistic fold
+        # trains on its row copy.
+        rows = [768, 1280]
         kept = [np.array([1]), np.array([0, 1])]
-        config = RunConfig(method="PPF@0.5x", patch_size=512)
+        config = RunConfig(method="PPF@0.5x", patch_size=32)
         need = (8 + 8) * 512 * 512 * 4  # 16 MiB
         for available, refused in ((need, False), (need - 1, True),
                                    (None, False)):
@@ -609,7 +612,7 @@ class TestRunCv:
                 (4, 8, 2, 63_082_332, 52), (1, 8, 1, 35_735_470, 26),
                 (4, 1, 1, 35_735_470, 26)):
             monkeypatch.setattr(util, "default_jobs", lambda: cores)
-            config = RunConfig(method="PPF@0.5x", patch_size=512,
+            config = RunConfig(method="PPF@0.5x", patch_size=32,
                                patch_classifier="forest", jobs=jobs)
             monkeypatch.setattr(evaluation, "mem_available", lambda: need)
             evaluation._check_memory(rows, kept, config)
@@ -622,6 +625,25 @@ class TestRunCv:
                                      rf"copies {copies_mib} MiB\) but only "
                                      rf"{need_mib} MiB"):
                 evaluation._check_memory(rows, kept, config)
+
+    def test_sample_space_memory_check_counts_gram_matrices(self,
+                                                            monkeypatch):
+        # 2048 patches of 64 x 64 px: fewer rows than columns, so the
+        # logistic folds train from the 2048 x 2048 Gram matrix and one
+        # fold's 1024 x 1024 slice of it, and copy no rows (a fold copy
+        # would be 16 MiB, not the slice's 4).
+        rows = [1024, 1024]
+        kept = [np.array([1]), np.array([0])]
+        config = RunConfig(method="PPF@0.5x", patch_size=64)
+        need = (32 + 16 + 4) << 20
+        monkeypatch.setattr(evaluation, "mem_available", lambda: need)
+        evaluation._check_memory(rows, kept, config)
+        monkeypatch.setattr(evaluation, "mem_available", lambda: need - 1)
+        with pytest.raises(ConfigError,
+                           match=r"needs about 52 MiB \(patch cache 32 MiB "
+                                 r"\+ Gram matrix and largest fold Gram 20 "
+                                 r"MiB\) but only 51 MiB"):
+            evaluation._check_memory(rows, kept, config)
 
     def test_rf_runs_one_record_pass_and_one_fold_pass(self, small_dataset,
                                                        monkeypatch):

@@ -1,5 +1,7 @@
 """From-scratch random forest: determinism, prediction, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,38 @@ class TestSerialization:
             path.write_bytes(data[:cut])
             with pytest.raises(ValueError, match="truncated .* at offset"):
                 load_forest(path)
+
+    @pytest.mark.parametrize("field, node, fmt, value, match", [
+        ("feature", 0, "<i", 1, "node 0"),  # the model has one feature
+        ("feature", 0, "<i", -2, "node 0"),
+        ("threshold", 0, "<d", float("nan"), "node 0"),
+        ("left", 0, "<i", 0, "node 0"),  # a cycle: predict would not end
+        ("right", 0, "<i", 10 ** 6, "node 0"),
+        ("counts", 1, "<qq", (0, 0), "node 1"),  # a leaf with no rows
+        ("counts", 0, "<qq", (-1, 3), "node 0"),
+        ("n_trees", None, "<I", 0, "no trees"),
+    ])
+    def test_unwalkable_tree_rejected(self, tmp_path, field, node, fmt,
+                                      value, match):
+        # One tree on separable data: a root split with two leaves, each
+        # node's fields at their offsets in the container.
+        X, y = separable_1d(seed=14)
+        model = train_random_forest(X, y, trees=1, seed=5)
+        assert model.trees[0].feature[0] == 0 and model.trees[0].n_nodes == 3
+        path = tmp_path / "m.clef"
+        save_forest(model, path)
+        data = bytearray(path.read_bytes())
+        n = 3
+        start = {"feature": 36, "threshold": 36 + 4 * n,
+                 "left": 36 + 12 * n, "right": 36 + 16 * n,
+                 "counts": 36 + 20 * n}
+        if field == "n_trees":
+            struct.pack_into(fmt, data, 16, value)
+            data = data[:32]
+        else:
+            size = struct.calcsize(fmt)
+            values = value if isinstance(value, tuple) else (value,)
+            struct.pack_into(fmt, data, start[field] + node * size, *values)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=match):
+            load_forest(path)

@@ -3,9 +3,10 @@
 Hypothesis corrupts one file of a tiny valid cohort (a frame's PGM file,
 its `<stem>.mask.json` sidecar, or `manifest.json`) and runs `cv` and
 `stats` on it, hands `cv` a malformed `--config` file, or hands `train`
-and `predict` a malformed feature CSV and `fuse` a malformed probability
-CSV.  Each run must exit 0, 3, 4, 5 or 6, print exactly one line to
-stderr when it fails and nothing when it succeeds, and never raise.
+and `predict` a malformed feature CSV, `predict` a malformed CLEF model,
+`fuse` a malformed probability CSV and `report` a malformed results CSV.
+Each run must exit 0, 3, 4, 5 or 6, print exactly one line to stderr
+when it fails and nothing when it succeeds, and never raise.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import dataclasses
 import io
 import json
 import shutil
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -45,8 +47,9 @@ def cohort(tmp_path_factory):
         save_image(make_image(size=SIZE, rng=rng), root / rec.file)
     save_manifest(DatasetManifest(records=records, root_path=root),
                   root / "manifest.json", root=".")
-    # The valid tables the table commands read: a feature CSV, a model
-    # trained on it, and one probability per admitted full-scale patch.
+    # The valid files the table and model commands read: a feature CSV,
+    # a model trained on it, one probability per admitted full-scale
+    # patch, and the results CSV of a cross-validation.
     features = str(root / "features.csv")
     assert main(["featurize", "--data", str(root), "--features", "glcm",
                  "--scale", "1.0", "--out", features, "--jobs", "1"]) == 0
@@ -60,14 +63,18 @@ def cohort(tmp_path_factory):
         ["patient,sequence,frame,patch_index,p_c1"]
         + [f"{','.join(line.split(',')[:4])},{(n % 7) / 6!r}"
            for n, line in enumerate(lines[1:])]) + "\n")
+    cv_out = tmp_path_factory.mktemp("fuzz_cv")
+    assert main(["cv", "--data", str(root), "--method", "RF-GLCM@1.0x",
+                 "--trees", "2", "--out", str(cv_out), "--jobs", "1"]) == 0
+    shutil.copy(cv_out / "results.csv", root / "results.csv")
     return root, records[0].file
 
 
 def run_cli(cohort, name: str, content: bytes,
             commands=("cv", "stats")):
     """Exit code, stderr lines and warnings of each of `commands` (`cv`,
-    `stats`, or `cv --config <name>`) on a copy of the cohort whose file
-    `name` holds `content`."""
+    `stats`, `cv --config <name>` or a table or model command reading
+    `name`) on a copy of the cohort whose file `name` holds `content`."""
     root, _frame = cohort
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -90,9 +97,15 @@ def run_cli(cohort, name: str, content: bytes,
                                 str(data / "model.clef"), "--features",
                                 str(data / name),
                                 "--out", str(Path(tmp) / "pred.csv")],
+                    "predict --model": ["predict", "--model",
+                                        str(data / name), "--features",
+                                        str(data / "features.csv"), "--out",
+                                        str(Path(tmp) / "pred.csv")],
                     "fuse": ["fuse", "--data", str(data), "--probs",
                              str(data / name), "--scale", "1.0",
                              "--out", str(Path(tmp) / "fused.csv")],
+                    "report": ["report", "--results", str(data / name),
+                               "--out", str(Path(tmp) / "report.json")],
                     }[command]
             err = io.StringIO()
             with contextlib.redirect_stderr(err), \
@@ -382,3 +395,45 @@ def test_malformed_probability_csv_exit_codes(cohort, data):
     valid = (cohort[0] / "probs.csv").read_bytes()
     check(run_cli(cohort, "probs.csv", data.draw(malformed_tables(valid)),
                   commands=("fuse",)))
+
+
+@_FUZZ
+@given(data=st.data())
+def test_malformed_results_csv_exit_codes(cohort, data):
+    valid = (cohort[0] / "results.csv").read_bytes()
+    check(run_cli(cohort, "results.csv", data.draw(malformed_tables(valid)),
+                  commands=("report",)))
+
+
+# 32-bit words that break a CLEF field: counts, sizes, feature and node
+# indices out of range, and the bit patterns of extreme floats.
+WORDS = st.one_of(
+    st.sampled_from([0, 1, 2, 3, -1, -2, 2 ** 31 - 1, -2 ** 31,
+                     0x7FF00000, 0x7FF80000, -0x100000]),
+    st.integers(-2 ** 31, 2 ** 31 - 1))
+
+
+@st.composite
+def malformed_models(draw, valid: bytes):
+    """`valid` CLEF bytes truncated, extended, overwritten with bytes, or
+    with one 32-bit word after the magic replaced."""
+    kind = draw(st.sampled_from(["truncate", "append", "overwrite", "word",
+                                 "word", "word"]))
+    if kind == "truncate":
+        return valid[:draw(st.integers(0, len(valid) - 1))]
+    if kind == "append":
+        return valid + draw(st.binary(min_size=1, max_size=16))
+    if kind == "overwrite":
+        at = draw(st.integers(0, len(valid) - 1))
+        junk = draw(st.binary(min_size=1, max_size=8))
+        return valid[:at] + junk + valid[at + len(junk):]
+    at = 4 + 4 * draw(st.integers(0, (len(valid) - 8) // 4))
+    return valid[:at] + struct.pack("<i", draw(WORDS)) + valid[at + 4:]
+
+
+@_FUZZ
+@given(data=st.data())
+def test_malformed_model_exit_codes(cohort, data):
+    valid = (cohort[0] / "model.clef").read_bytes()
+    check(run_cli(cohort, "model.clef", data.draw(malformed_models(valid)),
+                  commands=("predict --model",)))
