@@ -200,7 +200,7 @@ def cmd_featurize(args) -> int:
     manifest = _load_data(args.data)
     config = _checked_config(
         method=f"RF-{args.features.upper()}@{args.scale:.1f}x", jobs=args.jobs)
-    header = ("patient,sequence,frame,label,"
+    header = ("patient,sequence,frame,label,rotation_deg,"
               + ",".join(config.descriptor.row_names()))
     records = manifest.records
     rows, _owner = describe_records(manifest, records, config,
@@ -209,27 +209,33 @@ def cmd_featurize(args) -> int:
     for rec, row in zip(records, rows):
         values = ",".join(repr(float(v)) for v in row)
         lines.append(f"{rec.patient},{rec.sequence},{rec.frame},{rec.label},"
-                     f"{values}")
+                     f"{float(rec.rotation_deg or 0.0)!r},{values}")
     _write(Path(args.out), "\n".join(lines) + "\n")
     return 0
 
 
 def _read_feature_csv(path: str):
+    """Key columns, feature rows and labels of a feature CSV.  The key is
+    (patient, sequence, frame, label), and also `rotation_deg` where the
+    header has it after `label`, as `featurize` writes it; older CSVs
+    without it still load."""
     header, rows = _read_csv(path, ("patient", "sequence", "frame", "label"))
     if not rows:
         raise ManifestError(f"{path}: no feature rows")
-    meta = [(r[0], r[1], _field(path, n, "frame", r[2], int), r[3])
+    keys = 5 if header[4:5] == ["rotation_deg"] else 4
+    meta = [(r[0], r[1], _field(path, n, "frame", r[2], int), r[3],
+             *(_field(path, n, "rotation_deg", v, float) for v in r[4:keys]))
             for n, r in enumerate(rows, start=2)]
     X = np.asarray([[_field(path, n, name, v, float)
-                     for name, v in zip(header[4:], r[4:])]
+                     for name, v in zip(header[keys:], r[keys:])]
                     for n, r in enumerate(rows, start=2)], dtype=np.float64)
     y = np.array([_label_value(m[3], path) for m in meta], dtype=np.int64)
-    return meta, X, y
+    return header[:keys], meta, X, y
 
 
 def cmd_train(args) -> int:
     _checked_config(trees=args.trees, seed=args.seed, jobs=args.jobs)
-    _meta, X, y = _read_feature_csv(args.features)
+    _keys, _meta, X, y = _read_feature_csv(args.features)
     try:
         model = train_random_forest(X, y, trees=args.trees, seed=args.seed,
                                     jobs=args.jobs)
@@ -242,7 +248,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    meta, X, _y = _read_feature_csv(args.features)
+    keys, meta, X, _y = _read_feature_csv(args.features)
     try:
         model = load_forest(args.model)
     except ValueError as exc:  # a malformed model file
@@ -252,9 +258,9 @@ def cmd_predict(args) -> int:
                             f"features, {args.model} expects "
                             f"{model.n_features}")
     probs = model.predict_proba(X)[:, 1]
-    lines = ["patient,sequence,frame,label,p_image"]
-    for (patient, sequence, frame, label), p in zip(meta, probs):
-        lines.append(f"{patient},{sequence},{frame},{label},{float(p)!r}")
+    lines = [",".join(keys) + ",p_image"]
+    for key, p in zip(meta, probs):
+        lines.append(",".join(map(str, key)) + f",{float(p)!r}")
     _write(Path(args.out), "\n".join(lines) + "\n")
     return 0
 
@@ -356,6 +362,9 @@ def cmd_report(args) -> int:
     labels = np.array([_label_value(r[li], args.results) for r in rows])
     probs = np.array([_probability(args.results, n, "p_image", r[pi])
                       for n, r in enumerate(rows, start=2)])
+    if labels.min() == labels.max():
+        raise ManifestError(f"{args.results}: all {len(labels)} rows are "
+                            f"{LABELS[labels[0]]}; ROC needs both classes")
     acc, sens, spec = confusion_metrics(labels, probs, args.threshold)
     _roc, auc = roc_auc(labels, probs)
     doc = {"accuracy": acc, "sensitivity": sens, "specificity": spec,

@@ -13,13 +13,13 @@ admitted patches and size of its prepared frame, hence its rows.  Then
 it makes two forked passes.  The record pass is `describe_records`: the
 worker that prepares a record writes its rows into one matrix in a
 shared mapping, so no frame or row crosses the process boundary.  The
-fold pass fits and scores one fold per worker, each forest growing its
-trees in turn.  With more jobs than folds, the extra cores sit idle in
-the fold pass.  Logistic folds (logistic-PPF, the whole-image baseline)
-train and score in this process, since OpenBLAS already uses every core:
-`classify.train_logistic_folds` trains them all, from one Gram matrix of
-the rows when they are fewer than the columns, else one fold copy at a
-time.
+fold pass fits and scores one fold per worker, each forest splitting
+its roots a block of trees at a time.  With more jobs than folds, the
+extra cores sit idle in the fold pass.  Logistic folds (logistic-PPF,
+the whole-image baseline) train and score in this process, since
+OpenBLAS already uses every core: `classify.train_logistic_folds` trains
+them all, from one Gram matrix of the rows when they are fewer than the
+columns, else one fold copy at a time.
 
 A patch method rotates an augmented copy only over the column hull of
 its planned patches in each row, so such a prepared frame is 0 outside
@@ -483,7 +483,8 @@ def _check_memory(rows, kept: list[np.ndarray], config: RunConfig) -> None:
     it (`classify.sample_space`), else each on its `X[rows]` copy.  A
     forest fold holds `X[rows]`, the float64 copy `train_random_forest`
     makes and its split temporaries (3.26x the float32 rows: the
-    tracemalloc peak of one forest on 1000 x 6400 rows), and as many
+    tracemalloc peak of one forest on 1000 x 6400 rows while the caller
+    holds `X[rows]`; such a root is split alone), and as many
     forest folds run at once as the fold pass has workers (`pool_size`).
     Nothing is checked where available memory cannot be read."""
     available = mem_available()

@@ -6,7 +6,11 @@ features per node.  A resample is an array of row indices into the one
 float64 training matrix, and each node holds its share of them, so no
 tree copies the rows.  Tree t draws from a generator seeded with
 (master seed XOR t), so training is reproducible and independent of how
-trees are scheduled across workers.
+trees are scheduled across workers.  Trees are grown a block at a time:
+the block's roots, which all hold one resample's worth of rows, are split
+in one batched search, and each tree then grows depth-first below its
+root.  Prediction walks every tree at once through one table of all the
+forest's nodes.
 
 Model container ("CLEF" format, version 1, little-endian):
 
@@ -47,6 +51,18 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _HEADER = struct.Struct("<IQIIII")
 
 
+# Float64 values per (B, m, k) split temporary (128 KB): the roots of as
+# many trees as fit (B roots of m rows, k candidate features each) are
+# split in one batch.  On the bench cohort an RF-LBP fold splits 22 roots
+# (72 rows, 10 candidates) at a time, an RF-GLCM fold 136 (24 rows, 5
+# candidates), and a forest-PPF root (80 candidates of ~1,500 rows) is
+# split alone.
+_SPLIT_BLOCK_VALUES = 1 << 14
+# (row, tree) pairs per block of RandomForestModel.predict_proba, which
+# bounds its walk's index arrays at 256 KB each.
+_PREDICT_BLOCK_PAIRS = 1 << 15
+
+
 @dataclass
 class DecisionTree:
     feature: np.ndarray
@@ -58,20 +74,6 @@ class DecisionTree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def predict_p1(self, X: np.ndarray) -> np.ndarray:
-        """Class-1 training fraction of the leaf each row lands in."""
-        node = np.zeros(len(X), dtype=np.int32)
-        while True:
-            f = self.feature[node]
-            rows = np.nonzero(f >= 0)[0]
-            if rows.size == 0:
-                break
-            at = node[rows]
-            go_left = X[rows, f[rows]] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
-        c = self.counts[node]
-        return c[:, 1] / c.sum(axis=1)
 
 
 @dataclass
@@ -85,105 +87,185 @@ class RandomForestModel:
     def n_trees(self) -> int:
         return len(self.trees)
 
+    def _table(self):
+        """Every tree's nodes in one table, children as table indices:
+        (feature, threshold, left, right, class-1 leaf fraction, roots)."""
+        sizes = [tree.n_nodes for tree in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offset = np.repeat(roots, sizes)
+
+        def joined(field):
+            return np.concatenate([getattr(t, field) for t in self.trees])
+
+        feature = joined("feature")
+        counts = joined("counts")
+        leaf = feature < 0
+        value = np.zeros(len(feature))
+        value[leaf] = counts[leaf, 1] / counts[leaf].sum(axis=1)
+        return (feature, joined("threshold"), joined("left") + offset,
+                joined("right") + offset, value, roots)
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Posterior pairs [p(c=0), p(c=1)]: the class-1 leaf fractions
-        averaged over trees in index order."""
+        averaged over trees in index order.  Rows walk every tree at
+        once, a block of rows at a time."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
         if X.shape[1] != self.n_features:
             raise ValueError(
                 f"row has {X.shape[1]} features, model expects {self.n_features}")
-        acc = np.zeros(len(X), dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict_p1(X)
-        p1 = acc / self.n_trees
+        feature, threshold, left, right, value, roots = self._table()
+        trees = self.n_trees
+        step = max(1, _PREDICT_BLOCK_PAIRS // trees)
+        p1 = np.empty(len(X), dtype=np.float64)
+        for lo in range(0, len(X), step):
+            block = X[lo:lo + step]
+            # Pair r * trees + t is row r's node in tree t.
+            node = np.tile(roots, len(block))
+            live = np.flatnonzero(feature[node] >= 0)
+            while live.size:
+                at = node[live]
+                go_left = block[live // trees, feature[at]] <= threshold[at]
+                at = np.where(go_left, left[at], right[at])
+                node[live] = at
+                live = live[feature[at] >= 0]
+            # A running sum adds the votes in tree-index order, so the
+            # mean is bit-identical to accumulating one tree at a time.
+            votes = value[node].reshape(len(block), trees)
+            p1[lo:lo + step] = np.cumsum(votes, axis=1)[:, -1]
+        p1 /= trees
         return np.stack([1.0 - p1, p1], axis=1)
 
 
-def _best_split(X, y_float, rows, perm, mtry):
-    """Best Gini split of the node holding `rows` (indices into X, with
-    repeats from the bootstrap) over the first mtry non-constant features
-    in `perm` order.  Returns (feature, threshold) or None when every
-    feature is constant on this node."""
-    m = rows.size
-    yn = y_float[rows]
-    n1_total = yn.sum()
-    best = None
-    best_score = np.inf
-    seen_nonconst = 0
-    start = 0
-    n_feat = len(perm)
+def _best_split(X, y_float, rows, n1, perms, mtry):
+    """Best Gini split of each of B nodes of m rows each.  `rows` (B, m)
+    holds node b's indices into X (with repeats from the bootstrap), n1[b]
+    of them of class 1, and node b inspects the first mtry features in
+    `perms[b]` order that are not constant on it.  Returns one (feature,
+    threshold, left rows, left class-1 rows) tuple per node, feature -1
+    where every feature is constant on the node."""
+    n_feat = perms.shape[1]
+    # Round one searches every node's first mtry candidates together.
+    k = min(mtry, n_feat)
+    best, *split, seen = _split_round(X, y_float, rows, n1, perms[:, :k])
+    split[0][best == np.inf] = -1
+    # Constant candidates are replaced by the next ones in order, a node
+    # at a time; a later round wins only by scoring strictly lower.
+    for b in np.flatnonzero(seen < mtry) if k < n_feat else ():
+        start, seen_b = k, int(seen[b])
+        while start < n_feat and seen_b < mtry:
+            cand = perms[b:b + 1, start:start + mtry - seen_b]
+            start += cand.shape[1]
+            score, *found, n = _split_round(X, y_float, rows[b:b + 1],
+                                            n1[b:b + 1], cand)
+            seen_b += int(n[0])
+            if score[0] < best[b]:
+                best[b] = score[0]
+                for field, value in zip(split, found):
+                    field[b] = value[0]
+    return list(zip(*(field.tolist() for field in split)))
+
+
+def _split_round(X, y_float, rows, n1, cand):
+    """One round of `_best_split` over the (B, k) candidate features
+    `cand`.  Per node: the lowest split score (inf where none splits),
+    its feature, threshold and left row and class-1 counts, and the
+    number of non-constant candidates."""
+    n_nodes, m = rows.shape
+    k = cand.shape[1]
+    node = np.arange(n_nodes)
+    V = X[rows[:, :, None], cand[:, None, :]]
+    # The sort need not be stable: a position inside a run of equal
+    # values never splits, and the class counts up to the end of a run do
+    # not depend on the order within it.
+    ranked = rows.ravel()[V.argsort(axis=1) + (node * m)[:, None, None]]
+    sv = X.ravel()[ranked * X.shape[1] + cand[:, None, :]]
+    nonconst = sv[:, 0] < sv[:, -1]
+    # Split after sorted position i: i + 1 rows go left.
+    n1L = np.cumsum(y_float[ranked[:, :-1]], axis=1)
     nL = np.arange(1, m, dtype=np.float64)[:, None]
     nR = m - nL
-    while start < n_feat and seen_nonconst < mtry:
-        cand = perm[start:start + (mtry - seen_nonconst)]
-        start += len(cand)
-        V = X[rows[:, None], cand[None, :]]
-        order = np.argsort(V, axis=0, kind="stable")
-        sv = np.take_along_axis(V, order, axis=0)
-        nonconst = sv[0] < sv[-1]
-        seen_nonconst += int(nonconst.sum())
-        if not nonconst.any():
-            continue
-        pos = np.cumsum(yn[order], axis=0)
-        n1L = pos[:-1]
-        n0L = nL - n1L
-        n1R = n1_total - n1L
-        n0R = nR - n1R
-        # Weighted Gini, scaled by node size (constant factor per node).
-        score = (nL - (n0L ** 2 + n1L ** 2) / nL) \
-            + (nR - (n0R ** 2 + n1R ** 2) / nR)
-        score = np.where(sv[1:] > sv[:-1], score, np.inf)
-        i, j = np.unravel_index(np.argmin(score), score.shape)
-        if score[i, j] < best_score:
-            best_score = float(score[i, j])
-            a, b = sv[i, j], sv[i + 1, j]
-            thr = 0.5 * (a + b)
-            if thr >= b:  # float midpoint collapsed onto the upper value
-                thr = a
-            best = (int(cand[j]), float(thr))
-    return best
+    n0L = nL - n1L
+    n1R = n1[:, None, None] - n1L
+    n0R = nR - n1R
+    # Weighted Gini, scaled by node size (constant factor per node).
+    score = (nL - (n0L ** 2 + n1L ** 2) / nL) \
+        + (nR - (n0R ** 2 + n1R ** 2) / nR)
+    score[~((sv[:, 1:] > sv[:, :-1])
+            & nonconst.any(axis=1)[:, None, None])] = np.inf
+    # Row-major argmin: the lowest split position, then the earliest
+    # candidate.
+    score = score.reshape(n_nodes, -1)
+    at = score.argmin(axis=1)
+    sv = sv.reshape(n_nodes, -1)
+    a, b = sv[node, at], sv[node, at + k]
+    thr = 0.5 * (a + b)
+    # A float midpoint that collapsed onto the upper value.
+    thr = np.where(thr >= b, a, thr)
+    return (score[node, at], cand[node, at % k], thr, at // k + 1,
+            n1L.reshape(n_nodes, -1)[node, at].astype(np.int64),
+            nonconst.sum(axis=1))
 
 
-def _grow_tree(X, y, seed, mtry):
-    n = len(y)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    boot = rng.integers(0, n, size=n)
-    y_float = y.astype(np.float64)
+def _grow_block(X, y, y_float, seeds, mtry):
+    """The trees grown from `seeds`, one each.  Tree t draws its
+    bootstrap and then its root's feature order from PCG64(seeds[t]); the
+    roots, all holding len(y) rows, are split in one batch."""
+    n, d = X.shape
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    boots = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    c1 = y[boots].sum(axis=1)
+    impure = np.flatnonzero((c1 > 0) & (c1 < n))
+    roots = [(-1, 0.0, 0, 0)] * len(seeds)
+    if impure.size:
+        perms = np.stack([rngs[b].permutation(d) for b in impure])
+        for b, split in zip(impure.tolist(), _best_split(
+                X, y_float, boots[impure], c1[impure], perms, mtry)):
+            roots[b] = split
+    return [_grow_tree(X, y_float, rng, boot, count, root, mtry)
+            for rng, boot, count, root in zip(rngs, boots, c1.tolist(),
+                                              roots)]
 
+
+def _grow_tree(X, y_float, rng, boot, c1, root_split, mtry):
+    """Tree grown depth-first from the root holding `boot`, c1 of them of
+    class 1, whose split is given as `_best_split` returns it; every later
+    node draws its feature order from `rng`.  The left child of a split
+    holds its node's rows up to the threshold in sorted order, so the
+    split gives both children's counts, and only a child holding both
+    classes has its rows gathered and is split in turn."""
     feature, threshold, left, right, counts = [], [], [], [], []
 
-    def new_node():
+    def new_node(c0, c1):
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        counts.append((0, 0))
+        counts.append((c0, c1))
         return len(feature) - 1
 
-    stack = [(new_node(), boot)]
+    stack = [(new_node(boot.size - c1, c1), boot, root_split)]
     while stack:
-        node_id, rows = stack.pop()
-        c1 = int(y[rows].sum())
-        c0 = rows.size - c1
-        counts[node_id] = (c0, c1)
-        if c0 == 0 or c1 == 0 or rows.size < 2:
-            continue
-        perm = rng.permutation(X.shape[1])
-        split = _best_split(X, y_float, rows, perm, mtry)
+        node_id, rows, split = stack.pop()
+        c0, c1 = counts[node_id]
         if split is None:
+            (split,) = _best_split(X, y_float, rows[None], np.array([c1]),
+                                   rng.permutation(X.shape[1])[None], mtry)
+        f, thr, n_left, c1_left = split
+        if f < 0:
             continue
-        f, thr = split
-        go_left = X[rows, f] <= thr
-        lid = new_node()
-        rid = new_node()
+        lid = new_node(n_left - c1_left, c1_left)
+        rid = new_node(c0 - n_left + c1_left, c1 - c1_left)
         feature[node_id] = f
         threshold[node_id] = thr
         left[node_id] = lid
         right[node_id] = rid
-        stack.append((rid, rows[~go_left]))
-        stack.append((lid, rows[go_left]))
+        if min(counts[lid]) > 0 or min(counts[rid]) > 0:
+            go_left = X[rows, f] <= thr
+            for child, part in ((rid, ~go_left), (lid, go_left)):
+                if min(counts[child]) > 0:
+                    stack.append((child, rows[part], None))
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -204,8 +286,9 @@ def train_random_forest(
 ) -> RandomForestModel:
     """Fit a forest on rows X with binary labels y.
 
-    Needs at least two rows of each class.  `jobs` only distributes tree
-    growth over workers; the model is identical for any value.
+    Needs at least two rows of each class.  Trees are grown a block at a
+    time (see `_SPLIT_BLOCK_VALUES`), and `jobs` only distributes the
+    blocks over workers; the model is identical for any value.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -222,11 +305,14 @@ def train_random_forest(
         mtry = max(1, int(math.sqrt(X.shape[1])))
 
     seed = int(seed) & _SEED_MASK
+    seeds = [(seed ^ t) & _SEED_MASK for t in range(trees)]
+    block = max(1, _SPLIT_BLOCK_VALUES // (len(y) * min(mtry, X.shape[1])))
+    y_float = y.astype(np.float64)
     grown = util.run_parallel(
-        lambda t: _grow_tree(X, y, (seed ^ t) & _SEED_MASK, mtry),
-        range(trees), jobs)
-    return RandomForestModel(trees=grown, seed=seed,
-                             n_features=X.shape[1], mtry=mtry)
+        lambda lo: _grow_block(X, y, y_float, seeds[lo:lo + block], mtry),
+        range(0, trees, block), jobs)
+    return RandomForestModel(trees=[t for part in grown for t in part],
+                             seed=seed, n_features=X.shape[1], mtry=mtry)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +376,7 @@ def load_forest(path: str | Path) -> RandomForestModel:
 
 
 def _check_tree(tree: DecisionTree, n_features: int, index: int) -> None:
-    """Refuse a loaded tree that `predict_p1` could not walk: a split on
+    """Refuse a loaded tree that `predict_proba` could not walk: a split on
     a feature the model lacks or at a non-finite threshold, a child that
     is not a later node (a cycle would never end), or a leaf with
     negative or no class counts."""

@@ -98,7 +98,8 @@ def _render(size: int, style: PatientStyle, carcinogenic: bool,
     seed_mask[iy, ix] = True
     id_raster[iy, ix] = np.arange(n_cells)
 
-    _, (ny, nx) = distance_transform_edt(~seed_mask, return_indices=True)
+    ny, nx = distance_transform_edt(~seed_mask, return_distances=False,
+                                    return_indices=True)
     cell_id = id_raster[ny, nx]
     boundary = np.zeros((size, size), dtype=bool)
     boundary[:-1] |= cell_id[:-1] != cell_id[1:]

@@ -157,9 +157,10 @@ class TestFeaturePath:
                      "lbp", "--scale", "0.5", "--out", str(feat),
                      "--jobs", "2"]) == 0
         header = feat.read_text().splitlines()[0].split(",")
-        assert header[:4] == ["patient", "sequence", "frame", "label"]
-        assert len(header) == 4 + 108
-        assert header[4] == "mean:lbp:r1n8:b0"
+        assert header[:5] == ["patient", "sequence", "frame", "label",
+                              "rotation_deg"]
+        assert len(header) == 5 + 108
+        assert header[5] == "mean:lbp:r1n8:b0"
 
         model = tmp_path / "model.clef"
         assert main(["train", "--features", str(feat), "--trees", "20",
@@ -170,8 +171,59 @@ class TestFeaturePath:
         assert main(["predict", "--model", str(model), "--features",
                      str(feat), "--out", str(pred)]) == 0
         lines = pred.read_text().splitlines()
-        assert lines[0] == "patient,sequence,frame,label,p_image"
+        assert lines[0] == "patient,sequence,frame,label,rotation_deg,p_image"
         assert len(lines) == 13  # 12 images
+        assert all(line.split(",")[4] == "0.0" for line in lines[1:])
+
+    def test_rotated_copy_keeps_its_angle(self, dataset, tmp_path):
+        # Feature rows are keyed by (patient, sequence, frame, label,
+        # rotation_deg), so an original and its 30-degree copy stay two
+        # rows through featurize and predict.
+        feat = tmp_path / "feat.csv"
+        assert main(["featurize", "--data", str(dataset), "--features",
+                     "glcm", "--out", str(feat), "--jobs", "1"]) == 0
+        model = tmp_path / "model.clef"
+        assert main(["train", "--features", str(feat), "--trees", "5",
+                     "--out", str(model), "--jobs", "1"]) == 0
+        doc = json.loads((dataset / "manifest.json").read_text())
+        doc["root"] = str(dataset / doc["root"])
+        first = doc["records"][0]
+        doc["records"] = [first, dict(first, augmented_from=first["frame"],
+                                      rotation_deg=30.0)]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        pair = tmp_path / "pair.csv"
+        assert main(["featurize", "--data", str(manifest), "--features",
+                     "glcm", "--out", str(pair), "--jobs", "1"]) == 0
+        key = [first["patient"], first["sequence"], str(first["frame"]),
+               first["label"]]
+        rows = [line.split(",") for line in pair.read_text().splitlines()]
+        assert [row[:5] for row in rows[1:]] == [key + ["0.0"],
+                                                 key + ["30.0"]]
+        assert rows[1][5:] != rows[2][5:]
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--features",
+                     str(pair), "--out", str(pred)]) == 0
+        rows = [line.split(",") for line in pred.read_text().splitlines()]
+        assert rows[0] == ["patient", "sequence", "frame", "label",
+                           "rotation_deg", "p_image"]
+        assert [row[:5] for row in rows[1:]] == [key + ["0.0"],
+                                                 key + ["30.0"]]
+
+    def test_feature_csv_without_angle_still_loads(self, tmp_path):
+        feat = tmp_path / "feat.csv"
+        feat.write_text("patient,sequence,frame,label,f0\n"
+                        "p0,s0,0,normal,0.1\np0,s0,1,normal,0.2\n"
+                        "p0,s0,2,carcinogenic,0.8\n"
+                        "p0,s0,3,carcinogenic,0.9\n")
+        model, pred = tmp_path / "model.clef", tmp_path / "pred.csv"
+        assert main(["train", "--features", str(feat), "--trees", "3",
+                     "--out", str(model), "--jobs", "1"]) == 0
+        assert main(["predict", "--model", str(model), "--features",
+                     str(feat), "--out", str(pred)]) == 0
+        lines = pred.read_text().splitlines()
+        assert lines[0] == "patient,sequence,frame,label,p_image"
+        assert lines[1].startswith("p0,s0,0,normal,")
 
     def test_predict_feature_count_mismatch_names_files(self, tmp_path,
                                                         capsys):
@@ -269,7 +321,7 @@ class TestFeaturePath:
         assert main(["featurize", "--data", str(dataset), "--features",
                      "glcm", "--out", str(feat), "--jobs", "2"]) == 0
         header = feat.read_text().splitlines()[0].split(",")
-        assert len(header) == 4 + 30
+        assert len(header) == 5 + 30
 
 
 class TestPreprocess:
@@ -692,6 +744,16 @@ class TestReport:
         assert doc["accuracy"] == pytest.approx(summary["accuracy"])
         assert doc["auc"] == pytest.approx(summary["auc"])
         assert doc["n_images"] == 12
+
+    def test_single_class_results_rejected(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("patient,label,p_image\np0,normal,0.2\n"
+                           "p1,normal,0.7\n")
+        capsys.readouterr()
+        assert main(["report", "--results", str(results)]) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            f"clescreen: bad data: {results}: all 2 rows are normal; ROC "
+            f"needs both classes"]
 
     def test_probability_outside_unit_interval_rejected(self, tmp_path,
                                                          capsys):

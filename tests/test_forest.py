@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from clescreen.forest import (DEFAULT_TREES, load_forest, save_forest,
-                              train_random_forest)
+from clescreen import forest
+from clescreen.forest import (DEFAULT_TREES, DecisionTree, RandomForestModel,
+                              load_forest, save_forest, train_random_forest)
 
 
 def separable_1d(n_per_class=50, seed=0):
@@ -54,10 +55,13 @@ class TestTraining:
         assert any(not np.array_equal(ta.threshold, tb.threshold)
                    for ta, tb in zip(a.trees, b.trees))
 
-    def test_jobs_do_not_change_model(self, tmp_path):
+    def test_jobs_do_not_change_model(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 6))
         y = (X[:, 0] + 0.3 * rng.normal(size=80) > 0).astype(int)
+        # Blocks of three trees (80 rows x 2 candidates each), so that two
+        # workers share six blocks.
+        monkeypatch.setattr(forest, "_SPLIT_BLOCK_VALUES", 3 * 80 * 2)
         a = train_random_forest(X, y, trees=16, seed=4, jobs=1)
         b = train_random_forest(X, y, trees=16, seed=4, jobs=2)
         pa, pb = tmp_path / "a.clef", tmp_path / "b.clef"
@@ -201,3 +205,175 @@ class TestSerialization:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=match):
             load_forest(path)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the one-tree-at-a-time grower and per-tree predictor, frozen
+# ---------------------------------------------------------------------------
+
+
+def _oracle_best_split(X, y_float, rows, perm, mtry):
+    m = rows.size
+    yn = y_float[rows]
+    n1_total = yn.sum()
+    best = None
+    best_score = np.inf
+    seen_nonconst = 0
+    start = 0
+    n_feat = len(perm)
+    nL = np.arange(1, m, dtype=np.float64)[:, None]
+    nR = m - nL
+    while start < n_feat and seen_nonconst < mtry:
+        cand = perm[start:start + (mtry - seen_nonconst)]
+        start += len(cand)
+        V = X[rows[:, None], cand[None, :]]
+        order = np.argsort(V, axis=0, kind="stable")
+        sv = np.take_along_axis(V, order, axis=0)
+        nonconst = sv[0] < sv[-1]
+        seen_nonconst += int(nonconst.sum())
+        if not nonconst.any():
+            continue
+        pos = np.cumsum(yn[order], axis=0)
+        n1L = pos[:-1]
+        n0L = nL - n1L
+        n1R = n1_total - n1L
+        n0R = nR - n1R
+        score = (nL - (n0L ** 2 + n1L ** 2) / nL) \
+            + (nR - (n0R ** 2 + n1R ** 2) / nR)
+        score = np.where(sv[1:] > sv[:-1], score, np.inf)
+        i, j = np.unravel_index(np.argmin(score), score.shape)
+        if score[i, j] < best_score:
+            best_score = float(score[i, j])
+            a, b = sv[i, j], sv[i + 1, j]
+            thr = 0.5 * (a + b)
+            if thr >= b:
+                thr = a
+            best = (int(cand[j]), float(thr))
+    return best
+
+
+def _oracle_tree(X, y, seed, mtry):
+    n = len(y)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    boot = rng.integers(0, n, size=n)
+    y_float = y.astype(np.float64)
+    feature, threshold, left, right, counts = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append((0, 0))
+        return len(feature) - 1
+
+    stack = [(new_node(), boot)]
+    while stack:
+        node_id, rows = stack.pop()
+        c1 = int(y[rows].sum())
+        c0 = rows.size - c1
+        counts[node_id] = (c0, c1)
+        if c0 == 0 or c1 == 0 or rows.size < 2:
+            continue
+        perm = rng.permutation(X.shape[1])
+        split = _oracle_best_split(X, y_float, rows, perm, mtry)
+        if split is None:
+            continue
+        f, thr = split
+        go_left = X[rows, f] <= thr
+        lid = new_node()
+        rid = new_node()
+        feature[node_id] = f
+        threshold[node_id] = thr
+        left[node_id] = lid
+        right[node_id] = rid
+        stack.append((rid, rows[~go_left]))
+        stack.append((lid, rows[go_left]))
+    return DecisionTree(np.asarray(feature, dtype=np.int32),
+                        np.asarray(threshold, dtype=np.float64),
+                        np.asarray(left, dtype=np.int32),
+                        np.asarray(right, dtype=np.int32),
+                        np.asarray(counts, dtype=np.int64))
+
+
+def _oracle_forest(X, y, trees, seed, mtry):
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    return RandomForestModel(
+        trees=[_oracle_tree(X, y, seed ^ t, mtry) for t in range(trees)],
+        seed=seed, n_features=X.shape[1], mtry=mtry)
+
+
+def _oracle_predict_p1(model, X):
+    acc = np.zeros(len(X), dtype=np.float64)
+    for tree in model.trees:
+        node = np.zeros(len(X), dtype=np.int32)
+        while True:
+            f = tree.feature[node]
+            rows = np.nonzero(f >= 0)[0]
+            if rows.size == 0:
+                break
+            at = node[rows]
+            go_left = X[rows, f[rows]] <= tree.threshold[at]
+            node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+        c = tree.counts[node]
+        acc += c[:, 1] / c.sum(axis=1)
+    return acc / model.n_trees
+
+
+def _oracle_case(rng, n):
+    """Rows with ties, duplicate rows, signed zeros, constant columns and
+    adjacent floats, and labels with at least two rows per class."""
+    d = int(rng.integers(1, 12))
+    X = rng.integers(-2, int(rng.integers(1, 5)), size=(n, d)) * 0.5
+    X[rng.random((n, d)) < 0.1] = -0.0
+    X[:, rng.random(d) < 0.3] = 1.5
+    dup = rng.random(n) < 0.2
+    X[dup] = X[0]
+    X += rng.normal(size=(n, d)) * (rng.random(d) < 0.3)
+    # Adjacent floats whose midpoint rounds up onto the upper one.
+    low = np.nextafter(1.0, 2.0)
+    X[:, rng.integers(d)] = np.where(rng.random(n) < 0.5, low,
+                                     np.nextafter(low, 2.0))
+    y = rng.integers(0, 2, n)
+    y[:2], y[2:4] = 0, 1
+    # mtry below, at and above the number of non-constant columns.
+    varying = int((X.min(axis=0) < X.max(axis=0)).sum())
+    mtry = int(rng.choice([1, max(1, varying), varying + 2, d]))
+    return X, y, mtry
+
+
+class TestOracle:
+    """The batched split search and the packed prediction against the
+    frozen per-tree grower: equal CLEF bytes and equal posteriors."""
+
+    @pytest.mark.parametrize("block", ["one", "some", "all"])
+    def test_forests_equal_oracle(self, tmp_path, monkeypatch, block):
+        rng = np.random.default_rng({"one": 1, "some": 2, "all": 3}[block])
+        for n in (4, 5, 9, 30, 77, 300):
+            X, y, mtry = _oracle_case(rng, n)
+            trees = int(rng.integers(1, 12))
+            per_tree = n * min(mtry, X.shape[1])
+            monkeypatch.setattr(forest, "_SPLIT_BLOCK_VALUES", {
+                "one": per_tree, "some": 3 * per_tree,
+                "all": trees * per_tree}[block])
+            seed = int(rng.integers(0, 2 ** 63))
+            got = train_random_forest(X, y, trees=trees, seed=seed,
+                                      mtry=mtry, jobs=1)
+            want = _oracle_forest(X, y, trees, seed, mtry)
+            save_forest(got, tmp_path / "got.clef")
+            save_forest(want, tmp_path / "want.clef")
+            assert ((tmp_path / "got.clef").read_bytes()
+                    == (tmp_path / "want.clef").read_bytes()), (n, mtry)
+            q = np.concatenate([X, rng.integers(-2, 4, X.shape) * 0.5])
+            assert np.array_equal(got.predict_proba(q)[:, 1],
+                                  _oracle_predict_p1(want, q))
+
+    def test_predict_over_several_row_blocks(self):
+        rng = np.random.default_rng(4)
+        X, y, mtry = _oracle_case(rng, 60)
+        model = train_random_forest(X, y, trees=7, seed=5, mtry=mtry)
+        rows = 2 * (forest._PREDICT_BLOCK_PAIRS // model.n_trees) + 3
+        q = rng.integers(-2, 4, (rows, X.shape[1])) * 0.5
+        assert np.array_equal(model.predict_proba(q)[:, 1],
+                              _oracle_predict_p1(model, q))
