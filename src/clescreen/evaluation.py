@@ -474,7 +474,8 @@ def _uses_forest(config: RunConfig) -> bool:
                                   and config.patch_classifier == "forest")
 
 
-def _check_memory(rows, kept: list[np.ndarray], config: RunConfig) -> None:
+def _check_memory(rows, kept: list[np.ndarray], config: RunConfig,
+                  patches: int = 0) -> None:
     """Refuse a run whose row matrix plus what its folds train on alive
     at once would not fit in the memory available now.  `rows[i]` is
     record i's row count and `kept[f]` holds fold f's kept record
@@ -486,6 +487,10 @@ def _check_memory(rows, kept: list[np.ndarray], config: RunConfig) -> None:
     tracemalloc peak of one forest on 1000 x 6400 rows while the caller
     holds `X[rows]`; such a root is split alone), and as many
     forest folds run at once as the fold pass has workers (`pool_size`).
+    For RF-GLCM, each record-pass worker holds
+    `features.glcm_working_bytes` for a record of `patches` patches (the
+    most of any record); the record pass ends before the fold pass
+    starts, so the larger of the two passes is checked.
     Nothing is checked where available memory cannot be read."""
     available = mem_available()
     if available is None:
@@ -505,6 +510,14 @@ def _check_memory(rows, kept: list[np.ndarray], config: RunConfig) -> None:
         what = "Gram matrix and largest fold Gram"
     else:
         fold_bytes, what = fold_rows * row_bytes, "largest fold copy"
+    if _METHOD_SPEC[config.method][1] == "glcm":
+        workers = pool_size(config.jobs, len(counts))
+        side = config.patch_size
+        record_bytes = workers * features.glcm_working_bytes(
+            side, side, patches, config.descriptor)
+        if record_bytes > fold_bytes:
+            fold_bytes = record_bytes
+            what = f"{workers} GLCM record workers"
     if cache + fold_bytes > available:
         mib = 1 << 20
         matrix = ("patch cache" if _METHOD_SPEC[config.method][0] == "ppf"
@@ -577,7 +590,8 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     # Record pass.  The plan reads headers only, so a run that cannot fit
     # is refused before any frame is read.
     plan = plan_records(augmented, records, config)
-    _check_memory(_row_counts(plan, config), kept, config)
+    _check_memory(_row_counts(plan, config), kept, config,
+                  max(len(p.coords) for p in plan))
     X, owner = describe_records(augmented, records, config, plan)
 
     fold_rows = [np.flatnonzero(np.isin(owner, k)) for k in kept]

@@ -20,6 +20,15 @@ read as one contiguous span (the centers' rows plus the 2*radius columns
 between them, whose codes are dropped).  The float operations per sample
 are those of the difference-form bilinear formula, so codes equal the
 per-window ones bit for bit.
+
+GLCM matrices are counted a block of equal-sized patches at a time
+through buffers each call allocates once and reuses for every block: a
+float64 window buffer that patch windows are copied into and quantized
+in place, an intp level buffer, and one intp pair-code buffer in which
+every offset writes its own slice, so a block takes one `bincount`.  The
+statistics are evaluated once per stack of blocks, at 16 levels a whole
+record.  The integer and float operations are those of the one-patch
+`quantize`, `glcm` and `haralick_features`, which are the n = 1 case.
 """
 
 from __future__ import annotations
@@ -267,57 +276,127 @@ def lbp_patch_matrix(pixels: np.ndarray, coords,
 # ---------------------------------------------------------------------------
 
 
-# Float64 values per block temporary (512 KB): glcm_patch_matrix takes as
+# Float64 values per block temporary (1 MB).  glcm_patch_matrix counts as
 # many patches at a time as keep both their (n, h, w) windows and their
-# (n, L, L) matrices within it, so 80 px patches at 16 levels go 10 at a
-# time and patches at 256 levels one at a time.  Larger blocks were no
-# faster at 16 levels and slower at 256, and raise peak memory.
-_GLCM_BLOCK_VALUES = 1 << 16
+# (n, L, L) matrices within it, and runs `_haralick_stack` on as many whole
+# blocks as keep their matrices within it: 80 px patches at 16 levels go
+# 20 per block and up to 500 per Haralick call (a whole 576 px frame), and
+# patches at 256 levels two at a time.  20 patches per block beat 10
+# (2**16 values): perfbench cv-glcm-full `cv_s` 0.49-0.54 s against
+# 0.54-0.59 s in three alternating pairs on a 2-core machine.
+_GLCM_BLOCK_VALUES = 1 << 17
 
 
-def _quantize_stack(v: np.ndarray, levels: int) -> np.ndarray:
-    """`quantize` applied to each v[k] on its own [min, max]."""
-    axes = tuple(range(1, v.ndim))
-    lo = v.min(axis=axes, keepdims=True)
-    span = v.max(axis=axes, keepdims=True) - lo
-    scaled = np.divide(v - lo, span, out=np.zeros_like(v), where=span > 0)
-    return np.clip(np.floor(scaled * levels), 0, levels - 1).astype(np.int64)
+def _glcm_sizes(h: int, w: int, levels: int) -> tuple[int, int]:
+    """(block, stack): the h x w patches `glcm_patch_matrix` counts per
+    block, and the matrices, a whole number of blocks, it passes to each
+    `_haralick_stack` call."""
+    block = max(1, _GLCM_BLOCK_VALUES // max(h * w, levels * levels))
+    return block, block * max(1, _GLCM_BLOCK_VALUES // (levels * levels)
+                              // block)
+
+
+def glcm_working_bytes(h: int, w: int, n: int, config: GlcmConfig) -> int:
+    """Bytes `glcm_patch_matrix` allocates at most for n h x w patches:
+    its block buffers (float64 windows, two planes of intp levels, the
+    intp pair codes of every offset), its stack of matrices, at most five
+    times that stack for the counts or `_haralick_stack`'s temporaries
+    (the tracemalloc peak of Haralick on a (2, 256, 256) stack is 4.2
+    times the stack), its output rows, and 256 KB for small arrays and
+    numpy's iteration buffers (8192 values per strided operand)."""
+    block, stack = (min(k, n) for k in _glcm_sizes(h, w, config.levels))
+    pairs = sum(max(0, h - abs(dy)) * max(0, w - abs(dx))
+                for dx, dy in config.offsets)
+    return 8 * (block * (3 * h * w + pairs) + 6 * stack * config.levels ** 2
+                + n * len(HARALICK_NAMES)) + (1 << 18)
+
+
+def _quantize_into(window: np.ndarray, levels: int,
+                   out: np.ndarray) -> np.ndarray:
+    """`quantize` applied to each window[k] on its own [min, max], written
+    to `out`; `window` is overwritten."""
+    axes = tuple(range(1, window.ndim))
+    lo = window.min(axis=axes, keepdims=True)
+    span = window.max(axis=axes, keepdims=True) - lo
+    # A constant window is 0 everywhere after this subtraction.
+    window -= lo
+    np.divide(window, span, out=window, where=span > 0)
+    window *= levels
+    np.floor(window, out=window)
+    np.clip(window, 0, levels - 1, out=window)
+    np.copyto(out, window, casting="unsafe")
+    return out
 
 
 def quantize(values: np.ndarray, levels: int) -> np.ndarray:
     """Uniform quantization into `levels` bins over the array's own
     [min, max]; a constant array maps to level 0 everywhere."""
-    return _quantize_stack(np.asarray(values, dtype=np.float64)[None],
-                           levels)[0]
+    window = np.array(values, dtype=np.float64)[None]
+    return _quantize_into(window, levels,
+                          np.empty(window.shape, dtype=np.intp))[0]
 
 
-def _glcm_stack(q: np.ndarray, config: GlcmConfig) -> np.ndarray:
-    """(n, L, L) co-occurrence matrices of the (n, h, w) quantized patches
-    `q`: one bincount per offset, each patch's codes shifted into its own
-    L*L bins."""
-    n, h, w = q.shape
-    L = config.levels
-    base = (np.arange(n, dtype=np.int64) * (L * L))[:, None, None]
-    counts = np.zeros(n * L * L, dtype=np.int64)
-    for dx, dy in config.offsets:
-        a = q[:, max(0, -dy): h - max(0, dy), max(0, -dx): w - max(0, dx)]
-        b = q[:, max(0, dy): h - max(0, -dy), max(0, dx): w - max(0, -dx)]
-        counts += np.bincount((a * L + b + base).ravel(),
-                              minlength=n * L * L)
-    counts = counts.reshape(n, L, L)
-    if config.symmetric:
-        counts = counts + counts.transpose(0, 2, 1)
-    total = counts.sum(axis=(1, 2))
-    if (total == 0).any():
-        raise ValueError("patch too small for GLCM offsets")
-    return counts / total.astype(np.float64)[:, None, None]
+class _GlcmCounter:
+    """Co-occurrence matrices of up to `block` h x w patches at a time,
+    through buffers allocated once and reused by every block: the float64
+    windows, quantized in place; the intp levels, whose plane 0 holds each
+    patch's gray levels and plane 1 the a-side codes level*L + k*L*L of
+    the k-th patch of the block; and the intp pair codes
+    a-side + b-side level, each offset in its own slice, which one
+    bincount counts."""
+
+    def __init__(self, h: int, w: int, block: int, config: GlcmConfig):
+        L = config.levels
+        self.config = config
+        self.window = np.empty((block, h, w))
+        self.levels = np.empty((2, block, h, w), dtype=np.intp)
+        self.base = (np.arange(block, dtype=np.intp) * (L * L))[:, None, None]
+        # The a-side and b-side top-left corners and the window size of
+        # each offset that pairs any pixels.
+        self.pairs = [((max(0, -dy), max(0, -dx)), (max(0, dy), max(0, dx)),
+                       (h - abs(dy), w - abs(dx)))
+                      for dx, dy in config.offsets
+                      if h > abs(dy) and w > abs(dx)]
+        self.codes = np.empty(
+            block * sum(rows * cols for _a, _b, (rows, cols) in self.pairs),
+            dtype=np.intp)
+
+    def count(self, pixels: np.ndarray, corners, out: np.ndarray) -> None:
+        """Write to `out` (n, L, L) the matrices of the n windows of
+        `pixels` whose top-left corners are `corners` (y, x)."""
+        n, L = len(corners), self.config.levels
+        h, w = self.window.shape[1:]
+        window = self.window[:n]
+        for k, (y, x) in enumerate(corners):
+            window[k] = pixels[y:y + h, x:x + w]
+        q = _quantize_into(window, L, self.levels[0, :n])
+        a = np.multiply(q, L, out=self.levels[1, :n])
+        a += self.base[:n]
+        end = 0
+        for (ya, xa), (yb, xb), (rows, cols) in self.pairs:
+            size = n * rows * cols
+            np.add(a[:, ya:ya + rows, xa:xa + cols],
+                   q[:, yb:yb + rows, xb:xb + cols],
+                   out=self.codes[end:end + size].reshape(n, rows, cols))
+            end += size
+        counts = np.bincount(self.codes[:end],
+                             minlength=n * L * L).reshape(n, L, L)
+        if self.config.symmetric:
+            counts = counts + counts.transpose(0, 2, 1)
+        total = counts.sum(axis=(1, 2))
+        if (total == 0).any():
+            raise ValueError("patch too small for GLCM offsets")
+        np.divide(counts, total.astype(np.float64)[:, None, None], out=out)
 
 
 def glcm(patch, config: GlcmConfig = GlcmConfig()) -> np.ndarray:
     """Co-occurrence matrix of quantized gray levels, pooled over the
     configured pixel offsets.  Symmetric mode adds the transpose.  The
     returned matrix sums to 1."""
-    return _glcm_stack(quantize(patch, config.levels)[None], config)[0]
+    patch = np.asarray(patch)
+    out = np.empty((1, config.levels, config.levels))
+    _GlcmCounter(*patch.shape, 1, config).count(patch, [(0, 0)], out)
+    return out[0]
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -404,21 +483,25 @@ def haralick_features(matrix: np.ndarray) -> np.ndarray:
 def glcm_patch_matrix(pixels: np.ndarray, coords,
                       config: GlcmConfig = GlcmConfig()) -> np.ndarray:
     """(len(coords), 15) statistics of the equal-sized patches `coords`
-    cut from `pixels`, computed a block of patches at a time.  Each row
+    cut from `pixels`, counted a block of patches at a time through one
+    `_GlcmCounter` and evaluated a stack of blocks at a time.  Each row
     equals `haralick_features(glcm(patch, config))` of its patch."""
     if not coords:
         raise ValueError("no patches to describe")
     h, w = coords[0].c4 - coords[0].c3, coords[0].c2 - coords[0].c1
     if any((c.c4 - c.c3, c.c2 - c.c1) != (h, w) for c in coords):
         raise ValueError("GLCM patches must share one size")
-    windows = np.lib.stride_tricks.sliding_window_view(pixels, (h, w))
-    block = max(1, _GLCM_BLOCK_VALUES // max(h * w, config.levels ** 2))
+    L = config.levels
+    block, stack = _glcm_sizes(h, w, L)
+    counter = _GlcmCounter(h, w, min(block, len(coords)), config)
+    matrices = np.empty((min(stack, len(coords)), L, L))
     out = np.empty((len(coords), len(HARALICK_NAMES)))
-    for lo in range(0, len(coords), block):
-        part = coords[lo:lo + block]
-        stack = windows[[c.c3 for c in part], [c.c1 for c in part]]
-        q = _quantize_stack(stack.astype(np.float64), config.levels)
-        out[lo:lo + len(part)] = _haralick_stack(_glcm_stack(q, config))
+    for lo in range(0, len(coords), stack):
+        part = coords[lo:lo + stack]
+        for k in range(0, len(part), block):
+            corners = [(c.c3, c.c1) for c in part[k:k + block]]
+            counter.count(pixels, corners, matrices[k:k + len(corners)])
+        out[lo:lo + len(part)] = _haralick_stack(matrices[:len(part)])
     return out
 
 

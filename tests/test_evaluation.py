@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clescreen import core, evaluation, util, wholeimage
+from clescreen import core, evaluation, features, util, wholeimage
 from clescreen.core import (CARCINOGENIC, NORMAL, ArtifactRect, CleImage,
                             DatasetManifest)
 from clescreen.classify import augment_rotations
@@ -625,6 +625,45 @@ class TestRunCv:
                                      rf"copies {copies_mib} MiB\) but only "
                                      rf"{need_mib} MiB"):
                 evaluation._check_memory(rows, kept, config)
+
+    def test_glcm_memory_check_counts_record_workers(self, monkeypatch):
+        # RF-GLCM: every record-pass worker holds the GLCM working set of
+        # the largest record (121 patches of 80 px at 16 levels, about
+        # 8.4 MiB).  The record pass ends before the fold pass starts,
+        # so the larger of the two passes is checked; 8 one-row records
+        # make the forest folds the smaller one here.
+        monkeypatch.setattr(util, "default_jobs", lambda: 8)
+        rows = [1] * 8
+        kept = [np.arange(4), np.arange(4, 8)]
+        config = RunConfig(method="RF-GLCM@1.0x", jobs=3)
+        worker = features.glcm_working_bytes(80, 80, 121, config.descriptor)
+        need = 8 * 30 * 8 + 3 * worker  # row matrix + three workers
+        monkeypatch.setattr(evaluation, "mem_available", lambda: need)
+        evaluation._check_memory(rows, kept, config, 121)
+        monkeypatch.setattr(evaluation, "mem_available", lambda: need - 1)
+        with pytest.raises(ConfigError,
+                           match=rf"needs about {need >> 20} MiB \(row "
+                                 rf"matrix 0 MiB \+ 3 GLCM record workers "
+                                 rf"{3 * worker >> 20} MiB\)"):
+            evaluation._check_memory(rows, kept, config, 121)
+        # RF-LBP holds no GLCM buffers: only its forest folds count.
+        lbp = RunConfig(method="RF-LBP@1.0x", jobs=3)
+        evaluation._check_memory(rows, kept, lbp, 121)
+
+    def test_run_cv_checks_glcm_memory_for_largest_record(
+            self, small_dataset, monkeypatch):
+        checked = []
+
+        def check(rows, kept, config, patches=0):
+            checked.append(patches)
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(evaluation, "_check_memory", check)
+        config = RunConfig(method="RF-GLCM@0.5x", jobs=1)
+        with pytest.raises(ConfigError, match="stop"):
+            run_cv(small_dataset, config)
+        plan = plan_records(small_dataset, small_dataset.records, config)
+        assert checked == [max(len(p.coords) for p in plan)]
 
     def test_sample_space_memory_check_counts_gram_matrices(self,
                                                             monkeypatch):

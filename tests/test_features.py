@@ -1,6 +1,7 @@
 """Texture descriptors: riu2 binary patterns, co-occurrence statistics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 from unittest import mock
@@ -603,12 +604,25 @@ def imc1_scale(matrix):
     return 0.0 if max(hx, hy) == 0.0 else (hx + hy) / max(hx, hy)
 
 
+def assert_matches_loop(got, patches, config):
+    """`got` rows equal the one-patch loop oracle's statistics of
+    `patches` bit for bit, info_corr_1 within 1e-12 of its scale."""
+    matrices = [loop_glcm(patch, config) for patch in patches]
+    expected = np.stack([loop_haralick(m) for m in matrices])
+    exact = [k for k in range(len(HARALICK_NAMES)) if k != IMC1]
+    assert np.array_equal(got[:, exact], expected[:, exact])
+    bound = 1e-12 * np.array([imc1_scale(m) for m in matrices])
+    assert np.all(np.abs(got[:, IMC1] - expected[:, IMC1]) <= bound)
+    return matrices
+
+
 class TestBatchedGlcm:
-    """glcm_patch_matrix works a block of patches at a time; every
-    statistic equals the one-patch loop bit for bit, except info_corr_1,
-    whose hxy1 sum runs over a patch's whole L x L matrix rather than its
-    nonzero entries only.  That column is held to 1e-12 relative to
-    hxy1 / max(hx, hy)."""
+    """glcm_patch_matrix works a block of patches at a time through
+    buffers it reuses for every block, and a stack of blocks per Haralick
+    call; every statistic equals the one-patch loop bit for bit, except
+    info_corr_1, whose hxy1 sum runs over a patch's whole L x L matrix
+    rather than its nonzero entries only.  That column is held to 1e-12
+    relative to hxy1 / max(hx, hy)."""
 
     @settings(max_examples=120, deadline=None)
     @given(levels=st.integers(2, 256), h=st.integers(2, 24),
@@ -632,22 +646,109 @@ class TestBatchedGlcm:
             patches.append(patch.astype(np.uint16))
         pixels, coords = side_by_side(np.stack(patches))
         config = GlcmConfig(levels=levels, symmetric=symmetric)
-        matrices = [loop_glcm(patch, config) for patch in patches]
-        expected = np.stack([loop_haralick(m) for m in matrices])
         # `block` patches per block: the last block is a partial one.
         budget = block * max(h * w, levels * levels)
         with mock.patch.object(features, "_GLCM_BLOCK_VALUES", budget):
+            assert features._glcm_sizes(h, w, levels)[0] == block
             got = glcm_patch_matrix(pixels, coords, config)
-        exact = [k for k in range(len(HARALICK_NAMES)) if k != IMC1]
-        assert np.array_equal(got[:, exact], expected[:, exact])
-        bound = 1e-12 * np.array([imc1_scale(m) for m in matrices])
-        assert np.all(np.abs(got[:, IMC1] - expected[:, IMC1]) <= bound)
+        matrices = assert_matches_loop(got, patches, config)
         # The one-patch functions are the batched path's n = 1 case.
         for patch, m, row in zip(patches, matrices, got):
             assert np.array_equal(quantize(patch, levels),
                                   loop_quantize(patch, levels))
             assert np.array_equal(glcm(patch, config), m)
             assert np.array_equal(haralick_features(m), row)
+
+    def test_reused_buffers_across_blocks_and_stacks(self):
+        # 4 levels, 6 x 7 patches: 3 patches per block and 6 (two blocks)
+        # per Haralick stack, so 8 patches fill one stack and leave a
+        # partial block in a second.  The constant patches land in buffer
+        # slots that held noisy windows one block earlier.
+        rng = np.random.default_rng(31)
+        patches = [rng.integers(0, 65536, size=(6, 7)) for _ in range(8)]
+        patches[4] = np.full((6, 7), 40000)
+        patches[6] = np.full((6, 7), 7)
+        pixels, coords = side_by_side(np.stack(patches).astype(np.uint16))
+        config = GlcmConfig(levels=4)
+        blocks, stacks = [], []
+        real_count = features._GlcmCounter.count
+        real_haralick = features._haralick_stack
+
+        def count(counter, pixels, corners, out):
+            blocks.append((len(corners), counter.window.shape[0]))
+            real_count(counter, pixels, corners, out)
+
+        def haralick(P):
+            stacks.append(len(P))
+            return real_haralick(P)
+
+        with mock.patch.object(features, "_GLCM_BLOCK_VALUES", 3 * 42), \
+                mock.patch.object(features._GlcmCounter, "count", count), \
+                mock.patch.object(features, "_haralick_stack", haralick):
+            assert features._glcm_sizes(6, 7, 4) == (3, 6)
+            got = glcm_patch_matrix(pixels, coords, config)
+        assert blocks == [(3, 3), (3, 3), (2, 3)]
+        assert stacks == [6, 2]
+        matrices = assert_matches_loop(got, patches, config)
+        for k in (4, 6):
+            assert matrices[k][0, 0] == 1.0
+            assert np.array_equal(glcm(patches[k], config), matrices[k])
+
+    def test_back_to_back_calls_change_shape(self):
+        # Every call sizes its own buffers: a call with other levels,
+        # patch size or offsets after a larger one matches the loop.
+        rng = np.random.default_rng(37)
+        for (h, w), config in (
+                ((9, 5), GlcmConfig(levels=64)),
+                ((4, 11), GlcmConfig(levels=3, offsets=((1, 0),))),
+                ((9, 5), GlcmConfig(levels=16, offsets=((0, 2), (-2, 1)),
+                                    symmetric=False)),
+                ((3, 3), GlcmConfig(levels=256)),
+                ((9, 5), GlcmConfig(levels=64))):
+            patches = [rng.integers(0, 65536, size=(h, w)) for _ in range(7)]
+            pixels, coords = side_by_side(
+                np.stack(patches).astype(np.uint16))
+            with mock.patch.object(features, "_GLCM_BLOCK_VALUES",
+                                   2 * max(h * w, config.levels ** 2)):
+                got = glcm_patch_matrix(pixels, coords, config)
+            assert_matches_loop(got, patches, config)
+
+    @pytest.mark.parametrize("n, side, levels", [
+        (121, 80, 16), (40, 80, 256), (30, 24, 64), (500, 16, 16),
+        (3, 8, 2)])
+    def test_working_bytes_bound_allocations(self, n, side, levels):
+        # The closed-form prediction the memory check uses covers the
+        # tracemalloc peak of one call, and is within 25 % of it at the
+        # paper's 80 px, 16-level patches.
+        rng = np.random.default_rng(41)
+        pixels = rng.integers(0, 65536, size=(side, n * side)).astype(
+            np.uint16)
+        coords = [PatchCoords(k * side, (k + 1) * side, 0, side)
+                  for k in range(n)]
+        config = GlcmConfig(levels=levels)
+        tracemalloc.start()
+        try:
+            glcm_patch_matrix(pixels, coords, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        predicted = features.glcm_working_bytes(side, side, n, config)
+        assert peak <= predicted
+        if (side, levels) == (80, 16):
+            assert predicted <= 1.25 * peak
+
+    def test_working_bytes_closed_form(self):
+        # 121 patches of 80 px at 16 levels: 20 per block, all 121 in one
+        # Haralick stack.  Pairs per patch over the four offsets:
+        # 2 * 80 * 79 + 2 * 79 * 79.
+        pairs = 2 * 80 * 79 + 2 * 79 * 79
+        expected = 8 * (20 * (3 * 6400 + pairs) + 6 * 121 * 256 + 121 * 15) \
+            + (1 << 18)
+        assert features.glcm_working_bytes(80, 80, 121, GlcmConfig()) \
+            == expected
+        # One patch sizes one-patch buffers.
+        assert features.glcm_working_bytes(80, 80, 1, GlcmConfig()) == \
+            8 * (3 * 6400 + pairs + 6 * 256 + 15) + (1 << 18)
 
     def test_patch_too_small_for_offsets(self):
         config = GlcmConfig(offsets=((1, 0),))
