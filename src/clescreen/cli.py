@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import (LABELS, DatasetManifest, ManifestError, PgmError,
-                   dataset_stats, load_manifest)
+                   dataset_stats, load_manifest, save_image)
 from .evaluation import (ConfigError, InsufficientPatients, METHODS,
                          RunConfig, confusion_metrics, describe_records,
                          plan_records, prepare_record_image, results_csv,
@@ -178,9 +178,8 @@ def cmd_preprocess(args) -> int:
         for rec in records:
             img, _rects = prepare_record_image(manifest, rec, 1.0)
             comp, crop, raster = wholeimage.preprocess(img, args.target)
-            name = f"{rec.patient}_{rec.sequence}_f{rec.frame:04d}.pgm"
-            header = f"P5\n{args.target} {args.target}\n255\n".encode()
-            (out / name).write_bytes(header + raster.tobytes())
+            save_image(raster, out / f"{rec.patient}_{rec.sequence}_"
+                                      f"f{rec.frame:04d}.pgm")
             sidecar.append(
                 f"{rec.patient},{rec.sequence},{rec.frame},{comp.p_low!r},"
                 f"{comp.p_high!r},{crop.side},{crop.origin[0]},{crop.origin[1]}")

@@ -276,11 +276,18 @@ def load_image(path: str | Path) -> CleImage:
                     mask_center=center, mask_radius=radius)
 
 
-def save_image(image: CleImage, path: str | Path) -> None:
-    """Write as canonical P5, maxval 65535, big-endian samples."""
-    path = Path(path)
-    header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
-    path.write_bytes(header + image.pixels.astype(">u2").tobytes())
+def save_image(image: CleImage | np.ndarray, path: str | Path) -> None:
+    """Write a CleImage, or a 2-D uint8 or uint16 raster, as canonical P5
+    with the maxval of its dtype: 255, or 65535 with big-endian samples.
+    Every graymap the program writes goes through here."""
+    pixels = image.pixels if isinstance(image, CleImage) else image
+    maxval = {np.uint8: 255, np.uint16: 65535}.get(pixels.dtype.type)
+    if maxval is None:
+        raise ValueError(f"cannot write {pixels.dtype} samples as a graymap")
+    h, w = pixels.shape
+    Path(path).write_bytes(f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
+                           + pixels.astype(pixels.dtype.newbyteorder(">"))
+                           .tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +338,22 @@ def _record_to_json(rec: ImageRecord) -> dict:
     return obj
 
 
-def validate_manifest(manifest: DatasetManifest, check_files: bool = True) -> None:
+def validate_manifest(manifest: DatasetManifest) -> None:
+    """Raise `ManifestError` naming the first bad record.  Patient and
+    sequence ids must be safe as CSV fields and parts of file names."""
     records = manifest.records
     if not records:
         raise ManifestError("empty manifest")
     seen: dict[tuple, int] = {}
     for i, rec in enumerate(records):
+        for name in ("patient", "sequence"):
+            value = getattr(rec, name)
+            if value in ("", ".", "..") or not all(
+                    c.isprintable() and c not in ",/\\" for c in value):
+                raise ManifestError(
+                    f"record {i}: {name} {value!r} is not a valid id (it "
+                    f"must be non-empty, not . or .., and hold no ',', '/', "
+                    f"'\\' or unprintable character)")
         if rec.label not in LABELS:
             raise ManifestError(f"record {i}: unknown label {rec.label!r}")
         if rec.site not in SITES:
@@ -357,29 +374,28 @@ def validate_manifest(manifest: DatasetManifest, check_files: bool = True) -> No
                 raise ManifestError(
                     f"record {i}: label {rec.label!r} contradicts site "
                     f"{rec.site!r}")
-        if check_files:
-            path = manifest.image_path(rec)
-            try:
-                present = path.is_file()
-            except OSError as exc:  # say, a name beyond the OS limit
-                raise ManifestError(
-                    f"record {i}: cannot check image file {path}: "
-                    f"{exc.strerror or exc}") from None
-            if not present:
-                raise ManifestError(f"record {i}: missing image file {path}")
+        path = manifest.image_path(rec)
+        try:
+            present = path.is_file()
+        except OSError as exc:  # say, a name beyond the OS limit
+            raise ManifestError(
+                f"record {i}: cannot check image file {path}: "
+                f"{exc.strerror or exc}") from None
+        if not present:
+            raise ManifestError(f"record {i}: missing image file {path}")
 
 
-def load_manifest(path: str | Path, check_files: bool = True) -> DatasetManifest:
+def load_manifest(path: str | Path) -> DatasetManifest:
     """Read and validate a manifest.  A malformed one raises
     `ManifestError` naming `path`."""
     path = Path(path)
     try:
-        return _read_manifest(path, check_files)
+        return _read_manifest(path)
     except ManifestError as exc:
         raise ManifestError(f"{path}: {exc}") from None
 
 
-def _read_manifest(path: Path, check_files: bool) -> DatasetManifest:
+def _read_manifest(path: Path) -> DatasetManifest:
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -394,7 +410,7 @@ def _read_manifest(path: Path, check_files: bool) -> DatasetManifest:
         root = path.parent / root
     records = [_record_from_json(o, i) for i, o in enumerate(doc["records"])]
     manifest = DatasetManifest(records=records, root_path=root)
-    validate_manifest(manifest, check_files=check_files)
+    validate_manifest(manifest)
     return manifest
 
 

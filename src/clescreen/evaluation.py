@@ -3,10 +3,10 @@
 Folds are partitioned by patient so intra-video correlation never leaks
 between training and test sides; rotated copies only ever train.  Per-fold
 scores are concatenated into one result vector over all original records,
-from which threshold metrics, the ROC curve, and the tie-aware
-Mann-Whitney AUC are computed.  Every random draw derives from the master
-seed plus the fold's patient id, so runs are reproducible and independent
-of worker count.
+from which threshold metrics are computed; one descending ranking of it
+gives both the ROC curve and the tie-aware Mann-Whitney AUC.  Every
+random draw derives from the master seed plus the fold's patient id, so
+runs are reproducible and independent of worker count.
 
 A run plans every record from its image header (`plan_records`): the
 admitted patches and size of its prepared frame, hence its rows.  Then
@@ -127,6 +127,11 @@ class RunConfig:
             raise ConfigError("glcm_levels must be in [2, 256]")
         if self.l2 < 0:
             raise ConfigError("l2 must be >= 0")
+        if (_METHOD_SPEC[self.method][1] == "lbp"
+                and self.patch_size < features.LBP_MIN_PATCH):
+            raise ConfigError(
+                f"{self.method} needs patch_size >= {features.LBP_MIN_PATCH} "
+                f"for its largest LBP ring, got {self.patch_size}")
 
     @property
     def scale(self) -> float:
@@ -196,61 +201,47 @@ def confusion_metrics(labels: np.ndarray, probs: np.ndarray,
     return acc, sens, spec
 
 
-def _tie_groups(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of the runs of equal values in a sorted array, as
-    half-open index ranges."""
-    cuts = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
-    starts = np.concatenate([[0], cuts])
-    ends = np.concatenate([cuts, [len(sorted_values)]])
-    return starts, ends
+def roc_auc(labels: np.ndarray, probs: np.ndarray):
+    """ROC sweep plus AUC, both from one descending ranking of the scores.
 
-
-def mann_whitney_auc(labels: np.ndarray, probs: np.ndarray) -> float:
-    """Probability that a random positive outranks a random negative,
-    crediting ties 0.5 (average-rank form of the pair statistic)."""
-    labels = np.asarray(labels).astype(int)
-    probs = np.asarray(probs, dtype=float)
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs both classes present")
-    order = np.argsort(probs, kind="stable")
-    starts, ends = _tie_groups(probs[order])
-    ranks = np.empty(len(probs), dtype=float)
-    # Every member of a tie group gets the group's average 1-based rank.
-    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
-    rank_sum_pos = float(ranks[labels == 1].sum())
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
-
-
-def roc_points(labels: np.ndarray, probs: np.ndarray) -> list[tuple[float, float, float]]:
-    """(fpr, tpr, threshold) sweeping thresholds down the distinct scores.
-
-    Tied scores collapse into a single step, so the trapezoidal area under
-    this curve equals the tie-aware pair statistic.  Starts at (0, 0) with
-    threshold +inf and ends at (1, 1).
+    The sweep is (fpr, tpr, threshold) per distinct score, from (0, 0) at
+    threshold +inf down to (1, 1); tied scores collapse into one step.
+    The AUC is the probability that a random positive outranks a random
+    negative, ties credited 0.5: each of the neg_g negatives of step g
+    beats the tp_above_g positives above it and ties its pos_g, so
+    u = sum_g neg_g (tp_above_g + pos_g / 2).  2u is an exact integer, so
+    the AUC equals the average-rank statistic to the bit, and it is the
+    trapezoidal area under the sweep.
     """
     labels = np.asarray(labels).astype(int)
     probs = np.asarray(probs, dtype=float)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC needs both classes present")
+        raise ValueError("ROC and AUC need both classes present")
     order = np.argsort(-probs, kind="stable")
     ss = probs[order]
-    starts, ends = _tie_groups(ss)
-    # Counts above each step's threshold: everything up to its group end.
+    cuts = np.flatnonzero(ss[1:] != ss[:-1]) + 1
+    ends = np.append(cuts, len(ss))
+    # Counts at or above each step's threshold: everything up to its end.
     tp = np.cumsum(labels[order])[ends - 1]
     fp = ends - tp
-    return [(0.0, 0.0, float("inf"))] + list(zip(
-        (fp / n_neg).tolist(), (tp / n_pos).tolist(), ss[starts].tolist()))
+    above = np.concatenate([[0], tp[:-1]])
+    twice_u = int((np.diff(fp, prepend=0) * (tp + above)).sum())
+    roc = [(0.0, 0.0, float("inf"))] + list(zip(
+        (fp / n_neg).tolist(), (tp / n_pos).tolist(),
+        ss[np.concatenate([[0], cuts])].tolist()))
+    return roc, twice_u / 2.0 / (n_pos * n_neg)
 
 
-def roc_auc(labels: np.ndarray, probs: np.ndarray):
-    """ROC sweep plus AUC; the AUC is the Mann-Whitney statistic, which
-    coincides with the trapezoidal area under the tie-aware curve."""
-    return roc_points(labels, probs), mann_whitney_auc(labels, probs)
+def mann_whitney_auc(labels: np.ndarray, probs: np.ndarray) -> float:
+    """The AUC of `roc_auc` alone."""
+    return roc_auc(labels, probs)[1]
+
+
+def roc_points(labels: np.ndarray, probs: np.ndarray) -> list[tuple[float, float, float]]:
+    """The ROC sweep of `roc_auc` alone."""
+    return roc_auc(labels, probs)[0]
 
 
 # ---------------------------------------------------------------------------

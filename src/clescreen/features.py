@@ -1,11 +1,13 @@
 """Textural features of image patches.
 
 Two descriptor families, both computed on raw (unwhitened) intensities
-since they are comparison- or range-based:
+since they are comparison- or range-based.  Both are fixed as the paper
+gives them; only the GLCM gray-level count is a setting:
 
-* rotation-invariant uniform local binary pattern histograms at three
-  radius/neighbor scales, and
-* 16-level gray-level co-occurrence matrices with the classic 13-feature
+* rotation-invariant uniform local binary pattern histograms at the three
+  `LBP_SCALES` (radius, neighbors), and
+* gray-level co-occurrence matrices (16 levels by default) pooled
+  symmetrically over the four `GLCM_OFFSETS`, with the classic 13-feature
   statistics set plus the dissimilarity and matrix-mean extensions.
 
 An image is summarized by the per-dimension mean and population standard
@@ -38,9 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The paper's descriptors are fixed: LBP at these (radius, neighbors)
+# scales, and GLCM pooled symmetrically over these (dx, dy) offsets.
 LBP_SCALES = ((1, 8), (3, 16), (5, 24))
-
 GLCM_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 1))
+
+# The smallest patch side every LBP scale's ring fits inside.
+LBP_MIN_PATCH = 2 * max(r for r, _p in LBP_SCALES) + 1
 
 HARALICK_NAMES = (
     "energy",
@@ -74,27 +80,19 @@ class _Descriptor:
 
 @dataclass(frozen=True)
 class LbpConfig(_Descriptor):
-    scales: tuple[tuple[int, int], ...] = LBP_SCALES
-
-    def __post_init__(self) -> None:
-        for radius, neighbors in self.scales:
-            if radius < 1 or neighbors < 4:
-                raise ValueError(f"bad LBP scale ({radius}, {neighbors})")
-
-    @property
-    def n_features(self) -> int:
-        return sum(p + 2 for _, p in self.scales)
+    """riu2 LBP histograms at the `LBP_SCALES` (radius, neighbors)."""
 
     def names(self) -> tuple[str, ...]:
         return tuple(f"lbp:r{r}n{p}:b{j}"
-                     for r, p in self.scales for j in range(p + 2))
+                     for r, p in LBP_SCALES for j in range(p + 2))
 
 
 @dataclass(frozen=True)
 class GlcmConfig(_Descriptor):
+    """`levels`-level co-occurrence over the `GLCM_OFFSETS`, pooled
+    symmetrically."""
+
     levels: int = 16
-    offsets: tuple[tuple[int, int], ...] = GLCM_OFFSETS
-    symmetric: bool = True
 
     def __post_init__(self) -> None:
         if not 2 <= self.levels <= 256:
@@ -236,10 +234,9 @@ def lbp_histogram(patch, radius: int, neighbors: int) -> np.ndarray:
     return _histogram_rows(codes, neighbors + 2)[0]
 
 
-def lbp_patch_matrix(pixels: np.ndarray, coords,
-                     config: LbpConfig = LbpConfig()) -> np.ndarray:
-    """(len(coords), D) concatenated multi-scale histograms of the patches
-    `coords` cut from `pixels`.
+def lbp_patch_matrix(pixels: np.ndarray, coords) -> np.ndarray:
+    """(len(coords), D) concatenated `LBP_SCALES` histograms of the
+    patches `coords` cut from `pixels`.
 
     Every center is coded once per scale, on the frame region that bounds
     the patches, from difference rasters computed once for all scales;
@@ -254,16 +251,15 @@ def lbp_patch_matrix(pixels: np.ndarray, coords,
     region = np.asarray(pixels[y0:max(c.c4 for c in coords),
                                x0:max(c.c2 for c in coords)],
                         dtype=np.float64)
-    for r, _p in config.scales:
-        for c in coords:
-            h, w = c.c4 - c.c3, c.c2 - c.c1
-            if h < 2 * r + 1 or w < 2 * r + 1:
-                raise ValueError(
-                    f"patch {h}x{w} too small for radius {r} (needs "
-                    f">= {2 * r + 1})")
+    for c in coords:
+        h, w = c.c4 - c.c3, c.c2 - c.c1
+        if min(h, w) < LBP_MIN_PATCH:
+            raise ValueError(
+                f"patch {h}x{w} too small for radius "
+                f"{LBP_MIN_PATCH // 2} (needs >= {LBP_MIN_PATCH})")
     parts = []
-    for (r, p), codes in zip(config.scales,
-                             _lbp_scale_codes(region[None], config.scales)):
+    for (r, p), codes in zip(LBP_SCALES,
+                             _lbp_scale_codes(region[None], LBP_SCALES)):
         windows = np.stack([codes[0, c.c3 - y0: c.c4 - y0 - 2 * r,
                                   c.c1 - x0: c.c2 - x0 - 2 * r]
                             for c in coords])
@@ -306,7 +302,7 @@ def glcm_working_bytes(h: int, w: int, n: int, config: GlcmConfig) -> int:
     numpy's iteration buffers (8192 values per strided operand)."""
     block, stack = (min(k, n) for k in _glcm_sizes(h, w, config.levels))
     pairs = sum(max(0, h - abs(dy)) * max(0, w - abs(dx))
-                for dx, dy in config.offsets)
+                for dx, dy in GLCM_OFFSETS)
     return 8 * (block * (3 * h * w + pairs) + 6 * stack * config.levels ** 2
                 + n * len(HARALICK_NAMES)) + (1 << 18)
 
@@ -345,9 +341,8 @@ class _GlcmCounter:
     a-side + b-side level, each offset in its own slice, which one
     bincount counts."""
 
-    def __init__(self, h: int, w: int, block: int, config: GlcmConfig):
-        L = config.levels
-        self.config = config
+    def __init__(self, h: int, w: int, block: int, levels: int):
+        L = self.L = levels
         self.window = np.empty((block, h, w))
         self.levels = np.empty((2, block, h, w), dtype=np.intp)
         self.base = (np.arange(block, dtype=np.intp) * (L * L))[:, None, None]
@@ -355,7 +350,7 @@ class _GlcmCounter:
         # each offset that pairs any pixels.
         self.pairs = [((max(0, -dy), max(0, -dx)), (max(0, dy), max(0, dx)),
                        (h - abs(dy), w - abs(dx)))
-                      for dx, dy in config.offsets
+                      for dx, dy in GLCM_OFFSETS
                       if h > abs(dy) and w > abs(dx)]
         self.codes = np.empty(
             block * sum(rows * cols for _a, _b, (rows, cols) in self.pairs),
@@ -364,7 +359,7 @@ class _GlcmCounter:
     def count(self, pixels: np.ndarray, corners, out: np.ndarray) -> None:
         """Write to `out` (n, L, L) the matrices of the n windows of
         `pixels` whose top-left corners are `corners` (y, x)."""
-        n, L = len(corners), self.config.levels
+        n, L = len(corners), self.L
         h, w = self.window.shape[1:]
         window = self.window[:n]
         for k, (y, x) in enumerate(corners):
@@ -381,8 +376,7 @@ class _GlcmCounter:
             end += size
         counts = np.bincount(self.codes[:end],
                              minlength=n * L * L).reshape(n, L, L)
-        if self.config.symmetric:
-            counts = counts + counts.transpose(0, 2, 1)
+        counts = counts + counts.transpose(0, 2, 1)
         total = counts.sum(axis=(1, 2))
         if (total == 0).any():
             raise ValueError("patch too small for GLCM offsets")
@@ -391,11 +385,10 @@ class _GlcmCounter:
 
 def glcm(patch, config: GlcmConfig = GlcmConfig()) -> np.ndarray:
     """Co-occurrence matrix of quantized gray levels, pooled over the
-    configured pixel offsets.  Symmetric mode adds the transpose.  The
-    returned matrix sums to 1."""
+    `GLCM_OFFSETS` plus its transpose.  The returned matrix sums to 1."""
     patch = np.asarray(patch)
     out = np.empty((1, config.levels, config.levels))
-    _GlcmCounter(*patch.shape, 1, config).count(patch, [(0, 0)], out)
+    _GlcmCounter(*patch.shape, 1, config.levels).count(patch, [(0, 0)], out)
     return out[0]
 
 
@@ -493,7 +486,7 @@ def glcm_patch_matrix(pixels: np.ndarray, coords,
         raise ValueError("GLCM patches must share one size")
     L = config.levels
     block, stack = _glcm_sizes(h, w, L)
-    counter = _GlcmCounter(h, w, min(block, len(coords)), config)
+    counter = _GlcmCounter(h, w, min(block, len(coords)), L)
     matrices = np.empty((min(stack, len(coords)), L, L))
     out = np.empty((len(coords), len(HARALICK_NAMES)))
     for lo in range(0, len(coords), stack):
@@ -517,7 +510,7 @@ def image_row(pixels: np.ndarray, coords,
     mean of the patch descriptors, then their population standard
     deviation (columns named by `config.row_names()`)."""
     if isinstance(config, LbpConfig):
-        per_patch = lbp_patch_matrix(pixels, coords, config)
+        per_patch = lbp_patch_matrix(pixels, coords)
     else:
         per_patch = glcm_patch_matrix(pixels, coords, config)
     return np.concatenate([per_patch.mean(axis=0), per_patch.std(axis=0)])

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import save_image
 from .patching import PatchCoords
 
 
@@ -86,8 +87,4 @@ def fuse(patches, dims: tuple[int, int]) -> ImageProbability:
 def export_probability_map(maps: FusionMaps, path: str | Path) -> None:
     """Write the probability map as an 8-bit PGM (probability x 255,
     round half up; uncovered pixels stay 0)."""
-    path = Path(path)
-    h, w = maps.pm.shape
-    raster = np.floor(maps.pm * 255.0 + 0.5).astype(np.uint8)
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    path.write_bytes(header + raster.tobytes())
+    save_image(np.floor(maps.pm * 255.0 + 0.5).astype(np.uint8), path)

@@ -118,14 +118,14 @@ def _edge_pad(src: np.ndarray) -> np.ndarray:
     return np.pad(src, 1, mode="edge").astype(np.float64)
 
 
-def _bilinear_sample(padded: np.ndarray, px: np.ndarray, py: np.ndarray,
-                     fill: float = 0.0) -> np.ndarray:
+def _bilinear_sample(padded: np.ndarray, px: np.ndarray,
+                     py: np.ndarray) -> np.ndarray:
     """Sample the raster that `padded` (from `_edge_pad`) borders at float
     positions with bilinear weights.
 
     Pixel (x, y) is the point at integer coordinates (x, y).  Positions
     within half a pixel of the border read the edge copies, which is the
-    edge sample; anything farther out takes `fill`.  The difference form
+    edge sample; anything farther out is 0.  The difference form
     ((v00 + tx*Dh) + ty*Dv) + (tx*ty)*C keeps interpolation exact on
     locally constant data.  It is evaluated in place in the four gathered
     arrays, so a call allocates few temporaries the size of `px`.
@@ -137,8 +137,8 @@ def _bilinear_sample(padded: np.ndarray, px: np.ndarray, py: np.ndarray,
     tx = px - x0
     ty = py - y0
     # Flat index of the cell's top-left pixel v00 in the padded raster,
-    # (y0 + 1) * row + (x0 + 1); clipping only keeps positions that take
-    # `fill` in bounds.
+    # (y0 + 1) * row + (x0 + 1); clipping only keeps positions that read
+    # 0 in bounds.
     row = w + 2
     y0 += 1.0
     y0 *= row
@@ -163,7 +163,7 @@ def _bilinear_sample(padded: np.ndarray, px: np.ndarray, py: np.ndarray,
     tx *= ty
     v11 *= tx
     v00 += v11
-    v00[~valid] = fill
+    v00[~valid] = 0.0
     return v00
 
 

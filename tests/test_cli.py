@@ -149,6 +149,39 @@ class TestSynthStats:
         assert err == [f"clescreen: bad data: {path}: record 0: missing "
                        f"image file {dataset / 'images' / 'absent.pgm'}"]
 
+    @pytest.mark.parametrize("field", ["patient", "sequence"])
+    @pytest.mark.parametrize("value", ["", ".", "..", "p,00", "../escaped",
+                                       "a\\b", "tab\there", "nul\x00"],
+                             ids=["empty", "dot", "dot-dot", "comma",
+                                  "slash", "backslash", "tab", "nul"])
+    def test_unsafe_id_is_data_error(self, dataset, tmp_path, capsys, field,
+                                     value):
+        path = edited_manifest(dataset, tmp_path, {field: value})
+        capsys.readouterr()
+        assert main(["stats", "--data", str(path)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"clescreen: bad data: {path}: record 0: "
+                                 f"{field} ")
+        assert "is not a valid id" in err[0]
+
+    def test_comma_in_patient_refused_before_results(self, dataset,
+                                                     tmp_path):
+        # A comma would shift the results.csv fields that `report` reads.
+        path = edited_manifest(dataset, tmp_path, {"patient": "p,00"})
+        out = tmp_path / "cv"
+        assert main(["cv", "--data", str(path), "--method", "RF-GLCM@0.5x",
+                     "--trees", "2", "--jobs", "1", "--out", str(out)]) == 6
+        assert not out.exists()
+
+    def test_dot_dot_patient_writes_nothing_outside_out(self, dataset,
+                                                        tmp_path):
+        path = edited_manifest(dataset, tmp_path, {"patient": "../escaped"})
+        out = tmp_path / "x" / "deep"
+        assert main(["preprocess", "--data", str(path), "--mode",
+                     "wholeimage", "--out", str(out)]) == 6
+        assert not (tmp_path / "x").exists()
+
 
 class TestFeaturePath:
     def test_featurize_train_predict(self, dataset, tmp_path):
@@ -492,6 +525,20 @@ class TestCv:
                        "Gram matrix and largest fold Gram 0 MiB) but only "
                        "4096 MiB is available"]
         assert not out.exists()
+
+    def test_lbp_patch_below_largest_ring_refused_before_reading(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(evaluation, "prepare_record_image",
+                            lambda *args: read.append(args))
+        out = tmp_path / "cv"
+        capsys.readouterr()
+        assert main(["cv", "--data", str(dataset), "--method", "RF-LBP@0.5x",
+                     "--patch-size", "8", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "clescreen: invalid configuration: RF-LBP@0.5x needs "
+            "patch_size >= 11 for its largest LBP ring, got 8"]
+        assert read == [] and not out.exists()
 
     def test_wholeimage_without_source_is_config_error(self, dataset, tmp_path):
         rc = main(["cv", "--data", str(dataset), "--method",

@@ -139,6 +139,21 @@ class TestRoundTrip:
             save_image(reloaded, p2)
             assert p2.read_bytes() == first
 
+    def test_raster_maxval_follows_dtype(self, tmp_path):
+        # One writer for both depths: an 8-bit raster is written with
+        # maxval 255 and one byte per sample, and reads back widened.
+        raster = np.array([[0, 7], [128, 255], [1, 2]], dtype=np.uint8)
+        save_image(raster, tmp_path / "r8.pgm")
+        assert (tmp_path / "r8.pgm").read_bytes() == \
+            b"P5\n2 3\n255\n" + raster.tobytes()
+        assert np.array_equal(load_image(tmp_path / "r8.pgm").pixels,
+                              raster.astype(np.uint16) * 257)
+        save_image(raster.astype(np.uint16) * 257, tmp_path / "r16.pgm")
+        assert (tmp_path / "r16.pgm").read_bytes() == \
+            b"P5\n2 3\n65535\n" + (raster.astype(">u2") * 257).tobytes()
+        with pytest.raises(ValueError, match="float64 samples"):
+            save_image(raster.astype(np.float64), tmp_path / "f.pgm")
+
 
 class TestCleImageInvariants:
     def test_mask_must_fit(self):

@@ -59,6 +59,26 @@ def auc_loop(labels, probs):
     return u / (n_pos * n_neg)
 
 
+def frozen_average_rank_auc(labels, probs):
+    """The vectorized average-rank AUC that `mann_whitney_auc` computed
+    from its own ascending sort before `roc_auc` took the AUC from the
+    steps of the ROC ranking, kept unchanged as the oracle."""
+    labels = np.asarray(labels).astype(int)
+    probs = np.asarray(probs, dtype=float)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(probs, kind="stable")
+    sorted_probs = probs[order]
+    cuts = np.flatnonzero(sorted_probs[1:] != sorted_probs[:-1]) + 1
+    starts = np.concatenate([[0], cuts])
+    ends = np.concatenate([cuts, [len(sorted_probs)]])
+    ranks = np.empty(len(probs), dtype=float)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    rank_sum_pos = float(ranks[labels == 1].sum())
+    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
 def roc_loop(labels, probs):
     """ROC sweep with an explicit scan over tie groups."""
     labels = np.asarray(labels).astype(int)
@@ -234,6 +254,32 @@ class TestRocAuc:
         assert mann_whitney_auc(labels, probs) == auc_loop(labels, probs)
         assert roc_points(labels, probs) == roc_loop(labels, probs)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 300), distinct=st.sampled_from([1, 2, 3, 5, 8,
+                                                            None]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_auc_equals_frozen_average_rank_form(self, n, distinct, seed):
+        # Bit for bit, on mostly tie-heavy scores: `distinct` values drawn
+        # over and over, or (None) continuous ones.
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        probs = (rng.uniform(size=n) if distinct is None
+                 else rng.choice(rng.uniform(size=distinct), size=n))
+        want = frozen_average_rank_auc(labels, probs)
+        assert mann_whitney_auc(labels, probs).hex() == want.hex()
+        assert roc_auc(labels, probs)[1].hex() == want.hex()
+
+    def test_one_sort_serves_curve_and_auc(self, monkeypatch):
+        sorts = []
+        real = np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda *a, **k: sorts.append(1) or real(*a, **k))
+        roc, auc = roc_auc(np.array([0, 1, 1, 0]),
+                           np.array([0.2, 0.2, 0.9, 0.4]))
+        assert len(sorts) == 1
+        assert auc == 0.625 and roc[-1][:2] == (1.0, 1.0)
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -247,7 +293,7 @@ def patch_descriptor(patch, descriptor):
     """One patch's descriptor through the single-patch functions."""
     if isinstance(descriptor, LbpConfig):
         return np.concatenate([lbp_histogram(patch, r, p)
-                               for r, p in descriptor.scales])
+                               for r, p in features.LBP_SCALES])
     return haralick_features(glcm(patch, descriptor))
 
 
@@ -536,6 +582,15 @@ class TestRunCv:
     def test_unknown_method_rejected(self, small_dataset):
         with pytest.raises(ConfigError, match="unknown method"):
             run_cv(small_dataset, RunConfig(method="RF-XYZ@1.0x"))
+
+    @pytest.mark.parametrize("method", ["RF-LBP@1.0x", "RF-LBP@0.5x"])
+    def test_lbp_patch_floor_is_largest_ring(self, method):
+        # 2 * 5 + 1: the radius-5 ring must fit inside every patch.
+        assert features.LBP_MIN_PATCH == 11
+        RunConfig(method=method, patch_size=11).validate()
+        with pytest.raises(ConfigError, match=r"patch_size >= 11 .* got 10"):
+            RunConfig(method=method, patch_size=10).validate()
+        RunConfig(method="RF-GLCM@0.5x", patch_size=10).validate()
 
     def test_single_patient_aborts(self, tmp_path):
         config = SynthConfig(n_patients=1, images_per_patient=4,

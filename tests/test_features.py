@@ -15,8 +15,9 @@ from clescreen import features
 from clescreen.core import ArtifactRect, DatasetManifest, save_image
 from clescreen.evaluation import (RunConfig, describe_records,
                                   plan_records, record_patch_coords)
-from clescreen.features import (GlcmConfig, HARALICK_NAMES, LbpConfig,
-                                glcm, glcm_patch_matrix, haralick_features,
+from clescreen.features import (GLCM_OFFSETS, GlcmConfig, HARALICK_NAMES,
+                                LBP_SCALES, LbpConfig, glcm,
+                                glcm_patch_matrix, haralick_features,
                                 image_row, lbp_histogram, lbp_patch_matrix,
                                 quantize)
 from clescreen.patching import PatchCoords, resize_half
@@ -287,7 +288,7 @@ class TestLbpImageVector:
         row = image_row(*side_by_side(patch[None]), LbpConfig())
         assert np.all(row[54:] == 0.0)
         concat = np.concatenate([
-            lbp_histogram(patch, r, p) for r, p in LbpConfig().scales])
+            lbp_histogram(patch, r, p) for r, p in LBP_SCALES])
         assert np.allclose(row[:54], concat)
 
     def test_duplicate_patches_match_single(self):
@@ -322,7 +323,7 @@ class TestLbpImageVector:
         mat = lbp_patch_matrix(*side_by_side(stack))
         for i in range(5):
             concat = np.concatenate([
-                lbp_histogram(stack[i], r, p) for r, p in LbpConfig().scales])
+                lbp_histogram(stack[i], r, p) for r, p in LBP_SCALES])
             assert np.array_equal(mat[i], concat)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0])
@@ -343,11 +344,11 @@ class TestLbpImageVector:
         assert 0 < len(coords) < len(record_patch_coords(*geometry, [],
                                                          config))
         mat = lbp_patch_matrix(img.pixels, coords)
-        assert mat.shape == (len(coords), LbpConfig().n_features)
+        assert mat.shape == (len(coords), len(LbpConfig().names()))
         for row, c in zip(mat, coords):
             patch = img.pixels[c.c3:c.c4, c.c1:c.c2].astype(np.float64)
             start = 0
-            for r, p in LbpConfig().scales:
+            for r, p in LBP_SCALES:
                 assert np.array_equal(row[start:start + p + 2],
                                       lbp_histogram(patch, r, p))
                 start += p + 2
@@ -384,13 +385,14 @@ class TestGlcm:
         assert m.sum() == 1.0
 
     def test_checkerboard_hand_count(self):
-        # 2x2 checkerboard of quantized levels {0, 15}, offset (1, 0) only,
-        # symmetric: pairs (0,15) and (15,0), plus transposes -> 0.5 each.
+        # 2x2 checkerboard of quantized levels {0, 15} over the four
+        # offsets: the horizontal and vertical ones pair (0,15) and (15,0)
+        # twice each, the diagonals (0,0) and (15,15) once each.  The
+        # transpose doubles every count, so 12 pairs in all.
         patch = np.array([[0.0, 15.0], [15.0, 0.0]])
-        cfg = GlcmConfig(levels=16, offsets=((1, 0),), symmetric=True)
-        m = glcm(patch, cfg)
-        assert m[0, 15] == 0.5
-        assert m[15, 0] == 0.5
+        m = glcm(patch, GlcmConfig(levels=16))
+        assert m[0, 15] == m[15, 0] == 4 / 12
+        assert m[0, 0] == m[15, 15] == 2 / 12
         assert m.sum() == 1.0
 
     def test_symmetry_nonnegativity_normalization(self):
@@ -405,15 +407,16 @@ class TestGlcm:
     def test_offset_counting_against_loop_oracle(self):
         rng = np.random.default_rng(23)
         patch = rng.integers(0, 4, size=(6, 6)).astype(np.float64)
-        cfg = GlcmConfig(levels=4, offsets=((-1, 1),), symmetric=False)
-        m = glcm(patch, cfg)
+        m = glcm(patch, GlcmConfig(levels=4))
         q = quantize(patch, 4)
         counts = np.zeros((4, 4))
-        for y in range(6):
-            for x in range(6):
-                yy, xx = y + 1, x - 1
-                if 0 <= yy < 6 and 0 <= xx < 6:
-                    counts[q[y, x], q[yy, xx]] += 1
+        for dx, dy in GLCM_OFFSETS:
+            for y in range(6):
+                for x in range(6):
+                    yy, xx = y + dy, x + dx
+                    if 0 <= yy < 6 and 0 <= xx < 6:
+                        counts[q[y, x], q[yy, xx]] += 1
+                        counts[q[yy, xx], q[y, x]] += 1
         assert np.allclose(m, counts / counts.sum())
 
 
@@ -517,7 +520,7 @@ def loop_glcm(patch, config):
     h, w = q.shape
     L = config.levels
     acc = np.zeros((L, L), dtype=np.float64)
-    for dx, dy in config.offsets:
+    for dx, dy in GLCM_OFFSETS:
         ys = slice(max(0, -dy), h - max(0, dy))
         xs = slice(max(0, -dx), w - max(0, dx))
         ys2 = slice(max(0, dy), h - max(0, -dy))
@@ -525,10 +528,7 @@ def loop_glcm(patch, config):
         a = q[ys, xs].ravel()
         b = q[ys2, xs2].ravel()
         m = np.bincount(a * L + b, minlength=L * L).reshape(L, L)
-        m = m.astype(np.float64)
-        if config.symmetric:
-            m = m + m.T
-        acc += m
+        acc += m.astype(np.float64) + m.T
     total = acc.sum()
     if total == 0:
         raise ValueError("patch too small for GLCM offsets")
@@ -630,9 +630,8 @@ class TestBatchedGlcm:
            kinds=st.lists(st.sampled_from(["noise", "constant",
                                            "two-level"]),
                           min_size=1, max_size=14),
-           symmetric=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_one_patch_loop(self, levels, h, w, block, kinds,
-                                    symmetric, seed):
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_one_patch_loop(self, levels, h, w, block, kinds, seed):
         assume(len(kinds) % block != 0)
         rng = np.random.default_rng(seed)
         patches = []
@@ -645,7 +644,7 @@ class TestBatchedGlcm:
                 patch = rng.choice(rng.integers(0, 65536, size=2), (h, w))
             patches.append(patch.astype(np.uint16))
         pixels, coords = side_by_side(np.stack(patches))
-        config = GlcmConfig(levels=levels, symmetric=symmetric)
+        config = GlcmConfig(levels=levels)
         # `block` patches per block: the last block is a partial one.
         budget = block * max(h * w, levels * levels)
         with mock.patch.object(features, "_GLCM_BLOCK_VALUES", budget):
@@ -695,14 +694,14 @@ class TestBatchedGlcm:
             assert np.array_equal(glcm(patches[k], config), matrices[k])
 
     def test_back_to_back_calls_change_shape(self):
-        # Every call sizes its own buffers: a call with other levels,
-        # patch size or offsets after a larger one matches the loop.
+        # Every call sizes its own buffers: a call with other levels or
+        # patch size after a larger one matches the loop, down to a one-row
+        # patch that only the horizontal offset pairs.
         rng = np.random.default_rng(37)
         for (h, w), config in (
                 ((9, 5), GlcmConfig(levels=64)),
-                ((4, 11), GlcmConfig(levels=3, offsets=((1, 0),))),
-                ((9, 5), GlcmConfig(levels=16, offsets=((0, 2), (-2, 1)),
-                                    symmetric=False)),
+                ((4, 11), GlcmConfig(levels=3)),
+                ((1, 7), GlcmConfig(levels=16)),
                 ((3, 3), GlcmConfig(levels=256)),
                 ((9, 5), GlcmConfig(levels=64))):
             patches = [rng.integers(0, 65536, size=(h, w)) for _ in range(7)]
@@ -751,15 +750,14 @@ class TestBatchedGlcm:
             8 * (3 * 6400 + pairs + 6 * 256 + 15) + (1 << 18)
 
     def test_patch_too_small_for_offsets(self):
-        config = GlcmConfig(offsets=((1, 0),))
+        # No offset pairs a pixel with itself, so a 1x1 patch has no pairs.
         with pytest.raises(ValueError,
                            match="patch too small for GLCM offsets"):
-            glcm(np.zeros((3, 1)), config)
+            glcm(np.zeros((1, 1)))
         with pytest.raises(ValueError,
                            match="patch too small for GLCM offsets"):
-            glcm_patch_matrix(np.zeros((3, 4)), [PatchCoords(0, 1, 0, 3),
-                                                 PatchCoords(2, 3, 0, 3)],
-                              config)
+            glcm_patch_matrix(np.zeros((1, 4)), [PatchCoords(0, 1, 0, 1),
+                                                 PatchCoords(2, 3, 0, 1)])
 
     def test_mixed_patch_sizes_rejected(self):
         coords = [PatchCoords(0, 4, 0, 4), PatchCoords(4, 9, 0, 4)]
