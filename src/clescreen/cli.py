@@ -28,7 +28,6 @@ from .evaluation import (ConfigError, InsufficientPatients, METHODS,
                          roc_auc, roc_csv, run_cv, summary_dict)
 from .forest import load_forest, save_forest, train_random_forest
 from .fusion import fuse
-from .synth import SynthConfig, generate_dataset
 from .util import default_jobs
 from . import wholeimage
 
@@ -136,6 +135,9 @@ def _label_value(label: str, path: str) -> int:
 
 
 def cmd_synth(args) -> int:
+    # Imported here so that no other command loads scipy.
+    from .synth import SynthConfig, generate_dataset
+
     config = SynthConfig(
         n_patients=args.patients,
         images_per_patient=args.images_per_patient,

@@ -298,11 +298,15 @@ def save_image(image: CleImage | np.ndarray, path: str | Path) -> None:
 def _record_from_json(obj: dict, index: int) -> ImageRecord:
     if not isinstance(obj, dict):
         raise ManifestError(f"record {index}: expected an object")
+    for name in ("patient", "sequence"):
+        if name in obj and not isinstance(obj[name], str):
+            raise ManifestError(f"record {index}: {name} must be a string, "
+                                f"got {json.dumps(obj[name])}")
     try:
         rects = [ArtifactRect(*map(int, r)) for r in obj.get("artifacts", [])]
         rec = ImageRecord(
-            patient=str(obj["patient"]),
-            sequence=str(obj["sequence"]),
+            patient=obj["patient"],
+            sequence=obj["sequence"],
             frame=int(obj["frame"]),
             label=str(obj["label"]),
             site=str(obj["site"]),

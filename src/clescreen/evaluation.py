@@ -123,8 +123,10 @@ class RunConfig:
             raise ConfigError("overlap must be in [0, 1)")
         if self.patch_size < 2 or self.target_size < 2:
             raise ConfigError("patch_size and target_size must be >= 2")
-        if not 2 <= self.glcm_levels <= 256:
-            raise ConfigError("glcm_levels must be in [2, 256]")
+        try:
+            features.GlcmConfig(levels=self.glcm_levels)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.l2 < 0:
             raise ConfigError("l2 must be >= 0")
         if (_METHOD_SPEC[self.method][1] == "lbp"
@@ -437,6 +439,7 @@ def describe_records(manifest: core.DatasetManifest,
     counts = _row_counts(plan, config)
     ends = np.cumsum(counts)
     X = _shared_rows(int(counts.sum()), *_row_format(config))
+    descriptor = config.descriptor if kind == "features" else None
 
     def fill(i: int) -> None:
         coords, out = plan[i].coords, X[ends[i] - counts[i]:ends[i]]
@@ -448,7 +451,7 @@ def describe_records(manifest: core.DatasetManifest,
                 row[:] = patching.whiten_values(
                     img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
         elif kind == "features":
-            out[0] = features.image_row(img.pixels, coords, config.descriptor)
+            out[0] = features.image_row(img.pixels, coords, descriptor)
         else:
             _compressed, _crop, raster = wholeimage.preprocess(
                 img, config.target_size)

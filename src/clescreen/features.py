@@ -96,7 +96,8 @@ class GlcmConfig(_Descriptor):
 
     def __post_init__(self) -> None:
         if not 2 <= self.levels <= 256:
-            raise ValueError(f"levels must be in [2, 256], got {self.levels}")
+            raise ValueError(
+                f"GLCM levels must be in [2, 256], got {self.levels}")
 
     def names(self) -> tuple[str, ...]:
         return tuple(f"glcm{self.levels}:{n}" for n in HARALICK_NAMES)

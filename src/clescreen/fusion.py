@@ -10,11 +10,9 @@ only the cancerous-class probability is carried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import save_image
 from .patching import PatchCoords
 
 
@@ -82,9 +80,3 @@ def image_probability(maps: FusionMaps) -> ImageProbability:
 def fuse(patches, dims: tuple[int, int]) -> ImageProbability:
     """Convenience: build maps and reduce to the scalar in one step."""
     return image_probability(build_maps(patches, dims))
-
-
-def export_probability_map(maps: FusionMaps, path: str | Path) -> None:
-    """Write the probability map as an 8-bit PGM (probability x 255,
-    round half up; uncovered pixels stay 0)."""
-    save_image(np.floor(maps.pm * 255.0 + 0.5).astype(np.uint8), path)

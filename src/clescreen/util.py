@@ -7,6 +7,7 @@ or platform hash randomization.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import multiprocessing
 import os
@@ -56,13 +57,40 @@ def mem_available() -> int | None:
     return None
 
 
+# glibc's mallopt parameters (malloc.h), which `_install` sets in pool
+# workers.  By default a block of 128 KiB or more is mmapped and unmapped
+# when freed, so every frame-sized temporary of every record (a rotated
+# copy, a halved frame, a patch stack) comes from fresh pages and pays a
+# page fault per 4 KiB.  Serving blocks up to 16 MiB from the heap, and
+# keeping up to 64 MiB of free heap top before trimming it, keeps one
+# record's working set on pages the worker already holds.  4 and 8 MiB
+# are too small for a full-scale RF-GLCM record.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _mallopt() -> Callable[[int, int], int] | None:
+    """glibc's `mallopt`, or None where the C library has none."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return fn
+
+
 # The function a pool worker maps over its items.  Set once in each worker
 # by the pool initializer; the parent process never writes it.
 _worker_fn: Callable[[Any], Any] | None = None
 
 
 def _install(fn: Callable[[Any], Any]) -> None:
+    """Pool initializer: fix the worker's allocator policy, then keep
+    `fn`.  The parent process and `jobs=1` runs keep glibc's defaults."""
     global _worker_fn
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
     _worker_fn = fn
 
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from clescreen import core, evaluation, forest
+from clescreen import core, evaluation, features, forest
 from clescreen.cli import main
 from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
                             load_manifest, save_image, save_manifest)
@@ -164,6 +164,21 @@ class TestSynthStats:
         assert err[0].startswith(f"clescreen: bad data: {path}: record 0: "
                                  f"{field} ")
         assert "is not a valid id" in err[0]
+
+    @pytest.mark.parametrize("field", ["patient", "sequence"])
+    @pytest.mark.parametrize("value, shown", [(None, "null"), (5, "5"),
+                                              (True, "true")],
+                             ids=["null", "number", "bool"])
+    def test_non_string_id_is_data_error(self, dataset, tmp_path, capsys,
+                                         field, value, shown):
+        # Once loaded as "None", "5" or "True", such an id passed as a
+        # patient of its own.
+        path = edited_manifest(dataset, tmp_path, {field: value})
+        capsys.readouterr()
+        assert main(["stats", "--data", str(path)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"clescreen: bad data: {path}: record 0: {field} "
+                       f"must be a string, got {shown}"]
 
     def test_comma_in_patient_refused_before_results(self, dataset,
                                                      tmp_path):
@@ -583,6 +598,20 @@ class TestCv:
                    "--out", str(tmp_path / "cvb"), "--jobs", "1"])
         assert rc == code
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("levels", [1, 257])
+    def test_glcm_levels_message_comes_from_the_descriptor(
+            self, dataset, tmp_path, capsys, levels):
+        # `GlcmConfig` owns the level rule; the run reports its message.
+        with pytest.raises(ValueError) as descriptor_error:
+            features.GlcmConfig(levels=levels)
+        capsys.readouterr()
+        rc = main(["cv", "--data", str(dataset), "--method", "RF-GLCM@0.5x",
+                   "--glcm-levels", str(levels), "--out",
+                   str(tmp_path / "cvg"), "--jobs", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"clescreen: invalid configuration: {descriptor_error.value}"]
 
     def test_diverged_logistic_fit_names_rate(self, dataset, tmp_path,
                                               capsys):

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from clescreen.core import load_image
-from clescreen.fusion import (build_maps, export_probability_map, fuse,
-                              image_probability)
+from clescreen.fusion import build_maps, fuse, image_probability
 from clescreen.patching import PatchCoords, patch_grid
 
 
@@ -141,32 +139,3 @@ class TestImageProbability:
         assert np.array_equal(maps.pa, maps.pa[::-1, ::-1])
         assert np.array_equal(maps.pc, maps.pc[::-1, ::-1])
 
-
-class TestExport:
-    def test_half_probability_exports_128(self, tmp_path):
-        maps = build_maps([(PatchCoords(0, 2, 0, 2), 0.5)], (2, 2))
-        path = tmp_path / "pm.pgm"
-        export_probability_map(maps, path)
-        img = load_image(path)
-        assert np.all(img.pixels == 128 * 257)  # 8-bit 128, widened on load
-
-    def test_binary_checker_exports_extremes(self, tmp_path):
-        patches = [(PatchCoords(0, 1, 0, 1), 0.0),
-                   (PatchCoords(1, 2, 0, 1), 1.0),
-                   (PatchCoords(0, 1, 1, 2), 1.0),
-                   (PatchCoords(1, 2, 1, 2), 0.0)]
-        maps = build_maps(patches, (2, 2))
-        path = tmp_path / "pm.pgm"
-        export_probability_map(maps, path)
-        raw = path.read_bytes()
-        assert raw.endswith(bytes([0, 255, 255, 0]))
-
-    def test_quantization_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        patches, dims = random_layout(rng)
-        maps = build_maps(patches, dims)
-        path = tmp_path / "pm.pgm"
-        export_probability_map(maps, path)
-        img = load_image(path)
-        back = (img.pixels / 257).astype(np.float64) / 255.0
-        assert np.max(np.abs(back - maps.pm)) <= 1.0 / 255.0

@@ -1,5 +1,7 @@
 """Downscaling, the mask-aware patch lattice, artifact exclusion, whitening."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,29 @@ class TestResizeHalf:
               for x in range(w2)] for y in range(h2)], dtype=np.uint16)
         assert out.dtype == np.uint16
         assert np.array_equal(out, expected.reshape(h2, w2))
+
+    @pytest.mark.parametrize("shape", [(577, 301), (3, 5), (5, 2), (1, 7)])
+    def test_saturated_odd_frame(self, shape):
+        # Four 65535s overflow uint16 but not the uint32 sum, and round
+        # back to exactly 65535; the odd row and column are dropped.
+        px = np.full(shape, 65535, dtype=np.uint16)
+        img = CleImage(pixels=px, mask_center=(1.0, 1.0), mask_radius=1.0)
+        out = resize_half(img).pixels
+        assert out.dtype == np.uint16
+        assert out.shape == (shape[0] // 2, shape[1] // 2)
+        assert np.all(out == 65535)
+
+    def test_widens_only_a_quarter_frame(self):
+        # The uint32 sum is half-size: the peak stays below 2 bytes per
+        # input pixel (a widened copy of the whole frame is 4).
+        img = make_image(size=576)
+        tracemalloc.start()
+        try:
+            resize_half(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * img.pixels.size
 
 
 class TestPatchGrid:

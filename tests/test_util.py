@@ -1,6 +1,13 @@
-"""Order-preserving worker pool."""
+"""Order-preserving worker pool, its workers' allocator policy, and
+what importing the package loads."""
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
+import pytest
 
 from clescreen import util
 from clescreen.util import run_parallel
@@ -51,3 +58,72 @@ def test_workers_capped_at_item_count(monkeypatch):
     assert run_parallel(lambda i: i, range(720), jobs=10**6) == \
         list(range(720))
     assert opened == [3, 4]
+
+
+def run_python(code: str) -> str:
+    """Run `code` in a fresh interpreter that imports this checkout's
+    package, and return its standard output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_only_synth_loads_scipy():
+    out = run_python("""
+        import sys
+        import clescreen, clescreen.evaluation, clescreen.cli
+        print("scipy" in sys.modules)
+        from clescreen import SynthConfig, generate_dataset
+        assert clescreen.synth.SynthConfig is SynthConfig
+        assert {"SynthConfig", "generate_dataset", "synth"} <= set(
+            clescreen.__all__)
+        print("scipy" in sys.modules, generate_dataset.__module__)
+    """)
+    assert out.split() == ["False", "True", "clescreen.synth"]
+
+
+def test_no_mallopt_sets_nothing(monkeypatch):
+    # A C library without mallopt (say, not glibc): the initializer only
+    # keeps the function.
+    monkeypatch.setattr(util.ctypes, "CDLL", lambda name: object())
+    assert util._mallopt() is None
+    monkeypatch.setattr(util, "_worker_fn", None)
+    util._install(len)
+    assert util._worker_fn is len
+
+
+@pytest.mark.skipif(util._mallopt() is None or util.default_jobs() < 2,
+                    reason="needs glibc mallopt and a two-worker pool")
+def test_pool_workers_reuse_freed_frame_pages():
+    # A fresh interpreter, so that no earlier allocation in this process
+    # has moved glibc's thresholds.  Under the default policy an 8 MB
+    # block is mmapped, so the second one faults its pages in again.
+    out = run_python("""
+        import resource
+        import numpy as np
+        from clescreen.util import run_parallel
+
+        def faults(_):
+            counts = []
+            for _ in range(2):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                block = np.ones(8 << 20, dtype=np.uint8)
+                del block
+                counts.append(
+                    resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    - before)
+            return counts
+
+        for first, second in run_parallel(faults, [0, 1], jobs=2):
+            print(first, second)
+    """)
+    # The first block faults in hundreds of pages; the second reuses
+    # them (a small Python object may still touch a fresh page).
+    for line in out.splitlines():
+        first, second = map(int, line.split())
+        assert first > 100 and second <= 4, out
