@@ -178,8 +178,8 @@ def cmd_preprocess(args) -> int:
     if args.mode == "wholeimage":
         sidecar = ["patient,sequence,frame,p_low,p_high,side,origin_x,origin_y"]
         for rec in records:
-            img, _rects = prepare_record_image(manifest, rec, 1.0)
-            comp, crop, raster = wholeimage.preprocess(img, args.target)
+            img, _rects = prepare_record_image(manifest, rec, config.scale)
+            comp, crop, raster = wholeimage.preprocess(img, config.target_size)
             save_image(raster, out / f"{rec.patient}_{rec.sequence}_"
                                       f"f{rec.frame:04d}.pgm")
             sidecar.append(

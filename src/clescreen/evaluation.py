@@ -21,6 +21,20 @@ OpenBLAS already uses every core: `classify.train_logistic_folds` trains
 them all, from one Gram matrix of the rows when they are fewer than the
 columns, else one fold copy at a time.
 
+The method table (`_METHOD_SPEC`) maps each method to its row layout,
+texture descriptor class and scale, and every per-kind rule of the two
+passes is read from the layout.  There are three layouts: a float64
+texture row per record (RF-*), a whitened float32 patch per admitted
+patch (PPF) and a whitened float32 raster per record (whole-image).  A
+layout gives a record's row count, a row's columns and dtype, whether a
+forest fits the rows (texture always, raster never, patches per
+`patch_classifier`), whether the kind plans a patch grid, the rows'
+name in the memory message, and the fill that writes a prepared
+record's rows.  A fill looks up each stage function through its module
+at call time (`patching.whiten_values`, `features.image_row`,
+`wholeimage.preprocess`), never bound at import time, so a tracer that
+replaces those module attributes sees every call.
+
 A patch method rotates an augmented copy only over the column hull of
 its planned patches in each row, so such a prepared frame is 0 outside
 those row hulls.  Nothing reads there: PPF whitens the patches,
@@ -51,14 +65,67 @@ class ConfigError(ValueError):
 class InsufficientPatients(ValueError):
     """Too few patients to form leave-one-patient-out folds."""
 
+
+def _fill_texture(img, coords, out, config) -> None:
+    out[0] = features.image_row(img.pixels, coords, config.descriptor)
+
+
+def _fill_patches(img, coords, out, config) -> None:
+    for row, c in zip(out, coords):
+        row[:] = patching.whiten_values(
+            img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
+
+
+def _fill_raster(img, coords, out, config) -> None:
+    _compressed, _crop, raster = wholeimage.preprocess(img, config.target_size)
+    out[0] = patching.whiten_values(raster.astype(np.float64).ravel())[0]
+
+
+class _Layout(NamedTuple):
+    """How a method kind lays out its classifier rows.
+
+    A record has one row per admitted patch if `per_patch` (and its patch
+    posteriors are fused), else one.  `format(config)` gives a row's
+    (columns, dtype).  `forest(config)` tells whether a forest fits the rows,
+    else a logistic model.  `grid` tells whether the kind plans a patch
+    grid, and `matrix` names the rows in the memory message.
+    `fill(img, coords, out, config)` writes the rows `out` of a prepared
+    frame `img` with planned `coords`; it looks up each stage function
+    through its module at call time, so a tracer that replaces a module
+    attribute sees every call."""
+
+    per_patch: bool
+    grid: bool
+    matrix: str
+    format: object
+    forest: object
+    fill: object
+
+
+# A texture row per record (RF-*), a whitened float32 patch per admitted
+# patch (PPF) and a whitened float32 raster per record (whole-image).
+_TEXTURE = _Layout(
+    per_patch=False, grid=True, matrix="row matrix",
+    format=lambda c: (len(c.descriptor.row_names()), np.dtype(np.float64)),
+    forest=lambda c: True, fill=_fill_texture)
+_PATCHES = _Layout(
+    per_patch=True, grid=True, matrix="patch cache",
+    format=lambda c: (c.patch_size ** 2, np.dtype(np.float32)),
+    forest=lambda c: c.patch_classifier == "forest", fill=_fill_patches)
+_RASTER = _Layout(
+    per_patch=False, grid=False, matrix="row matrix",
+    format=lambda c: (c.target_size ** 2, np.dtype(np.float32)),
+    forest=lambda c: False, fill=_fill_raster)
+
+# Method name: (layout, texture descriptor class or None, scale).
 _METHOD_SPEC = {
-    "RF-LBP@1.0x": ("features", "lbp", 1.0),
-    "RF-LBP@0.5x": ("features", "lbp", 0.5),
-    "RF-GLCM@1.0x": ("features", "glcm", 1.0),
-    "RF-GLCM@0.5x": ("features", "glcm", 0.5),
-    "PPF@1.0x": ("ppf", None, 1.0),
-    "PPF@0.5x": ("ppf", None, 0.5),
-    "WHOLEIMAGE@0.55x": ("wholeimage", None, 1.0),
+    "RF-LBP@1.0x": (_TEXTURE, features.LbpConfig, 1.0),
+    "RF-LBP@0.5x": (_TEXTURE, features.LbpConfig, 0.5),
+    "RF-GLCM@1.0x": (_TEXTURE, features.GlcmConfig, 1.0),
+    "RF-GLCM@0.5x": (_TEXTURE, features.GlcmConfig, 0.5),
+    "PPF@1.0x": (_PATCHES, None, 1.0),
+    "PPF@0.5x": (_PATCHES, None, 0.5),
+    "WHOLEIMAGE@0.55x": (_RASTER, None, 1.0),
 }
 METHODS = tuple(_METHOD_SPEC)
 
@@ -129,7 +196,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         if self.l2 < 0:
             raise ConfigError("l2 must be >= 0")
-        if (_METHOD_SPEC[self.method][1] == "lbp"
+        if (_METHOD_SPEC[self.method][1] is features.LbpConfig
                 and self.patch_size < features.LBP_MIN_PATCH):
             raise ConfigError(
                 f"{self.method} needs patch_size >= {features.LBP_MIN_PATCH} "
@@ -142,7 +209,7 @@ class RunConfig:
     @property
     def descriptor(self) -> features.LbpConfig | features.GlcmConfig:
         """Texture descriptor of a feature method (RF-LBP or RF-GLCM)."""
-        if _METHOD_SPEC[self.method][1] == "lbp":
+        if _METHOD_SPEC[self.method][1] is features.LbpConfig:
             return features.LbpConfig()
         return features.GlcmConfig(levels=self.glcm_levels)
 
@@ -306,14 +373,13 @@ def prepare_record_image(manifest: core.DatasetManifest,
 
     Given the planned patch `coords` of the prepared frame, an augmented
     copy rotates only the pixels they read (`_read_spans`), and every
-    other pixel of the prepared frame is 0.  Without them, as on the
-    whole-image route, the whole frame rotates."""
+    other pixel of the prepared frame is 0.  Without them (None or empty,
+    as on the whole-image route), the whole frame rotates."""
     img = core.load_image(manifest.image_path(record))
     rects = _prepared_rects(record, (img.width, img.height), img.mask_center,
                             scale)
     if record.is_augmented:
-        spans = None if coords is None else _read_spans(coords, img.height,
-                                                        scale)
+        spans = _read_spans(coords, img.height, scale) if coords else None
         img = wholeimage.rotate(img, record.rotation_deg, spans)
     if scale == 0.5:
         img = patching.resize_half(img)
@@ -376,7 +442,7 @@ def plan_records(manifest: core.DatasetManifest,
     """Every record's `RecordPlan`, from its header, mask sidecar and
     artifacts alone: `prepare_record_image`'s frame, halved at 0.5x by
     `resize_half`'s rule (odd sizes drop a row or column; 1x1 stays)."""
-    kind, _, scale = _METHOD_SPEC[config.method]
+    layout, _, scale = _METHOD_SPEC[config.method]
     plan = []
     for record in records:
         path = manifest.image_path(record)
@@ -385,36 +451,22 @@ def plan_records(manifest: core.DatasetManifest,
         if scale == 0.5 and (width, height) != (1, 1):
             width, height = width // 2, height // 2
             center, radius = (center[0] / 2.0, center[1] / 2.0), radius / 2.0
-        if kind == "wholeimage":  # builds no grid, so the frame may be tiny
-            plan.append(RecordPlan([], (width, height)))
-            continue
-        try:
-            coords = record_patch_coords((width, height), center, radius,
-                                         rects, config)
-        except ValueError as exc:  # a frame smaller than a patch
-            raise ValueError(f"{path}: {exc}") from None
-        if not coords:
-            raise ValueError(f"{path}: no admissible patches")
+        coords = []
+        if layout.grid:  # without a grid, the frame may be tiny
+            try:
+                coords = record_patch_coords((width, height), center, radius,
+                                             rects, config)
+            except ValueError as exc:  # a frame smaller than a patch
+                raise ValueError(f"{path}: {exc}") from None
+            if not coords:
+                raise ValueError(f"{path}: no admissible patches")
         plan.append(RecordPlan(coords, (width, height)))
     return plan
 
 
-def _row_counts(plan: list[RecordPlan], config: RunConfig) -> np.ndarray:
-    """Each planned record's rows: one per admitted patch for PPF, else
-    one."""
-    if _METHOD_SPEC[config.method][0] == "ppf":
-        return np.array([len(p.coords) for p in plan], dtype=np.intp)
-    return np.ones(len(plan), dtype=np.intp)
-
-
-def _row_format(config: RunConfig) -> tuple[int, np.dtype]:
-    """(columns, dtype) of a float64 texture row (RF-*), or of a whitened
-    float32 patch (PPF) or raster (whole-image)."""
-    kind = _METHOD_SPEC[config.method][0]
-    if kind == "features":
-        return len(config.descriptor.row_names()), np.dtype(np.float64)
-    side = config.patch_size if kind == "ppf" else config.target_size
-    return side * side, np.dtype(np.float32)
+def _row_counts(plan: list[RecordPlan], layout: _Layout) -> np.ndarray:
+    """Each planned record's rows under `layout`."""
+    return np.array([len(p.coords) if layout.per_patch else 1 for p in plan])
 
 
 def _shared_rows(n: int, columns: int, dtype: np.dtype) -> np.ndarray:
@@ -435,37 +487,18 @@ def describe_records(manifest: core.DatasetManifest,
     `plan_records` plan, in a shared mapping that the worker preparing a
     record writes its rows into, so no frame or row crosses the process
     boundary."""
-    kind, _, scale = _METHOD_SPEC[config.method]
-    counts = _row_counts(plan, config)
+    layout, _, scale = _METHOD_SPEC[config.method]
+    counts = _row_counts(plan, layout)
     ends = np.cumsum(counts)
-    X = _shared_rows(int(counts.sum()), *_row_format(config))
-    descriptor = config.descriptor if kind == "features" else None
+    X = _shared_rows(int(counts.sum()), *layout.format(config))
 
     def fill(i: int) -> None:
-        coords, out = plan[i].coords, X[ends[i] - counts[i]:ends[i]]
-        img, _rects = prepare_record_image(
-            manifest, records[i], scale,
-            None if kind == "wholeimage" else coords)
-        if kind == "ppf":
-            for row, c in zip(out, coords):
-                row[:] = patching.whiten_values(
-                    img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
-        elif kind == "features":
-            out[0] = features.image_row(img.pixels, coords, descriptor)
-        else:
-            _compressed, _crop, raster = wholeimage.preprocess(
-                img, config.target_size)
-            out[0] = patching.whiten_values(
-                raster.astype(np.float64).ravel())[0]
+        coords = plan[i].coords
+        img, _rects = prepare_record_image(manifest, records[i], scale, coords)
+        layout.fill(img, coords, X[ends[i] - counts[i]:ends[i]], config)
 
     run_parallel(fill, range(len(records)), config.jobs)
     return X, np.repeat(np.arange(len(records)), counts)
-
-
-def _uses_forest(config: RunConfig) -> bool:
-    kind = _METHOD_SPEC[config.method][0]
-    return kind == "features" or (kind == "ppf"
-                                  and config.patch_classifier == "forest")
 
 
 def _check_memory(rows, kept: list[np.ndarray], config: RunConfig,
@@ -489,13 +522,14 @@ def _check_memory(rows, kept: list[np.ndarray], config: RunConfig,
     available = mem_available()
     if available is None:
         return
-    columns, dtype = _row_format(config)
+    layout, descriptor_cls, _scale = _METHOD_SPEC[config.method]
+    columns, dtype = layout.format(config)
     row_bytes = columns * dtype.itemsize
     counts = np.asarray(rows, dtype=np.int64)
     n = int(counts.sum())
     cache = n * row_bytes
     fold_rows = max(int(counts[k].sum()) for k in kept)
-    if _uses_forest(config):
+    if layout.forest(config):
         folds = pool_size(config.jobs, len(kept))
         fold_bytes = fold_rows * row_bytes * folds * 326 // 100
         what = f"{folds} forest fold copies"
@@ -504,7 +538,7 @@ def _check_memory(rows, kept: list[np.ndarray], config: RunConfig,
         what = "Gram matrix and largest fold Gram"
     else:
         fold_bytes, what = fold_rows * row_bytes, "largest fold copy"
-    if _METHOD_SPEC[config.method][1] == "glcm":
+    if descriptor_cls is features.GlcmConfig:
         workers = pool_size(config.jobs, len(counts))
         side = config.patch_size
         record_bytes = workers * features.glcm_working_bytes(
@@ -514,11 +548,9 @@ def _check_memory(rows, kept: list[np.ndarray], config: RunConfig,
             what = f"{workers} GLCM record workers"
     if cache + fold_bytes > available:
         mib = 1 << 20
-        matrix = ("patch cache" if _METHOD_SPEC[config.method][0] == "ppf"
-                  else "row matrix")
         raise ConfigError(
             f"{config.method} needs about {(cache + fold_bytes) // mib} MiB "
-            f"({matrix} {cache // mib} MiB + {what} "
+            f"({layout.matrix} {cache // mib} MiB + {what} "
             f"{fold_bytes // mib} MiB) but only {available // mib} MiB is "
             f"available")
 
@@ -550,9 +582,9 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     with metrics, ROC/AUC, and a per-fold provenance audit.
     """
     config.validate()
-    kind = _METHOD_SPEC[config.method][0]
-    if kind == "wholeimage" and not config.wholeimage_baseline:
-        raise ValueError(
+    layout = _METHOD_SPEC[config.method][0]
+    if layout is _RASTER and not config.wholeimage_baseline:
+        raise ConfigError(
             "method WHOLEIMAGE@0.55x has no in-scope trained network; "
             "inject patch probabilities via `fuse --probs` or pass the "
             "in-repo baseline flag (--wholeimage-baseline)")
@@ -584,7 +616,7 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     # Record pass.  The plan reads headers only, so a run that cannot fit
     # is refused before any frame is read.
     plan = plan_records(augmented, records, config)
-    _check_memory(_row_counts(plan, config), kept, config,
+    _check_memory(_row_counts(plan, layout), kept, config,
                   max(len(p.coords) for p in plan))
     X, owner = describe_records(augmented, records, config, plan)
 
@@ -594,7 +626,7 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     # would each start its threads (on a 2-core machine, forking the 4
     # PPF@0.5x folds of a 4-patient cohort onto 2 workers took run_cv
     # from 1.8 s to 3.9 s).
-    models = (None if _uses_forest(config)
+    models = (None if layout.forest(config)
               else _fit_logistic(config, X, labels[owner], fold_rows))
 
     def fold_pass(f: int) -> tuple[np.ndarray, int, int]:
@@ -609,7 +641,7 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
                 seed=fold_seeds[folds[f].test_patient], jobs=1)
         else:
             model = models[f]
-        if kind != "ppf":  # one row per record
+        if not layout.per_patch:
             return model.predict_proba(X[test_idx])[:, 1], 0, 0
         # Fuse each test record's patch posteriors.
         probs = np.empty(len(test_idx), dtype=np.float64)
@@ -628,7 +660,7 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
     # inherit X, so only probabilities come back; logistic folds are
     # scored here.
     outcomes = run_parallel(fold_pass, range(len(folds)),
-                            config.jobs if _uses_forest(config) else 1)
+                            config.jobs if models is None else 1)
 
     results: list[ResultRow] = []
     audits: list[FoldAudit] = []

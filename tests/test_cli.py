@@ -555,10 +555,30 @@ class TestCv:
             "patch_size >= 11 for its largest LBP ring, got 8"]
         assert read == [] and not out.exists()
 
-    def test_wholeimage_without_source_is_config_error(self, dataset, tmp_path):
-        rc = main(["cv", "--data", str(dataset), "--method",
-                   "WHOLEIMAGE@0.55x", "--out", str(tmp_path / "cvw")])
-        assert rc == 6 or rc == 3
+    def assert_wholeimage_refused(self, dataset, tmp_path, capsys, choice):
+        # Neither injected probabilities nor the in-repo baseline: an
+        # invalid configuration, refused before any output is written.
+        capsys.readouterr()
+        rc = main(["cv", "--data", str(dataset), *choice,
+                   "--out", str(tmp_path / "cvw")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err) == 1
+        assert err[0].startswith("clescreen: invalid configuration: ")
+        assert "--wholeimage-baseline" in err[0]
+        assert not (tmp_path / "cvw").exists()
+
+    def test_wholeimage_without_source_is_config_error(self, dataset,
+                                                       tmp_path, capsys):
+        self.assert_wholeimage_refused(dataset, tmp_path, capsys,
+                                       ["--method", "WHOLEIMAGE@0.55x"])
+
+    def test_wholeimage_config_without_source_is_config_error(
+            self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "whole.json"
+        cfg.write_text(json.dumps({"method": "WHOLEIMAGE@0.55x"}))
+        self.assert_wholeimage_refused(dataset, tmp_path, capsys,
+                                       ["--config", str(cfg)])
 
     def test_bad_config_key_exit_code(self, dataset, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -14,15 +14,16 @@ from clescreen import core, evaluation, features, util, wholeimage
 from clescreen.core import (CARCINOGENIC, NORMAL, ArtifactRect, CleImage,
                             DatasetManifest)
 from clescreen.classify import augment_rotations
-from clescreen.evaluation import (ConfigError, InsufficientPatients,
-                                  RunConfig, confusion_metrics,
+from clescreen.evaluation import (METHODS, ConfigError,
+                                  InsufficientPatients, RunConfig,
+                                  confusion_metrics,
                                   describe_records, lopo_folds,
                                   mann_whitney_auc, plan_records,
                                   prepare_record_image, record_patch_coords,
                                   results_csv, roc_auc, roc_csv,
                                   roc_points, run_cv, summary_dict)
-from clescreen.features import (LbpConfig, glcm, haralick_features,
-                                lbp_histogram)
+from clescreen.features import (GlcmConfig, LbpConfig, glcm,
+                                haralick_features, lbp_histogram)
 from clescreen.patching import patch_grid, resize_half, whiten_values
 from clescreen.synth import SynthConfig, generate_dataset
 from clescreen.wholeimage import rotate
@@ -351,6 +352,56 @@ class TestFeatureMatrix:
         assert X.dtype == np.float32
         assert owner.tolist() == [0, 1, 2]
 
+    # Every method's rows, written out apart from the method table:
+    # (row kind, texture descriptor, scale).
+    EXPECTED = {
+        "RF-LBP@1.0x": ("texture", LbpConfig(), 1.0),
+        "RF-LBP@0.5x": ("texture", LbpConfig(), 0.5),
+        "RF-GLCM@1.0x": ("texture", GlcmConfig(), 1.0),
+        "RF-GLCM@0.5x": ("texture", GlcmConfig(), 0.5),
+        "PPF@1.0x": ("patch", None, 1.0),
+        "PPF@0.5x": ("patch", None, 0.5),
+        "WHOLEIMAGE@0.55x": ("raster", None, 1.0),
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_gives_its_rows(self, small_dataset, method):
+        # A table entry with another method's layout, descriptor or scale
+        # changes the frame size, the rows or their columns and dtype.
+        kind, descriptor, scale = self.EXPECTED[method]
+        config = RunConfig(method=method, jobs=1)
+        records = small_dataset.records[:3]
+        plan = plan_records(small_dataset, records, config)
+        X, owner = describe_records(small_dataset, records, config, plan)
+        want = []
+        for rec, layout in zip(records, plan):
+            img, rects = prepare_record_image(small_dataset, rec, scale)
+            assert layout.dims == (img.width, img.height)
+            if kind == "raster":
+                raster = wholeimage.preprocess(img, config.target_size)[2]
+                want.append([whiten_values(
+                    raster.astype(np.float64).ravel())[0]])
+                continue
+            coords = record_patch_coords(
+                (img.width, img.height), img.mask_center, img.mask_radius,
+                rects, config)
+            if kind == "patch":
+                want.append([
+                    whiten_values(img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
+                    for c in coords])
+            else:
+                want.append([features.image_row(img.pixels, coords,
+                                                descriptor)])
+        columns = (len(descriptor.row_names()) if kind == "texture"
+                   else config.patch_size ** 2 if kind == "patch"
+                   else config.target_size ** 2)
+        dtype = np.float64 if kind == "texture" else np.float32
+        assert X.shape == (sum(map(len, want)), columns)
+        assert X.dtype == dtype
+        assert owner.tolist() == [i for i, rows in enumerate(want)
+                                  for _row in rows]
+        assert np.array_equal(X, np.concatenate(want).astype(dtype))
+
 
 class TestPlan:
     """The plan reads headers only; it must give every record the patch
@@ -413,7 +464,8 @@ class TestPlan:
                 [layout] = plan_records(manifest, [record], config)
                 assert layout.coords == want
                 assert layout.dims == (img.width, img.height)
-                assert evaluation._row_counts([layout], config).tolist() \
+                row_layout = evaluation._METHOD_SPEC[method][0]
+                assert evaluation._row_counts([layout], row_layout).tolist() \
                     == [len(want) if method.startswith("PPF") else 1]
             else:
                 with pytest.raises(ValueError, match="f.pgm"):
@@ -784,3 +836,58 @@ class TestRunCv:
             # any removal must be an augmented row of a train patient
             for key in audit.balancing_removed:
                 assert key[0] != audit.test_patient
+
+
+class TestTracedRoutes:
+    """perfbench's tracer (`perfbench/tracer.py`) replaces each stage
+    function as a module attribute.  A route that bound one at import
+    time would count 0 calls in both traced runs that perfbench compares,
+    and still pass; so each route must reach every stage it runs through
+    the tracer.  Logistic folds train through `train_logistic_folds`,
+    which the tracer does not wrap; their models' `predict_proba` shows
+    the route."""
+
+    STAGES = ("core.load_image", "wholeimage.rotate", "patching.resize_half",
+              "evaluation.record_patch_coords", "features.lbp_patch_matrix",
+              "features.glcm_patch_matrix", "patching.whiten_values",
+              "fusion.fuse", "forest.train_random_forest",
+              "forest.RandomForestModel.predict_proba",
+              "classify.LogisticModel.predict_proba")
+    FRAMES = {"core.load_image", "wholeimage.rotate"}
+    FOREST = {"forest.train_random_forest",
+              "forest.RandomForestModel.predict_proba"}
+    PATCHES = {"evaluation.record_patch_coords", "patching.whiten_values",
+               "fusion.fuse"}
+    LOGISTIC = {"classify.LogisticModel.predict_proba"}
+
+    @pytest.mark.parametrize("overrides, reached", [
+        ({"method": "RF-LBP@0.5x"},
+         FRAMES | FOREST | {"patching.resize_half",
+                            "evaluation.record_patch_coords",
+                            "features.lbp_patch_matrix"}),
+        ({"method": "RF-GLCM@1.0x"},
+         FRAMES | FOREST | {"evaluation.record_patch_coords",
+                            "features.glcm_patch_matrix"}),
+        ({"method": "PPF@0.5x"},
+         FRAMES | PATCHES | LOGISTIC | {"patching.resize_half"}),
+        ({"method": "PPF@0.5x", "patch_classifier": "forest"},
+         FRAMES | PATCHES | FOREST | {"patching.resize_half"}),
+        ({"method": "WHOLEIMAGE@0.55x", "wholeimage_baseline": True},
+         FRAMES | LOGISTIC | {"patching.whiten_values"}),
+    ], ids=["rf-lbp", "rf-glcm-full", "ppf-logistic", "ppf-forest",
+            "wholeimage"])
+    def test_route_reaches_its_stages_through_the_tracer(
+            self, small_dataset, monkeypatch, overrides, reached):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from tracer import Tracer
+
+        tracer = Tracer()
+        tracer.install()
+        try:
+            evaluation.run_cv(small_dataset, RunConfig(
+                seed=5, trees=6, epochs=4, jobs=1, **overrides))
+        finally:
+            tracer.uninstall()
+        assert {stage for stage in self.STAGES
+                if tracer.counts[f"{stage}.calls"] > 0} == reached
