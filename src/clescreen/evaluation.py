@@ -207,11 +207,13 @@ class RunConfig:
         return _METHOD_SPEC[self.method][2]
 
     @property
-    def descriptor(self) -> features.LbpConfig | features.GlcmConfig:
-        """Texture descriptor of a feature method (RF-LBP or RF-GLCM)."""
-        if _METHOD_SPEC[self.method][1] is features.LbpConfig:
-            return features.LbpConfig()
-        return features.GlcmConfig(levels=self.glcm_levels)
+    def descriptor(self) -> features.LbpConfig | features.GlcmConfig | None:
+        """Texture descriptor of a feature method (RF-LBP or RF-GLCM), or
+        None for a method the table gives no descriptor."""
+        descriptor_cls = _METHOD_SPEC[self.method][1]
+        if descriptor_cls is features.GlcmConfig:
+            return features.GlcmConfig(levels=self.glcm_levels)
+        return None if descriptor_cls is None else descriptor_cls()
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,14 @@ per-window ones bit for bit.
 GLCM matrices are counted a block of equal-sized patches at a time
 through buffers each call allocates once and reuses for every block: a
 float64 window buffer that patch windows are copied into and quantized
-in place, an intp level buffer, and one intp pair-code buffer in which
-every offset writes its own slice, so a block takes one `bincount`.  The
-statistics are evaluated once per stack of blocks, at 16 levels a whole
-record.  The integer and float operations are those of the one-patch
-`quantize`, `glcm` and `haralick_features`, which are the n = 1 case.
+in place, a uint8 level buffer, an a-side code buffer in the narrowest
+unsigned type that holds every code of a block (uint16 for the 20-patch
+blocks at 16 levels, uint32 at 256), and one intp pair-code buffer in
+which every offset writes its own slice, so a block takes one
+`bincount` without a cast.  The statistics are evaluated once per stack
+of blocks, at 16 levels a whole record.  The integer and float
+operations are those of the one-patch `quantize`, `glcm` and
+`haralick_features`, which are the n = 1 case.
 """
 
 from __future__ import annotations
@@ -295,17 +298,20 @@ def _glcm_sizes(h: int, w: int, levels: int) -> tuple[int, int]:
 
 def glcm_working_bytes(h: int, w: int, n: int, config: GlcmConfig) -> int:
     """Bytes `glcm_patch_matrix` allocates at most for n h x w patches:
-    its block buffers (float64 windows, two planes of intp levels, the
-    intp pair codes of every offset), its stack of matrices, at most five
-    times that stack for the counts or `_haralick_stack`'s temporaries
-    (the tracemalloc peak of Haralick on a (2, 256, 256) stack is 4.2
-    times the stack), its output rows, and 256 KB for small arrays and
-    numpy's iteration buffers (8192 values per strided operand)."""
-    block, stack = (min(k, n) for k in _glcm_sizes(h, w, config.levels))
+    its block buffers (float64 windows, uint8 levels, a-side codes in the
+    counter's code type, the intp pair codes of every offset), its stack
+    of matrices, at most five times that stack for the counts or
+    `_haralick_stack`'s temporaries (the tracemalloc peak of Haralick on a
+    (2, 256, 256) stack is 4.2 times the stack), its output rows, and
+    256 KB for small arrays and numpy's iteration buffers (8192 values per
+    strided operand)."""
+    L = config.levels
+    block, stack = (min(k, n) for k in _glcm_sizes(h, w, L))
+    code_bytes = np.min_scalar_type(block * L * L - 1).itemsize
     pairs = sum(max(0, h - abs(dy)) * max(0, w - abs(dx))
                 for dx, dy in GLCM_OFFSETS)
-    return 8 * (block * (3 * h * w + pairs) + 6 * stack * config.levels ** 2
-                + n * len(HARALICK_NAMES)) + (1 << 18)
+    return (block * ((9 + code_bytes) * h * w + 8 * pairs)
+            + 8 * (6 * stack * L * L + n * len(HARALICK_NAMES)) + (1 << 18))
 
 
 def _quantize_into(window: np.ndarray, levels: int,
@@ -336,17 +342,22 @@ def quantize(values: np.ndarray, levels: int) -> np.ndarray:
 class _GlcmCounter:
     """Co-occurrence matrices of up to `block` h x w patches at a time,
     through buffers allocated once and reused by every block: the float64
-    windows, quantized in place; the intp levels, whose plane 0 holds each
-    patch's gray levels and plane 1 the a-side codes level*L + k*L*L of
-    the k-th patch of the block; and the intp pair codes
+    windows, quantized in place; the uint8 gray levels of each patch; the
+    a-side codes level*L + k*L*L of the k-th patch of the block, in the
+    narrowest unsigned type that holds every code of a block (uint16 for
+    20 patches at 16 levels, uint32 for 2 at 256); and the intp pair codes
     a-side + b-side level, each offset in its own slice, which one
-    bincount counts."""
+    bincount counts.  The adds run in the narrow type and write intp, so
+    bincount takes the codes without a cast."""
 
     def __init__(self, h: int, w: int, block: int, levels: int):
         L = self.L = levels
+        self.dtype = np.min_scalar_type(block * L * L - 1)
         self.window = np.empty((block, h, w))
-        self.levels = np.empty((2, block, h, w), dtype=np.intp)
-        self.base = (np.arange(block, dtype=np.intp) * (L * L))[:, None, None]
+        self.levels = np.empty((block, h, w), dtype=np.uint8)
+        self.aside = np.empty((block, h, w), dtype=self.dtype)
+        self.base = np.arange(0, block * L * L, L * L,
+                              dtype=self.dtype)[:, None, None]
         # The a-side and b-side top-left corners and the window size of
         # each offset that pairs any pixels.
         self.pairs = [((max(0, -dy), max(0, -dx)), (max(0, dy), max(0, dx)),
@@ -365,8 +376,9 @@ class _GlcmCounter:
         window = self.window[:n]
         for k, (y, x) in enumerate(corners):
             window[k] = pixels[y:y + h, x:x + w]
-        q = _quantize_into(window, L, self.levels[0, :n])
-        a = np.multiply(q, L, out=self.levels[1, :n])
+        q = _quantize_into(window, L, self.levels[:n])
+        # In the code type: level * L overflows uint8 past 16 levels.
+        a = np.multiply(q, L, out=self.aside[:n], dtype=self.dtype)
         a += self.base[:n]
         end = 0
         for (ya, xa), (yb, xb), (rows, cols) in self.pairs:

@@ -402,6 +402,16 @@ class TestFeatureMatrix:
                                   for _row in rows]
         assert np.array_equal(X, np.concatenate(want).astype(dtype))
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_descriptor_follows_the_table(self, method):
+        # LbpConfig() for RF-LBP, GlcmConfig at the run's levels for
+        # RF-GLCM, and None for every method without a texture descriptor.
+        descriptor = self.EXPECTED[method][1]
+        if isinstance(descriptor, GlcmConfig):
+            descriptor = GlcmConfig(levels=64)
+        config = RunConfig(method=method, glcm_levels=64)
+        assert config.descriptor == descriptor
+
 
 class TestPlan:
     """The plan reads headers only; it must give every record the patch

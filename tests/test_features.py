@@ -712,6 +712,30 @@ class TestBatchedGlcm:
                 got = glcm_patch_matrix(pixels, coords, config)
             assert_matches_loop(got, patches, config)
 
+    @pytest.mark.parametrize("levels, block, code_type", [
+        (2, 64, np.uint8), (16, 1, np.uint8), (2, 65, np.uint16),
+        (16, 20, np.uint16), (256, 1, np.uint16), (256, 2, np.uint32),
+        (255, 3, np.uint32)])
+    def test_codes_at_their_natural_width(self, levels, block, code_type):
+        # A block's codes go up to block * L * L - 1, which sets the a-side
+        # code type.  Every patch has a (L - 1, L - 1) pair in its corner,
+        # so the block's last slot writes that largest code.
+        rng = np.random.default_rng(levels * 1000 + block)
+        patches = rng.integers(1, 65535, size=(2 * block + 1, 5, 6))
+        patches[:, -1, -2:] = 65535
+        patches[:, 0, 0] = 0
+        pixels, coords = side_by_side(patches.astype(np.uint16))
+        config = GlcmConfig(levels=levels)
+        counter = features._GlcmCounter(5, 6, block, levels)
+        assert counter.dtype == code_type
+        assert counter.levels.dtype == np.uint8
+        assert counter.codes.dtype == np.intp
+        with mock.patch.object(features, "_GLCM_BLOCK_VALUES",
+                               block * max(30, levels * levels)):
+            assert features._glcm_sizes(5, 6, levels)[0] == block
+            got = glcm_patch_matrix(pixels, coords, config)
+        assert_matches_loop(got, list(patches), config)
+
     @pytest.mark.parametrize("n, side, levels", [
         (121, 80, 16), (40, 80, 256), (30, 24, 64), (500, 16, 16),
         (3, 8, 2)])
@@ -738,16 +762,17 @@ class TestBatchedGlcm:
 
     def test_working_bytes_closed_form(self):
         # 121 patches of 80 px at 16 levels: 20 per block, all 121 in one
-        # Haralick stack.  Pairs per patch over the four offsets:
-        # 2 * 80 * 79 + 2 * 79 * 79.
+        # Haralick stack.  Per pixel of a block: a float64 window, a uint8
+        # level and a uint16 a-side code (20 * 256 codes); per pair, over
+        # the four offsets 2 * 80 * 79 + 2 * 79 * 79, an intp code.
         pairs = 2 * 80 * 79 + 2 * 79 * 79
-        expected = 8 * (20 * (3 * 6400 + pairs) + 6 * 121 * 256 + 121 * 15) \
-            + (1 << 18)
+        expected = 20 * (11 * 6400 + 8 * pairs) \
+            + 8 * (6 * 121 * 256 + 121 * 15) + (1 << 18)
         assert features.glcm_working_bytes(80, 80, 121, GlcmConfig()) \
             == expected
-        # One patch sizes one-patch buffers.
+        # One patch sizes one-patch buffers, whose 256 codes fit in uint8.
         assert features.glcm_working_bytes(80, 80, 1, GlcmConfig()) == \
-            8 * (3 * 6400 + pairs + 6 * 256 + 15) + (1 << 18)
+            10 * 6400 + 8 * pairs + 8 * (6 * 256 + 15) + (1 << 18)
 
     def test_patch_too_small_for_offsets(self):
         # No offset pairs a pixel with itself, so a 1x1 patch has no pairs.
