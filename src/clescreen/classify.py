@@ -7,12 +7,12 @@ forest (see `forest`) and by a gradient-descent logistic baseline working
 on whitened patch rasters.  Externally computed patch probabilities can
 bypass both through the probability-CSV interface of the CLI.
 
-`train_logistic` descends in pixel space, on one fold's rows.
-`train_logistic_folds` trains every fold of one row matrix: in sample
-space, from the matrix's Gram matrix, when it has fewer rows than
-columns (a small patch cohort, or the whole-image baseline's few
-thousand 224 x 224 rasters), else through `train_logistic`.  Both share
-one descent loop (`_descend`).
+`train_logistic_folds` trains every fold of one row matrix in one
+masked descent, with a column of coefficients per fold and no fold's
+rows copied: in sample space, over the matrix's Gram matrix, when it
+has fewer rows than columns (a small patch cohort, or the whole-image
+baseline's few thousand 224 x 224 rasters), else over the rows
+themselves.  `train_logistic` is its one-fold case.
 """
 
 from __future__ import annotations
@@ -140,48 +140,17 @@ class LogisticModel:
         return np.stack([1.0 - p1, p1], axis=1)
 
 
-def _descend(loss_grad, size: int, epochs: int, rate: float):
-    """Full-batch gradient descent from zero coefficients and bias.
-
-    `loss_grad(v, b)` gives the loss at (v, b) and its gradients in v and
-    b.  Returns (v, b, loss trace).  A diverging descent overflows; that
-    shows up as a non-finite loss, raised here, rather than as numpy
-    warnings."""
-    if epochs < 1 or rate <= 0:
-        raise ValueError("epochs must be >= 1 and rate > 0")
-    v = np.zeros(size, dtype=np.float64)
-    b = 0.0
-    losses = np.empty(epochs + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for e in range(epochs + 1):
-            loss, gv, gb = loss_grad(v, b)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss {loss} at epoch {e} (rate={rate}, "
-                    f"largest |coefficient| {float(np.abs(v).max())})")
-            losses[e] = loss
-            if e < epochs:
-                v -= rate * gv
-                b -= rate * gb
-    return v, b, losses
-
-
 def train_logistic(X: np.ndarray, y: np.ndarray, epochs: int = 60,
                    rate: float = 0.5, l2: float = 0.0) -> LogisticModel:
-    """Full-batch gradient descent on the logistic loss.
+    """Full-batch gradient descent on the logistic loss of every row of
+    X: the one-fold case of `train_logistic_folds`.
 
     Weights start at zero (posterior 0.5 everywhere), so on a fixed batch
     the loss trace is deterministic and decreases monotonically for a
     sufficiently small rate.
     """
-    X = np.asarray(X)
-    y = np.asarray(y, dtype=X.dtype)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be (n, d) with matching labels")
-    w, b, losses = _descend(
-        lambda w, b: logistic_loss_grad(w, b, X, y, l2), X.shape[1], epochs,
-        rate)
-    return LogisticModel(weights=w, bias=b, losses=losses)
+    return train_logistic_folds(X, y, [np.arange(len(X))], epochs, rate,
+                                l2)[0]
 
 
 def sample_space(shape: tuple[int, int]) -> bool:
@@ -190,60 +159,82 @@ def sample_space(shape: tuple[int, int]) -> bool:
     return shape[0] < shape[1]
 
 
-def _gram_loss_grad(alpha: np.ndarray, bias: float, K: np.ndarray,
-                    y: np.ndarray, l2: float):
-    """`logistic_loss_grad` at weights `X_f.T @ alpha`, given the fold's
-    Gram matrix `K = X_f @ X_f.T`, and its gradient in alpha-space: the
-    weight gradient is `X_f.T @ grad`, so descending alpha descends w."""
-    n = len(K)
-    Ka = K @ alpha.astype(K.dtype)
-    z = Ka + bias
-    loss = float(np.logaddexp(0.0, z).sum() - (y * z).sum())
-    err = (_sigmoid(z) - y).astype(K.dtype)
-    # ||w||^2 = alpha . K alpha
-    loss = loss / n + 0.5 * l2 * float(np.dot(alpha, Ka))
-    grad = err.astype(np.float64) / n + l2 * alpha
-    return loss, grad, float(err.sum()) / n
+def logistic_working_bytes(shape: tuple[int, int], folds: int,
+                           dtype: np.dtype) -> int:
+    """An upper bound on what `train_logistic_folds` allocates for
+    `folds` folds of a row matrix of `shape` and `dtype`: the Gram
+    matrix in sample space, plus 8 n x F matrices of that dtype (the
+    mask, each epoch's logits, losses and errors) and 4 float64 d x F
+    matrices (the weights and their step); a test holds it above the
+    tracemalloc peak in both spaces."""
+    n, d = shape
+    itemsize = np.dtype(dtype).itemsize
+    gram = n * n * itemsize if sample_space(shape) else 0
+    return gram + (8 * itemsize * n + 4 * 8 * d) * folds
 
 
 def train_logistic_folds(X: np.ndarray, y: np.ndarray,
                          fold_rows: list[np.ndarray], epochs: int = 60,
                          rate: float = 0.5, l2: float = 0.0
                          ) -> list[LogisticModel]:
-    """One `train_logistic` model per fold: fold f descends on the rows
+    """One logistic model per fold: fold f descends, full batch, from zero
+    weights and bias on the mean logistic loss of the distinct rows
     `fold_rows[f]` of X, labelled by the same rows of `y`.
 
-    When X has fewer rows than columns (`sample_space`), every fold
-    descends in sample space from one Gram matrix `G = X @ X.T`.  From
-    w = 0, L2 descent keeps w in the span of the fold's rows X_f, so
-    w = X_f.T @ alpha, the logits are `K_f @ alpha + b` with
-    `K_f = G[rows][:, rows]`, and an epoch reads n_f^2 values instead
-    of two passes over n_f x d.  The result matches the pixel-space
-    descent up to float reassociation.  Otherwise each fold runs
-    `train_logistic(X[rows], ...)`, one fold copy at a time."""
+    Every fold descends at once over one matrix A, whose coefficients V
+    hold one column per fold.  The mask S, 1/n_f on fold f's rows and 0
+    elsewhere, confines each fold's loss and gradient to its rows, so no
+    rows are copied; rows outside a fold still enter its products, so
+    they must be finite.  An epoch computes Z = A @ V + b, then
+    E = (sigmoid(Z) - y) * S, and steps b by the column sums of E.
+
+    In pixel space A = X and V holds the weights (d x F), stepped by
+    A.T @ E + l2 V.  When X has fewer rows than columns (`sample_space`),
+    A = G = X @ X.T: from w = 0, L2 descent keeps fold f's weights in
+    the span of its rows, w_f = X.T @ alpha_f, so V is alpha (n x F),
+    stepped by E + l2 V, and an epoch reads n^2 values instead of two
+    passes over n x d.  The two spaces agree up to float reassociation.
+    A and Z keep X's dtype; V, b and the losses are float64.  A diverging
+    descent overflows; that shows up as a non-finite loss, raised here
+    with its fold, rather than as numpy warnings."""
     X = np.asarray(X)
     y = np.asarray(y, dtype=X.dtype)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be (n, d) with matching labels")
-    if not sample_space(X.shape):
-        return [train_logistic(X[rows], y[rows], epochs, rate, l2)
-                for rows in fold_rows]
-    G = X @ X.T
-    return [_train_gram_fold(X, G, y, rows, epochs, rate, l2)
-            for rows in fold_rows]
-
-
-def _train_gram_fold(X: np.ndarray, G: np.ndarray, y: np.ndarray,
-                     rows: np.ndarray, epochs: int, rate: float,
-                     l2: float) -> LogisticModel:
-    """The fold on `rows` of X trained in sample space from X's Gram
-    matrix G.  Its slice of G dies on return, so one is alive at a
-    time."""
-    K, y_f = G[np.ix_(rows, rows)], y[rows]
-    alpha, b, losses = _descend(
-        lambda a, c: _gram_loss_grad(a, c, K, y_f, l2), len(rows), epochs,
-        rate)
-    full = np.zeros(len(X), dtype=X.dtype)
-    full[rows] = alpha
-    return LogisticModel(weights=(full @ X).astype(np.float64), bias=b,
-                         losses=losses)
+    if epochs < 1 or rate <= 0:
+        raise ValueError("epochs must be >= 1 and rate > 0")
+    gram = sample_space(X.shape)
+    A = X @ X.T if gram else X
+    S = np.zeros((len(X), len(fold_rows)), dtype=X.dtype)
+    for f, rows in enumerate(fold_rows):
+        S[rows, f] = 1.0 / len(rows)
+    y = y[:, None]
+    V = np.zeros((A.shape[1], len(fold_rows)))
+    b = np.zeros(len(fold_rows))
+    losses = np.empty((epochs + 1, len(fold_rows)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(epochs + 1):
+            AV = A @ V.astype(X.dtype)
+            Z = AV + b.astype(X.dtype)
+            softplus = np.logaddexp(0.0, Z)
+            # ||w_f||^2: V.V in pixel space, alpha.(G alpha) in sample space
+            norms = (V * (AV if gram else V)).sum(axis=0)
+            losses[e] = (((softplus - y * Z) * S).sum(
+                axis=0, dtype=np.float64) + 0.5 * l2 * norms)
+            bad = np.flatnonzero(~np.isfinite(losses[e]))
+            if len(bad):
+                f = int(bad[0])
+                raise FloatingPointError(
+                    f"non-finite loss {losses[e, f]} at epoch {e} in fold "
+                    f"{f} (rate={rate}, largest |coefficient| "
+                    f"{float(np.abs(V[:, f]).max())})")
+            if e < epochs:
+                # sigmoid(Z) = 1 - exp(-softplus(Z)), as accurate in float32
+                # as `_sigmoid` and a fraction of its cost
+                E = (1.0 - y - np.exp(-softplus)) * S
+                V -= rate * ((E if gram else A.T @ E) + l2 * V)
+                b -= rate * E.sum(axis=0, dtype=np.float64)
+    W = (X.T @ V.astype(X.dtype)).astype(np.float64) if gram else V
+    return [LogisticModel(weights=W[:, f].copy(), bias=float(b[f]),
+                          losses=losses[:, f].copy())
+            for f in range(len(fold_rows))]

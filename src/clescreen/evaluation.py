@@ -18,8 +18,8 @@ its roots a block of trees at a time.  With more jobs than folds, the
 extra cores sit idle in the fold pass.  Logistic folds (logistic-PPF,
 the whole-image baseline) train and score in this process, since
 OpenBLAS already uses every core: `classify.train_logistic_folds` trains
-them all, from one Gram matrix of the rows when they are fewer than the
-columns, else one fold copy at a time.
+them all in one masked descent over the rows, or over their Gram matrix
+when they are fewer than the columns, and copies no fold's rows.
 
 The method table (`_METHOD_SPEC`) maps each method to its row layout,
 texture descriptor class and scale, and every per-kind rule of the two
@@ -196,11 +196,22 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         if self.l2 < 0:
             raise ConfigError("l2 must be >= 0")
-        if (_METHOD_SPEC[self.method][1] is features.LbpConfig
+        layout, descriptor_cls, _scale = _METHOD_SPEC[self.method]
+        if (descriptor_cls is features.LbpConfig
                 and self.patch_size < features.LBP_MIN_PATCH):
             raise ConfigError(
                 f"{self.method} needs patch_size >= {features.LBP_MIN_PATCH} "
                 f"for its largest LBP ring, got {self.patch_size}")
+        # Refused rather than echoed into summary.json as if they applied.
+        if self.patch_classifier != "logistic" and layout is not _PATCHES:
+            raise ConfigError(
+                f"{self.method} has no patch classifier to choose, got "
+                f"patch_classifier {self.patch_classifier!r}")
+        if (self.glcm_levels != RunConfig.glcm_levels
+                and descriptor_cls is not features.GlcmConfig):
+            raise ConfigError(
+                f"{self.method} has no GLCM descriptor, got glcm_levels "
+                f"{self.glcm_levels}")
 
     @property
     def scale(self) -> float:
@@ -508,14 +519,14 @@ def _check_memory(rows, kept: list[np.ndarray], config: RunConfig,
     """Refuse a run whose row matrix plus what its folds train on alive
     at once would not fit in the memory available now.  `rows[i]` is
     record i's row count and `kept[f]` holds fold f's kept record
-    indices.  Logistic folds train one at a time: on a row matrix with
-    fewer rows than columns, from its Gram matrix and the fold's slice of
-    it (`classify.sample_space`), else each on its `X[rows]` copy.  A
-    forest fold holds `X[rows]`, the float64 copy `train_random_forest`
-    makes and its split temporaries (3.26x the float32 rows: the
-    tracemalloc peak of one forest on 1000 x 6400 rows while the caller
-    holds `X[rows]`; such a root is split alone), and as many
-    forest folds run at once as the fold pass has workers (`pool_size`).
+    indices.  Logistic folds train together and copy no rows: they hold
+    `classify.logistic_working_bytes`, the Gram matrix in sample space
+    plus their coefficients and temporaries.  A forest fold holds
+    `X[rows]`, the float64 copy `train_random_forest` makes and its
+    split temporaries (3.26x the float32 rows: the tracemalloc peak of
+    one forest on 1000 x 6400 rows while the caller holds `X[rows]`;
+    such a root is split alone), and as many forest folds run at once
+    as the fold pass has workers (`pool_size`).
     For RF-GLCM, each record-pass worker holds
     `features.glcm_working_bytes` for a record of `patches` patches (the
     most of any record); the record pass ends before the fold pass
@@ -530,16 +541,15 @@ def _check_memory(rows, kept: list[np.ndarray], config: RunConfig,
     counts = np.asarray(rows, dtype=np.int64)
     n = int(counts.sum())
     cache = n * row_bytes
-    fold_rows = max(int(counts[k].sum()) for k in kept)
     if layout.forest(config):
+        fold_rows = max(int(counts[k].sum()) for k in kept)
         folds = pool_size(config.jobs, len(kept))
         fold_bytes = fold_rows * row_bytes * folds * 326 // 100
         what = f"{folds} forest fold copies"
-    elif classify.sample_space((n, columns)):
-        fold_bytes = (n * n + fold_rows * fold_rows) * dtype.itemsize
-        what = "Gram matrix and largest fold Gram"
     else:
-        fold_bytes, what = fold_rows * row_bytes, "largest fold copy"
+        fold_bytes = classify.logistic_working_bytes((n, columns), len(kept),
+                                                     dtype)
+        what = "logistic folds"
     if descriptor_cls is features.GlcmConfig:
         workers = pool_size(config.jobs, len(counts))
         side = config.patch_size

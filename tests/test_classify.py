@@ -1,12 +1,14 @@
 """Rotation augmentation, class balancing, and the logistic baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from clescreen.classify import (LogisticModel, augment_rotations,
                                 balance_classes, logistic_loss_grad,
-                                sample_space, train_logistic,
-                                train_logistic_folds)
+                                logistic_working_bytes, sample_space,
+                                train_logistic, train_logistic_folds)
 from clescreen.core import CARCINOGENIC, NORMAL, DatasetManifest
 from conftest import make_record
 
@@ -223,50 +225,76 @@ def _folds_of(rng, n, k=3):
             for _ in range(k)]
 
 
+def frozen_fold_loop(X, y, fold_rows, epochs, rate, l2):
+    """The per-fold descent that `train_logistic_folds` replaced, kept as
+    its oracle: each fold descends in pixel space on its own `X[rows]`
+    copy, one `logistic_loss_grad` per epoch.  Returns (weights, bias,
+    loss trace) per fold."""
+    out = []
+    for rows in fold_rows:
+        X_f, y_f = X[rows], y[rows]
+        w = np.zeros(X.shape[1], dtype=np.float64)
+        b = 0.0
+        losses = np.empty(epochs + 1, dtype=np.float64)
+        for e in range(epochs + 1):
+            loss, gw, gb = logistic_loss_grad(w, b, X_f, y_f, l2)
+            losses[e] = loss
+            if e < epochs:
+                w -= rate * gw
+                b -= rate * gb
+        out.append((w, b, losses))
+    return out
+
+
 class TestLogisticFolds:
     def test_space_chosen_from_shape(self):
         assert sample_space((5, 6))
         assert not sample_space((6, 6))
         assert not sample_space((7, 6))
 
-    def test_sample_space_matches_pixel_space(self):
-        # Fewer rows than columns: the Gram-matrix descent is the pixel
-        # descent up to float32 reassociation.
-        rng = np.random.default_rng(6)
-        for n, d in ((40, 300), (90, 91)):
+    def assert_matches_fold_loop(self, shapes, seed, epochs, rate, l2):
+        # The joint descent is the per-fold loop up to float32
+        # reassociation: its masked sums and matrix-matrix products add
+        # in another order, and the sample-space form reaches the
+        # logits through the Gram matrix.
+        rng = np.random.default_rng(seed)
+        for n, d in shapes:
             X = rng.normal(size=(n, d)).astype(np.float32)
             y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.float32)
             folds = _folds_of(rng, n)
-            models = train_logistic_folds(X, y, folds, epochs=30, rate=0.02,
-                                          l2=0.05)
-            for model, rows in zip(models, folds):
-                ref = train_logistic(X[rows], y[rows], epochs=30, rate=0.02,
-                                     l2=0.05)
-                assert np.allclose(model.losses, ref.losses, rtol=0,
-                                   atol=1e-6)
-                scale = np.abs(ref.weights).max()
-                assert np.abs(model.weights - ref.weights).max() \
-                    <= 1e-5 * scale
-                assert abs(model.bias - ref.bias) <= 1e-6
+            models = train_logistic_folds(X, y, folds, epochs=epochs,
+                                          rate=rate, l2=l2)
+            oracle = frozen_fold_loop(X, y, folds, epochs, rate, l2)
+            for model, (w, b, losses) in zip(models, oracle):
+                assert np.allclose(model.losses, losses, rtol=0, atol=1e-6)
+                assert np.abs(model.weights - w).max() \
+                    <= 1e-5 * np.abs(w).max()
+                assert abs(model.bias - b) <= 1e-6
+                ref = LogisticModel(weights=w, bias=b, losses=losses)
                 assert np.allclose(model.predict_proba(X),
                                    ref.predict_proba(X), rtol=0, atol=1e-6)
 
-    def test_pixel_space_bit_identical(self):
-        # At least as many rows as columns: each fold is train_logistic
-        # on its row copy, bit for bit.
-        rng = np.random.default_rng(7)
-        for n, d in ((50, 50), (80, 6)):
-            X = rng.normal(size=(n, d)).astype(np.float32)
-            y = (X[:, 0] > 0).astype(np.float32)
-            folds = _folds_of(rng, n)
-            models = train_logistic_folds(X, y, folds, epochs=12, rate=0.1,
-                                          l2=1e-3)
-            for model, rows in zip(models, folds):
-                ref = train_logistic(X[rows], y[rows], epochs=12, rate=0.1,
-                                     l2=1e-3)
-                assert np.array_equal(model.losses, ref.losses)
-                assert np.array_equal(model.weights, ref.weights)
-                assert model.bias == ref.bias
+    def test_sample_space_matches_pixel_space(self):
+        # Fewer rows than columns: the Gram-matrix descent.
+        self.assert_matches_fold_loop(((40, 300), (90, 91)), seed=6,
+                                      epochs=30, rate=0.02, l2=0.05)
+
+    def test_pixel_space_matches_fold_loop(self):
+        # At least as many rows as columns: the descent over X itself.
+        self.assert_matches_fold_loop(((50, 50), (80, 6), (300, 40)),
+                                      seed=7, epochs=12, rate=0.1, l2=1e-3)
+
+    @pytest.mark.parametrize("shape", [(20, 60), (60, 20)])
+    def test_train_logistic_is_the_one_fold_case(self, shape):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=shape).astype(np.float32)
+        y = (X[:, 0] > 0).astype(np.float32)
+        model = train_logistic(X, y, epochs=8, rate=0.1, l2=1e-3)
+        (fold,) = train_logistic_folds(X, y, [np.arange(shape[0])],
+                                       epochs=8, rate=0.1, l2=1e-3)
+        assert np.array_equal(model.losses, fold.losses)
+        assert np.array_equal(model.weights, fold.weights)
+        assert model.bias == fold.bias
 
     def test_sample_space_weights_span_fold_rows(self):
         # Rows outside the fold take no part: changing them changes
@@ -282,6 +310,42 @@ class TestLogisticFolds:
         assert np.allclose(model.weights, other.weights, rtol=0, atol=1e-6)
         assert np.allclose(model.losses, other.losses, rtol=0, atol=1e-6)
 
+    def test_pixel_space_ignores_rows_outside_every_fold(self):
+        # Outside every fold a row's mask is 0, so its error is exactly 0
+        # and it adds exact zeros to the loss and gradient sums.
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(60, 20)).astype(np.float32)
+        y = (X[:, 1] > 0).astype(np.float32)
+        folds = [np.arange(0, 40, 2), np.arange(1, 40, 2)]
+        models = train_logistic_folds(X, y, folds, epochs=5, rate=0.05)
+        X2, y2 = X.copy(), y.copy()
+        X2[40:] = 100 * rng.normal(size=(20, 20))
+        y2[40:] = 1 - y2[40:]
+        others = train_logistic_folds(X2, y2, folds, epochs=5, rate=0.05)
+        for model, other in zip(models, others):
+            assert np.array_equal(model.weights, other.weights)
+            assert np.array_equal(model.losses, other.losses)
+            assert model.bias == other.bias
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, folds", [
+        ((400, 3000), 4), ((3000, 400), 4), ((64, 5000), 12),
+        ((5000, 64), 12)])
+    def test_working_bytes_bound_allocations(self, shape, folds, dtype):
+        # The closed form the memory check uses covers the tracemalloc
+        # peak of training, in both spaces.
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=shape).astype(dtype)
+        y = (X[:, 0] > 0).astype(dtype)
+        fold_rows = _folds_of(rng, shape[0], folds)
+        tracemalloc.start()
+        try:
+            train_logistic_folds(X, y, fold_rows, epochs=3, rate=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= logistic_working_bytes(shape, folds, dtype)
+
     @pytest.mark.parametrize("shape", [(20, 60), (60, 20)])
     def test_diverging_rate_raises_in_both_spaces(self, shape):
         rng = np.random.default_rng(9)
@@ -290,3 +354,18 @@ class TestLogisticFolds:
         with pytest.raises(FloatingPointError, match="non-finite.*rate=1e"):
             train_logistic_folds(X, y, [np.arange(shape[0])], epochs=10,
                                  rate=1e30, l2=1e-3)
+
+    @pytest.mark.parametrize("shape", [(20, 60), (60, 20)])
+    def test_divergence_names_its_fold(self, shape):
+        # Fold 1 alone holds rows 1e15 times larger, so at this rate only
+        # its logits overflow; fold 0's loss stays finite.
+        rng = np.random.default_rng(12)
+        n = shape[0]
+        X = rng.normal(size=shape).astype(np.float32)
+        X[n // 2:] *= 1e15
+        y = (X[:, 0] > 0).astype(np.float32)
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite loss \S+ at epoch \d+ in fold "
+                                 r"1 \(rate=1"):
+            train_logistic_folds(X, y, [np.arange(n // 2), np.arange(n)],
+                                 epochs=10, rate=1e10, l2=1e-3)

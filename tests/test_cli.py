@@ -13,7 +13,8 @@ from clescreen import core, evaluation, features, forest
 from clescreen.cli import main
 from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
                             load_manifest, save_image, save_manifest)
-from clescreen.evaluation import RunConfig, prepare_record_image, record_patch_coords
+from clescreen.evaluation import (METHODS, RunConfig, prepare_record_image,
+                                  record_patch_coords)
 from clescreen.fusion import fuse
 from conftest import make_image, make_record
 
@@ -493,6 +494,47 @@ class TestCv:
         for name in ("results.csv", "roc.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_summary_config_round_trips(self, dataset, tmp_path,
+                                              method):
+        # A summary echoes every config field, the unused ones at their
+        # defaults, so each method's summary is a valid --config.
+        first, second = tmp_path / "cv1", tmp_path / "cv2"
+        extra = (["--wholeimage-baseline"] if method == "WHOLEIMAGE@0.55x"
+                 else [])
+        assert main(["cv", "--data", str(dataset), "--method", method,
+                     *extra, "--k-aug", "0", "--trees", "3", "--epochs", "2",
+                     "--out", str(first), "--jobs", "1"]) == 0
+        assert main(["cv", "--data", str(dataset), "--config",
+                     str(first / "summary.json"), "--out", str(second),
+                     "--jobs", "1"]) == 0
+        for name in ("results.csv", "roc.csv", "summary.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--method", "RF-LBP@0.5x", "--patch-classifier", "forest"],
+         "RF-LBP@0.5x has no patch classifier to choose, got "
+         "patch_classifier 'forest'"),
+        (["--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
+          "--patch-classifier", "forest"],
+         "WHOLEIMAGE@0.55x has no patch classifier to choose, got "
+         "patch_classifier 'forest'"),
+        (["--method", "PPF@0.5x", "--glcm-levels", "32"],
+         "PPF@0.5x has no GLCM descriptor, got glcm_levels 32"),
+        (["--method", "RF-LBP@1.0x", "--glcm-levels", "8"],
+         "RF-LBP@1.0x has no GLCM descriptor, got glcm_levels 8"),
+    ])
+    def test_option_the_method_ignores_is_refused(self, dataset, tmp_path,
+                                                  capsys, args, message):
+        # Echoed into summary.json, it would read as if it took effect.
+        out = tmp_path / "cvi"
+        capsys.readouterr()
+        assert main(["cv", "--data", str(dataset), *args, "--out",
+                     str(out), "--jobs", "1"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"clescreen: invalid configuration: {message}"]
+        assert not out.exists()
+
     def test_single_patient_exit_code(self, tmp_path):
         ds = tmp_path / "one"
         assert main(["synth", "--out", str(ds), "--patients", "1",
@@ -531,14 +573,14 @@ class TestCv:
                    str(cfg), "--out", str(out), "--jobs", "1"])
         err = capsys.readouterr().err.splitlines()
         assert rc == 3
-        # 36 rows (12 frames, 24 rotated copies) of 13.4 GiB, and a fold
-        # keeps the 24 rows of two patients.  Fewer rows than columns, so
-        # the folds train from the 36 x 36 Gram matrix and a 24 x 24
-        # slice of it, not from a 24-row copy.
+        # 36 rows (12 frames, 24 rotated copies) of 13.4 GiB, in 3 folds.
+        # Fewer rows than columns, so the folds descend over the 36 x 36
+        # Gram matrix and copy no rows; nearly all they add is their
+        # weights, counted as 4 float64 matrices of 60000^2 x 3.
         assert err == ["clescreen: invalid configuration: WHOLEIMAGE@0.55x "
-                       "needs about 494384 MiB (row matrix 494384 MiB + "
-                       "Gram matrix and largest fold Gram 0 MiB) but only "
-                       "4096 MiB is available"]
+                       "needs about 823974 MiB (row matrix 494384 MiB + "
+                       "logistic folds 329589 MiB) but only 4096 MiB is "
+                       "available"]
         assert not out.exists()
 
     def test_lbp_patch_below_largest_ring_refused_before_reading(

@@ -702,21 +702,22 @@ class TestRunCv:
 
     def test_ppf_memory_check_arithmetic(self, monkeypatch):
         # Two records of 768 and 1280 patches of 32 x 32 px; the largest
-        # fold keeps both.  More rows than columns, so a logistic fold
-        # trains on its row copy.
+        # fold keeps both.  More rows than columns, so the two logistic
+        # folds descend over the rows themselves and copy none: 8 float32
+        # 2048 x 2 and 4 float64 1024 x 2 matrices, 192 KiB.
         rows = [768, 1280]
         kept = [np.array([1]), np.array([0, 1])]
         config = RunConfig(method="PPF@0.5x", patch_size=32)
-        need = (8 + 8) * 512 * 512 * 4  # 16 MiB
+        need = 8 * 512 * 512 * 4 + (8 * 4 * 2048 + 4 * 8 * 1024) * 2
         for available, refused in ((need, False), (need - 1, True),
                                    (None, False)):
             monkeypatch.setattr(evaluation, "mem_available",
                                 lambda: available)
             if refused:
                 with pytest.raises(ConfigError,
-                                   match=r"needs about 16 MiB \(patch cache "
-                                         r"8 MiB \+ largest fold copy 8 "
-                                         r"MiB\) but only 15 MiB"):
+                                   match=r"needs about 8 MiB \(patch cache "
+                                         r"8 MiB \+ logistic folds 0 "
+                                         r"MiB\) but only 8 MiB"):
                     evaluation._check_memory(rows, kept, config)
             else:
                 evaluation._check_memory(rows, kept, config)
@@ -784,21 +785,21 @@ class TestRunCv:
 
     def test_sample_space_memory_check_counts_gram_matrices(self,
                                                             monkeypatch):
-        # 2048 patches of 64 x 64 px: fewer rows than columns, so the
-        # logistic folds train from the 2048 x 2048 Gram matrix and one
-        # fold's 1024 x 1024 slice of it, and copy no rows (a fold copy
-        # would be 16 MiB, not the slice's 4).
+        # 2048 patches of 64 x 64 px: fewer rows than columns, so the two
+        # logistic folds descend over the 2048 x 2048 Gram matrix (16
+        # MiB) and copy no rows, adding 8 float32 2048 x 2 and 4 float64
+        # 4096 x 2 matrices (384 KiB).
         rows = [1024, 1024]
         kept = [np.array([1]), np.array([0])]
         config = RunConfig(method="PPF@0.5x", patch_size=64)
-        need = (32 + 16 + 4) << 20
+        need = ((32 + 16) << 20) + (8 * 4 * 2048 + 4 * 8 * 4096) * 2
         monkeypatch.setattr(evaluation, "mem_available", lambda: need)
         evaluation._check_memory(rows, kept, config)
         monkeypatch.setattr(evaluation, "mem_available", lambda: need - 1)
         with pytest.raises(ConfigError,
-                           match=r"needs about 52 MiB \(patch cache 32 MiB "
-                                 r"\+ Gram matrix and largest fold Gram 20 "
-                                 r"MiB\) but only 51 MiB"):
+                           match=r"needs about 48 MiB \(patch cache 32 MiB "
+                                 r"\+ logistic folds 16 MiB\) but only 48 "
+                                 r"MiB"):
             evaluation._check_memory(rows, kept, config)
 
     def test_rf_runs_one_record_pass_and_one_fold_pass(self, small_dataset,
