@@ -164,7 +164,7 @@ def logistic_working_bytes(shape: tuple[int, int], folds: int,
     """An upper bound on what `train_logistic_folds` allocates for
     `folds` folds of a row matrix of `shape` and `dtype`: the Gram
     matrix in sample space, plus 8 n x F matrices of that dtype (the
-    mask, each epoch's logits, losses and errors) and 4 float64 d x F
+    masks, each epoch's logits, losses and errors) and 4 float64 d x F
     matrices (the weights and their step); a test holds it above the
     tracemalloc peak in both spaces."""
     n, d = shape
@@ -184,9 +184,13 @@ def train_logistic_folds(X: np.ndarray, y: np.ndarray,
     Every fold descends at once over one matrix A, whose coefficients V
     hold one column per fold.  The mask S, 1/n_f on fold f's rows and 0
     elsewhere, confines each fold's loss and gradient to its rows, so no
-    rows are copied; rows outside a fold still enter its products, so
-    they must be finite.  An epoch computes Z = A @ V + b, then
-    E = (sigmoid(Z) - y) * S, and steps b by the column sums of E.
+    rows are copied.  Rows outside a fold still enter its products, so
+    every row of A must be finite; a row that is not is refused before
+    the descent, with the folds that hold it.  A finite row outside fold
+    f may still overflow fold f's product A @ V; that entry is set to 0,
+    so the row never reaches fold f's loss or step.  An epoch computes
+    Z = A @ V + b, then E = (sigmoid(Z) - y) * S, and steps b by the
+    column sums of E.
 
     In pixel space A = X and V holds the weights (d x F), stepped by
     A.T @ E + l2 V.  When X has fewer rows than columns (`sample_space`),
@@ -204,17 +208,28 @@ def train_logistic_folds(X: np.ndarray, y: np.ndarray,
     if epochs < 1 or rate <= 0:
         raise ValueError("epochs must be >= 1 and rate > 0")
     gram = sample_space(X.shape)
-    A = X @ X.T if gram else X
     S = np.zeros((len(X), len(fold_rows)), dtype=X.dtype)
     for f, rows in enumerate(fold_rows):
         S[rows, f] = 1.0 / len(rows)
+    outside = S == 0
     y = y[:, None]
-    V = np.zeros((A.shape[1], len(fold_rows)))
     b = np.zeros(len(fold_rows))
     losses = np.empty((epochs + 1, len(fold_rows)))
     with np.errstate(over="ignore", invalid="ignore"):
+        A = X @ X.T if gram else X
+        # max and min propagate nan and inf without an n x d temporary
+        bad = np.flatnonzero(~(np.isfinite(A.max(axis=1, initial=0))
+                               & np.isfinite(A.min(axis=1, initial=0))))
+        if len(bad):
+            raise FloatingPointError(
+                f"non-finite row {bad[0]} of {'X @ X.T' if gram else 'X'}, "
+                f"held by folds {np.flatnonzero(~outside[bad[0]]).tolist()}")
+        V = np.zeros((A.shape[1], len(fold_rows)))
         for e in range(epochs + 1):
             AV = A @ V.astype(X.dtype)
+            # A row outside fold f may overflow fold f's products; zeroed,
+            # it adds 0 (not 0 x inf) to fold f's loss and step.
+            np.copyto(AV, 0, where=outside)
             Z = AV + b.astype(X.dtype)
             softplus = np.logaddexp(0.0, Z)
             # ||w_f||^2: V.V in pixel space, alpha.(G alpha) in sample space

@@ -28,12 +28,20 @@ texture row per record (RF-*), a whitened float32 patch per admitted
 patch (PPF) and a whitened float32 raster per record (whole-image).  A
 layout gives a record's row count, a row's columns and dtype, whether a
 forest fits the rows (texture always, raster never, patches per
-`patch_classifier`), whether the kind plans a patch grid, the rows'
-name in the memory message, and the fill that writes a prepared
-record's rows.  A fill looks up each stage function through its module
-at call time (`patching.whiten_values`, `features.image_row`,
+`patch_classifier`), the `RunConfig` fields it reads, the rows' name in
+the memory message, and the fill that writes a prepared record's rows.
+A layout plans a patch grid if and only if it reads `patch_size`.  A
+fill looks up each stage function through its module at call time
+(`patching.whiten_values`, `features.image_row`,
 `wholeimage.preprocess`), never bound at import time, so a tracer that
 replaces those module attributes sees every call.
+
+One read table, in `RunConfig.validate`, names the fields each method
+reads: the five every method reads, its layout's, its classifier's
+(`trees` for a forest; `epochs`, `rate` and `l2` for a logistic fit) and
+its descriptor's (`glcm_levels` for RF-GLCM).  `validate` refuses any
+other field set to a value other than its default, so no option a run
+ignores is echoed into `summary.json` as if it had applied.
 
 A patch method rotates an augmented copy only over the column hull of
 its planned patches in each row, so such a prepared frame is 0 outside
@@ -87,15 +95,16 @@ class _Layout(NamedTuple):
     A record has one row per admitted patch if `per_patch` (and its patch
     posteriors are fused), else one.  `format(config)` gives a row's
     (columns, dtype).  `forest(config)` tells whether a forest fits the rows,
-    else a logistic model.  `grid` tells whether the kind plans a patch
-    grid, and `matrix` names the rows in the memory message.
+    else a logistic model.  `reads` names the `RunConfig` fields the layout
+    reads; a layout that reads `patch_size` plans a patch grid.  `matrix`
+    names the rows in the memory message.
     `fill(img, coords, out, config)` writes the rows `out` of a prepared
     frame `img` with planned `coords`; it looks up each stage function
     through its module at call time, so a tracer that replaces a module
     attribute sees every call."""
 
     per_patch: bool
-    grid: bool
+    reads: tuple[str, ...]
     matrix: str
     format: object
     forest: object
@@ -104,16 +113,18 @@ class _Layout(NamedTuple):
 
 # A texture row per record (RF-*), a whitened float32 patch per admitted
 # patch (PPF) and a whitened float32 raster per record (whole-image).
+_GRID = ("patch_size", "overlap", "admission_fraction")
 _TEXTURE = _Layout(
-    per_patch=False, grid=True, matrix="row matrix",
+    per_patch=False, reads=_GRID, matrix="row matrix",
     format=lambda c: (len(c.descriptor.row_names()), np.dtype(np.float64)),
     forest=lambda c: True, fill=_fill_texture)
 _PATCHES = _Layout(
-    per_patch=True, grid=True, matrix="patch cache",
+    per_patch=True, reads=(*_GRID, "patch_classifier"), matrix="patch cache",
     format=lambda c: (c.patch_size ** 2, np.dtype(np.float32)),
     forest=lambda c: c.patch_classifier == "forest", fill=_fill_patches)
 _RASTER = _Layout(
-    per_patch=False, grid=False, matrix="row matrix",
+    per_patch=False, reads=("target_size", "wholeimage_baseline"),
+    matrix="row matrix",
     format=lambda c: (c.target_size ** 2, np.dtype(np.float32)),
     forest=lambda c: False, fill=_fill_raster)
 
@@ -202,16 +213,20 @@ class RunConfig:
             raise ConfigError(
                 f"{self.method} needs patch_size >= {features.LBP_MIN_PATCH} "
                 f"for its largest LBP ring, got {self.patch_size}")
-        # Refused rather than echoed into summary.json as if they applied.
-        if self.patch_classifier != "logistic" and layout is not _PATCHES:
-            raise ConfigError(
-                f"{self.method} has no patch classifier to choose, got "
-                f"patch_classifier {self.patch_classifier!r}")
-        if (self.glcm_levels != RunConfig.glcm_levels
-                and descriptor_cls is not features.GlcmConfig):
-            raise ConfigError(
-                f"{self.method} has no GLCM descriptor, got glcm_levels "
-                f"{self.glcm_levels}")
+        # The read table: the fields every method reads, its layout's, its
+        # classifier's and its descriptor's.  Any other field away from its
+        # default is refused rather than echoed into summary.json as if it
+        # had applied.
+        reads = {"method", "seed", "jobs", "threshold", "k_aug", *layout.reads,
+                 *(("trees",) if layout.forest(self)
+                   else ("epochs", "rate", "l2")),
+                 *(("glcm_levels",) if descriptor_cls is features.GlcmConfig
+                   else ())}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name not in reads and value != f.default:
+                raise ConfigError(f"{self.method} does not read {f.name}, "
+                                  f"got {f.name} {value!r}")
 
     @property
     def scale(self) -> float:
@@ -314,16 +329,6 @@ def roc_auc(labels: np.ndarray, probs: np.ndarray):
         (fp / n_neg).tolist(), (tp / n_pos).tolist(),
         ss[np.concatenate([[0], cuts])].tolist()))
     return roc, twice_u / 2.0 / (n_pos * n_neg)
-
-
-def mann_whitney_auc(labels: np.ndarray, probs: np.ndarray) -> float:
-    """The AUC of `roc_auc` alone."""
-    return roc_auc(labels, probs)[1]
-
-
-def roc_points(labels: np.ndarray, probs: np.ndarray) -> list[tuple[float, float, float]]:
-    """The ROC sweep of `roc_auc` alone."""
-    return roc_auc(labels, probs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +470,7 @@ def plan_records(manifest: core.DatasetManifest,
             width, height = width // 2, height // 2
             center, radius = (center[0] / 2.0, center[1] / 2.0), radius / 2.0
         coords = []
-        if layout.grid:  # without a grid, the frame may be tiny
+        if "patch_size" in layout.reads:  # else the frame may be tiny
             try:
                 coords = record_patch_coords((width, height), center, radius,
                                              rects, config)

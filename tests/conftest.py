@@ -18,6 +18,15 @@ def make_record(patient="p0", sequence="s0", frame=0, label=NORMAL,
                        label=label, site=site, file=file, **kw)
 
 
+def fit_options(method, trees, epochs, patch_classifier="logistic"):
+    """The classifier option a run of `method` reads, as RunConfig
+    keywords: `trees` for a forest (RF-*, or PPF with the forest patch
+    classifier), `epochs` for a logistic fit."""
+    if method.startswith("RF-") or patch_classifier == "forest":
+        return {"trees": trees}
+    return {"epochs": epochs}
+
+
 def make_image(size=160, fill=1000, rng=None):
     if rng is not None:
         pixels = rng.integers(0, 65536, size=(size, size)).astype(np.uint16)

@@ -20,8 +20,7 @@ from clescreen.core import (CARCINOGENIC, NORMAL, SITE_ALVEOLAR, SITE_LABIUM,
                             SITE_PALATE, SITE_TUMOR, DatasetManifest,
                             ImageRecord, dataset_stats)
 from clescreen.classify import logistic_loss_grad
-from clescreen.evaluation import (RunConfig, mann_whitney_auc, roc_points,
-                                  run_cv)
+from clescreen.evaluation import RunConfig, roc_auc, run_cv
 from clescreen.features import (HARALICK_NAMES, glcm, haralick_features,
                                 _lbp_codes, _histogram_rows)
 from clescreen.fusion import build_maps, image_probability
@@ -211,8 +210,8 @@ def test_auc_correctness_100_score_sets():
             scores = rng.choice(np.linspace(0, 1, 7), size=n)
         else:
             scores = rng.uniform(size=n)
-        sweep = trapezoid(roc_points(labels, scores))
-        mw = mann_whitney_auc(labels, scores)
+        sweep = trapezoid(roc_auc(labels, scores)[0])
+        mw = roc_auc(labels, scores)[1]
         oracle = pair_count(labels, scores)
         worst = max(worst, abs(sweep - oracle), abs(mw - oracle))
         assert abs(sweep - oracle) < 1e-9
@@ -220,7 +219,7 @@ def test_auc_correctness_100_score_sets():
         done += 1
 
     labels = np.array([0, 1, 1, 0, 1])
-    tied = mann_whitney_auc(labels, np.full(5, 0.3))
+    tied = roc_auc(labels, np.full(5, 0.3))[1]
     _report("auc-correctness", tied == 0.5,
             f"(100 score sets, worst |error| = {worst:.2e}; all-tied "
             f"input = {tied})")

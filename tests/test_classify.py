@@ -1,6 +1,7 @@
 """Rotation augmentation, class balancing, and the logistic baseline."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,25 @@ class TestLogisticFolds:
             assert np.array_equal(model.losses, other.losses)
             assert model.bias == other.bias
 
+    def test_overflowing_rows_stay_out_of_other_folds(self):
+        # Rows outside every fold, finite but near the float32 limit,
+        # overflow the logits (0 x inf before masking); the folds train
+        # bit for bit as without them, and numpy warns of nothing.
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(60, 20)).astype(np.float32)
+        y = (X[:, 1] > 0).astype(np.float32)
+        folds = [np.arange(0, 40, 2), np.arange(1, 40, 2)]
+        models = train_logistic_folds(X, y, folds, epochs=5, rate=0.5)
+        X2 = X.copy()
+        X2[40:] = np.float32(3e38) * np.sign(rng.normal(size=(20, 20)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            others = train_logistic_folds(X2, y, folds, epochs=5, rate=0.5)
+        for model, other in zip(models, others):
+            assert np.array_equal(model.weights, other.weights)
+            assert np.array_equal(model.losses, other.losses)
+            assert model.bias == other.bias
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape, folds", [
         ((400, 3000), 4), ((3000, 400), 4), ((64, 5000), 12),
@@ -369,3 +389,23 @@ class TestLogisticFolds:
                                  r"1 \(rate=1"):
             train_logistic_folds(X, y, [np.arange(n // 2), np.arange(n)],
                                  epochs=10, rate=1e10, l2=1e-3)
+
+    @pytest.mark.parametrize("shape, scale, row", [
+        ((20, 60), 1e20, 10), ((60, 20), np.inf, 30)])
+    def test_non_finite_row_names_its_folds(self, shape, scale, row):
+        # The second half of the rows is scaled so that A (X @ X.T in
+        # sample space, X in pixel space) has non-finite rows; only fold 1
+        # holds them.  The error names the first such row and fold 1 alone,
+        # before any epoch and without a numpy warning.
+        rng = np.random.default_rng(12)
+        n = shape[0]
+        X = rng.normal(size=shape).astype(np.float32)
+        X[n // 2:] *= np.float32(scale)
+        y = (X[:, 0] > 0).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=rf"non-finite row {row} of .*, held by "
+                                     rf"folds \[1\]$"):
+                train_logistic_folds(X, y, [np.arange(n // 2), np.arange(n)],
+                                     epochs=3, rate=0.1)

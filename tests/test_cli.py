@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: subcommands, files, exit codes."""
 
+import dataclasses
 import json
 import os
 import resource
@@ -16,7 +17,7 @@ from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
 from clescreen.evaluation import (METHODS, RunConfig, prepare_record_image,
                                   record_patch_coords)
 from clescreen.fusion import fuse
-from conftest import make_image, make_record
+from conftest import fit_options, make_image, make_record
 
 
 @pytest.fixture(scope="module")
@@ -502,8 +503,10 @@ class TestCv:
         first, second = tmp_path / "cv1", tmp_path / "cv2"
         extra = (["--wholeimage-baseline"] if method == "WHOLEIMAGE@0.55x"
                  else [])
+        fit = [arg for name, value in fit_options(method, 3, 2).items()
+               for arg in (f"--{name}", str(value))]
         assert main(["cv", "--data", str(dataset), "--method", method,
-                     *extra, "--k-aug", "0", "--trees", "3", "--epochs", "2",
+                     *extra, "--k-aug", "0", *fit,
                      "--out", str(first), "--jobs", "1"]) == 0
         assert main(["cv", "--data", str(dataset), "--config",
                      str(first / "summary.json"), "--out", str(second),
@@ -511,29 +514,121 @@ class TestCv:
         for name in ("results.csv", "roc.csv", "summary.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    @pytest.mark.parametrize("args, message", [
-        (["--method", "RF-LBP@0.5x", "--patch-classifier", "forest"],
-         "RF-LBP@0.5x has no patch classifier to choose, got "
-         "patch_classifier 'forest'"),
-        (["--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
+    @pytest.mark.parametrize("argv, config, message", [
+        (["cv", "--method", "RF-LBP@0.5x", "--patch-classifier", "forest"],
+         None, "RF-LBP@0.5x does not read patch_classifier, got "
+               "patch_classifier 'forest'"),
+        (["cv", "--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
           "--patch-classifier", "forest"],
-         "WHOLEIMAGE@0.55x has no patch classifier to choose, got "
-         "patch_classifier 'forest'"),
-        (["--method", "PPF@0.5x", "--glcm-levels", "32"],
-         "PPF@0.5x has no GLCM descriptor, got glcm_levels 32"),
-        (["--method", "RF-LBP@1.0x", "--glcm-levels", "8"],
-         "RF-LBP@1.0x has no GLCM descriptor, got glcm_levels 8"),
-    ])
+         None, "WHOLEIMAGE@0.55x does not read patch_classifier, got "
+               "patch_classifier 'forest'"),
+        (["cv", "--method", "PPF@0.5x", "--glcm-levels", "32"],
+         None, "PPF@0.5x does not read glcm_levels, got glcm_levels 32"),
+        (["cv", "--method", "RF-LBP@1.0x", "--glcm-levels", "8"],
+         None, "RF-LBP@1.0x does not read glcm_levels, got glcm_levels 8"),
+        (["cv", "--method", "PPF@0.5x", "--trees", "7"],
+         None, "PPF@0.5x does not read trees, got trees 7"),
+        (["cv", "--method", "RF-LBP@0.5x", "--epochs", "3"],
+         None, "RF-LBP@0.5x does not read epochs, got epochs 3"),
+        (["cv", "--method", "RF-GLCM@1.0x", "--rate", "0.5"],
+         None, "RF-GLCM@1.0x does not read rate, got rate 0.5"),
+        (["cv"], {"method": "RF-GLCM@0.5x", "l2": 0.1},
+         "RF-GLCM@0.5x does not read l2, got l2 0.1"),
+        (["cv"], {"method": "PPF@1.0x", "target_size": 100},
+         "PPF@1.0x does not read target_size, got target_size 100"),
+        (["cv", "--method", "RF-LBP@0.5x", "--wholeimage-baseline"],
+         None, "RF-LBP@0.5x does not read wholeimage_baseline, got "
+               "wholeimage_baseline True"),
+        (["cv", "--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
+          "--patch-size", "40"],
+         None, "WHOLEIMAGE@0.55x does not read patch_size, got "
+               "patch_size 40"),
+        (["cv", "--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
+          "--overlap", "0.25"],
+         None, "WHOLEIMAGE@0.55x does not read overlap, got overlap 0.25"),
+        (["cv", "--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
+          "--admission-fraction", "0.5"],
+         None, "WHOLEIMAGE@0.55x does not read admission_fraction, got "
+               "admission_fraction 0.5"),
+        (["cv"], {"method": "PPF@0.5x", "trees": 300},
+         "PPF@0.5x does not read trees, got trees 300"),
+        (["preprocess", "--mode", "patches", "--target", "100"],
+         None, "PPF@0.5x does not read target_size, got target_size 100"),
+    ], ids=["patch-classifier-on-rf-lbp", "patch-classifier-on-wholeimage",
+            "glcm-levels-on-ppf", "glcm-levels-on-rf-lbp", "ppf-trees-7",
+            "epochs-on-rf-lbp", "rate-on-rf-glcm", "config-l2-on-rf-glcm",
+            "config-target-size-on-ppf", "wholeimage-baseline-on-rf-lbp",
+            "patch-size-on-wholeimage", "overlap-on-wholeimage",
+            "admission-fraction-on-wholeimage", "rf-summary-trees-for-ppf",
+            "preprocess-patches-target-100"])
     def test_option_the_method_ignores_is_refused(self, dataset, tmp_path,
-                                                  capsys, args, message):
+                                                  capsys, argv, config,
+                                                  message):
         # Echoed into summary.json, it would read as if it took effect.
-        out = tmp_path / "cvi"
+        out = tmp_path / "out"
+        extra = []
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            extra = ["--config", str(path)]
         capsys.readouterr()
-        assert main(["cv", "--data", str(dataset), *args, "--out",
-                     str(out), "--jobs", "1"]) == 3
+        assert main([*argv, *extra, "--data", str(dataset), "--out",
+                     str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"clescreen: invalid configuration: {message}"]
         assert not out.exists()
+
+    # The fields each route reads, written out here rather than taken from
+    # the program's own table: 9 for RF-LBP, 10 for RF-GLCM, forest-PPF
+    # and the whole-image baseline, 12 for logistic-PPF.
+    COMMON = {"method", "seed", "jobs", "threshold", "k_aug"}
+    GRID = {"patch_size", "overlap", "admission_fraction"}
+    LOGISTIC = {"epochs", "rate", "l2"}
+    # A valid value other than its default for every field but `method`.
+    OTHER = {"seed": 7, "jobs": 3, "threshold": 0.4, "k_aug": 1,
+             "patch_size": 24, "overlap": 0.25, "admission_fraction": 0.5,
+             "patch_classifier": "forest", "trees": 7, "epochs": 3,
+             "rate": 0.02, "l2": 0.01, "glcm_levels": 32,
+             "wholeimage_baseline": True, "target_size": 100}
+
+    @pytest.mark.parametrize("base, reads", [
+        ({"method": "RF-LBP@1.0x"}, COMMON | GRID | {"trees"}),
+        ({"method": "RF-LBP@0.5x"}, COMMON | GRID | {"trees"}),
+        ({"method": "RF-GLCM@1.0x"}, COMMON | GRID | {"trees", "glcm_levels"}),
+        ({"method": "RF-GLCM@0.5x"}, COMMON | GRID | {"trees", "glcm_levels"}),
+        ({"method": "PPF@1.0x"}, COMMON | GRID | {"patch_classifier"}
+         | LOGISTIC),
+        ({"method": "PPF@0.5x"}, COMMON | GRID | {"patch_classifier"}
+         | LOGISTIC),
+        ({"method": "PPF@1.0x", "patch_classifier": "forest"},
+         COMMON | GRID | {"patch_classifier", "trees"}),
+        ({"method": "PPF@0.5x", "patch_classifier": "forest"},
+         COMMON | GRID | {"patch_classifier", "trees"}),
+        ({"method": "WHOLEIMAGE@0.55x", "wholeimage_baseline": True},
+         COMMON | {"target_size", "wholeimage_baseline"} | LOGISTIC),
+    ], ids=["rf-lbp-1.0", "rf-lbp-0.5", "rf-glcm-1.0", "rf-glcm-0.5",
+            "ppf-logistic-1.0", "ppf-logistic-0.5", "ppf-forest-1.0",
+            "ppf-forest-0.5", "wholeimage"])
+    def test_each_method_reads_only_its_fields(self, dataset, tmp_path,
+                                               capsys, base, reads):
+        # Every field is either read (and valid at a value other than its
+        # default) or refused through main with one stderr line.
+        assert set(self.OTHER) | {"method"} == {
+            f.name for f in dataclasses.fields(RunConfig)}
+        for name in sorted(reads - {"method"}):
+            RunConfig(**{**base, name: self.OTHER[name]}).validate()
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        for name in sorted(set(self.OTHER) - reads):
+            value = self.OTHER[name]
+            path.write_text(json.dumps({**base, name: value}))
+            capsys.readouterr()
+            assert main(["cv", "--data", str(dataset), "--config", str(path),
+                         "--out", str(out)]) == 3, name
+            assert capsys.readouterr().err.splitlines() == [
+                f"clescreen: invalid configuration: {base['method']} does "
+                f"not read {name}, got {name} {value!r}"]
+            assert not out.exists()
 
     def test_single_patient_exit_code(self, tmp_path):
         ds = tmp_path / "one"

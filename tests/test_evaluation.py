@@ -18,16 +18,16 @@ from clescreen.evaluation import (METHODS, ConfigError,
                                   InsufficientPatients, RunConfig,
                                   confusion_metrics,
                                   describe_records, lopo_folds,
-                                  mann_whitney_auc, plan_records,
+                                  plan_records,
                                   prepare_record_image, record_patch_coords,
                                   results_csv, roc_auc, roc_csv,
-                                  roc_points, run_cv, summary_dict)
+                                  run_cv, summary_dict)
 from clescreen.features import (GlcmConfig, LbpConfig, glcm,
                                 haralick_features, lbp_histogram)
 from clescreen.patching import patch_grid, resize_half, whiten_values
 from clescreen.synth import SynthConfig, generate_dataset
 from clescreen.wholeimage import rotate
-from conftest import make_record
+from conftest import fit_options, make_record
 
 
 def auc_pair_oracle(labels, probs):
@@ -61,8 +61,8 @@ def auc_loop(labels, probs):
 
 
 def frozen_average_rank_auc(labels, probs):
-    """The vectorized average-rank AUC that `mann_whitney_auc` computed
-    from its own ascending sort before `roc_auc` took the AUC from the
+    """The vectorized average-rank AUC, computed from its own ascending
+    sort as the AUC was before `roc_auc` took the AUC from the
     steps of the ROC ranking, kept unchanged as the oracle."""
     labels = np.asarray(labels).astype(int)
     probs = np.asarray(probs, dtype=float)
@@ -220,7 +220,7 @@ class TestRocAuc:
     def test_endpoints(self):
         labels = np.array([0, 1, 1, 0, 1])
         probs = np.array([0.2, 0.3, 0.3, 0.8, 0.9])
-        pts = roc_points(labels, probs)
+        pts = roc_auc(labels, probs)[0]
         assert pts[0][:2] == (0.0, 0.0)
         assert pts[0][2] == float("inf")
         assert pts[-1][:2] == (1.0, 1.0)
@@ -233,10 +233,10 @@ class TestRocAuc:
             if labels.sum() in (0, n):
                 continue
             probs = rng.choice([0.1, 0.25, 0.5, 0.5, 0.8, 0.9], size=n)
-            auc = mann_whitney_auc(labels, probs)
+            auc = roc_auc(labels, probs)[1]
             assert auc == pytest.approx(auc_pair_oracle(labels, probs),
                                         abs=1e-9)
-            assert trapezoid_area(roc_points(labels, probs)) == \
+            assert trapezoid_area(roc_auc(labels, probs)[0]) == \
                 pytest.approx(auc, abs=1e-9)
 
     def test_single_class_rejected(self):
@@ -252,8 +252,8 @@ class TestRocAuc:
         pairs = [(0, 2), (1, 2)] + pairs
         labels = np.array([label for label, _ in pairs])
         probs = np.array([float(score) for _, score in pairs])
-        assert mann_whitney_auc(labels, probs) == auc_loop(labels, probs)
-        assert roc_points(labels, probs) == roc_loop(labels, probs)
+        assert roc_auc(labels, probs)[1] == auc_loop(labels, probs)
+        assert roc_auc(labels, probs)[0] == roc_loop(labels, probs)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 300), distinct=st.sampled_from([1, 2, 3, 5, 8,
@@ -268,7 +268,6 @@ class TestRocAuc:
         probs = (rng.uniform(size=n) if distinct is None
                  else rng.choice(rng.uniform(size=distinct), size=n))
         want = frozen_average_rank_auc(labels, probs)
-        assert mann_whitney_auc(labels, probs).hex() == want.hex()
         assert roc_auc(labels, probs)[1].hex() == want.hex()
 
     def test_one_sort_serves_curve_and_auc(self, monkeypatch):
@@ -819,8 +818,8 @@ class TestRunCv:
         for method, fold_jobs in (("RF-LBP@0.5x", 2), ("RF-GLCM@0.5x", 2),
                                   ("PPF@0.5x", 1)):
             calls.clear()
-            run_cv(small_dataset, RunConfig(method=method, seed=5, trees=6,
-                                            epochs=4, jobs=2))
+            run_cv(small_dataset, RunConfig(method=method, seed=5, jobs=2,
+                                            **fit_options(method, 6, 4)))
             assert calls == [(72, 2), (4, fold_jobs)]
 
     @pytest.mark.parametrize("method", ["RF-LBP@0.5x", "PPF@0.5x",
@@ -835,8 +834,9 @@ class TestRunCv:
         monkeypatch.setattr(evaluation, "prepare_record_image",
                             lambda *args: read.append(args))
         with pytest.raises(InsufficientPatients):
-            run_cv(manifest, RunConfig(method=method, jobs=2,
-                                       wholeimage_baseline=True))
+            run_cv(manifest, RunConfig(
+                method=method, jobs=2,
+                wholeimage_baseline=method == "WHOLEIMAGE@0.55x"))
         assert read == []
 
     def test_balancing_decisions_recorded(self, small_dataset):
@@ -897,7 +897,9 @@ class TestTracedRoutes:
         tracer.install()
         try:
             evaluation.run_cv(small_dataset, RunConfig(
-                seed=5, trees=6, epochs=4, jobs=1, **overrides))
+                seed=5, jobs=1, **overrides, **fit_options(
+                    overrides["method"], 6, 4,
+                    overrides.get("patch_classifier", "logistic"))))
         finally:
             tracer.uninstall()
         assert {stage for stage in self.STAGES
