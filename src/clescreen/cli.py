@@ -325,6 +325,10 @@ def _build_run_config(args) -> RunConfig:
             raise ConfigError(f"{args.config}: expected a JSON object")
         if "config" in doc and isinstance(doc["config"], dict):
             doc = doc["config"]  # accept a summary.json verbatim
+        # Earlier versions needed this flag to run the whole-image
+        # baseline and wrote it into every summary; the method alone
+        # selects the baseline now.
+        doc.pop("wholeimage_baseline", None)
         unknown = set(doc) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -477,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--rate", type=float)
     p.add_argument("--glcm-levels", dest="glcm_levels", type=int)
-    p.add_argument("--wholeimage-baseline", dest="wholeimage_baseline",
-                   action="store_const", const=True)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("report", help="recompute metrics from a results CSV")

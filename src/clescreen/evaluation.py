@@ -8,18 +8,24 @@ gives both the ROC curve and the tie-aware Mann-Whitney AUC.  Every
 random draw derives from the master seed plus the fold's patient id, so
 runs are reproducible and independent of worker count.
 
-A run plans every record from its image header (`plan_records`): the
-admitted patches and size of its prepared frame, hence its rows.  Then
-it makes two forked passes.  The record pass is `describe_records`: the
-worker that prepares a record writes its rows into one matrix in a
-shared mapping, so no frame or row crosses the process boundary.  The
-fold pass fits and scores one fold per worker, each forest splitting
-its roots a block of trees at a time.  With more jobs than folds, the
-extra cores sit idle in the fold pass.  Logistic folds (logistic-PPF,
-the whole-image baseline) train and score in this process, since
-OpenBLAS already uses every core: `classify.train_logistic_folds` trains
-them all in one masked descent over the rows, or over their Gram matrix
-when they are fewer than the columns, and copies no fold's rows.
+`run_cv` is four stages, each a module attribute looked up at call
+time, so a tracer that replaces one sees it; one `RunPlan` passes
+between them.  `plan_run` decides everything before a frame is read:
+it validates the config, adds the rotated copies, plans the folds and
+their balancing, plans every record from its image header
+(`plan_records`: the admitted patches and size of its prepared frame,
+hence its rows) and checks memory.  Then come two forked passes.  The
+record pass is `describe_records`: the worker that prepares a record
+writes its rows into one matrix in a shared mapping, so no frame or row
+crosses the process boundary.  The fold pass, in `score_folds`, fits and
+scores one fold per worker, each forest splitting its roots a block of
+trees at a time.  With more jobs than folds, the extra cores sit idle in
+the fold pass.  Logistic folds (logistic-PPF, the whole-image baseline)
+train and score in this process, since OpenBLAS already uses every core:
+`classify.train_logistic_folds` trains them all in one masked descent
+over the rows, or over their Gram matrix when they are fewer than the
+columns, and copies no fold's rows.  `build_report` gathers the fold
+outcomes into the `EvalReport`.
 
 The method table (`_METHOD_SPEC`) maps each method to its row layout,
 texture descriptor class and scale, and every per-kind rule of the two
@@ -123,8 +129,7 @@ _PATCHES = _Layout(
     format=lambda c: (c.patch_size ** 2, np.dtype(np.float32)),
     forest=lambda c: c.patch_classifier == "forest", fill=_fill_patches)
 _RASTER = _Layout(
-    per_patch=False, reads=("target_size", "wholeimage_baseline"),
-    matrix="row matrix",
+    per_patch=False, reads=("target_size",), matrix="row matrix",
     format=lambda c: (c.target_size ** 2, np.dtype(np.float32)),
     forest=lambda c: False, fill=_fill_raster)
 
@@ -141,9 +146,8 @@ _METHOD_SPEC = {
 METHODS = tuple(_METHOD_SPEC)
 
 # Values accepted for each annotated RunConfig field type: an int may
-# stand in for a float, but a bool (an int subclass) only for a bool.
-_FIELD_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real,
-                "str": str}
+# stand in for a float, but a bool (an int subclass) for neither.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 def _finite(value: numbers.Real) -> bool:
@@ -171,14 +175,13 @@ class RunConfig:
     rate: float = 0.01
     l2: float = 1e-3
     glcm_levels: int = 16
-    wholeimage_baseline: bool = False
     target_size: int = wholeimage.TARGET_SIZE
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if (not isinstance(value, _FIELD_TYPES[f.type])
-                    or (isinstance(value, bool) and f.type != "bool")):
+                    or isinstance(value, bool)):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if f.type == "float" and not _finite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
@@ -590,72 +593,75 @@ def _fit_logistic(config: RunConfig, X: np.ndarray, y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
-    """Run the configured method under leave-one-patient-out CV.
+class RunPlan(NamedTuple):
+    """What a run decides before it reads a frame: the manifest with its
+    rotated copies, each record's label and rotated-copy flag, the LOPO
+    folds, each fold's seed by test patient, each fold's kept training
+    record indices (after balancing) and each record's `RecordPlan`."""
 
-    Per fold: balance the training records (augmented majority rows go
-    first), fit the method's classifier, score the held-out patient's
-    originals, and concatenate in fold order.  Returns the full report
-    with metrics, ROC/AUC, and a per-fold provenance audit.
-    """
+    manifest: core.DatasetManifest
+    labels: np.ndarray
+    is_augmented: np.ndarray
+    folds: list[Fold]
+    fold_seeds: dict[str, int]
+    kept: list[np.ndarray]
+    plans: list[RecordPlan]
+
+
+def plan_run(manifest: core.DatasetManifest, config: RunConfig) -> RunPlan:
+    """Validate `config`, add the rotated copies, plan the folds and
+    their balancing, plan every record and check memory, all from labels
+    and image headers: a cohort too small for LOPO, or a run that cannot
+    fit, fails before any frame is read."""
     config.validate()
-    layout = _METHOD_SPEC[config.method][0]
-    if layout is _RASTER and not config.wholeimage_baseline:
-        raise ConfigError(
-            "method WHOLEIMAGE@0.55x has no in-scope trained network; "
-            "inject patch probabilities via `fuse --probs` or pass the "
-            "in-repo baseline flag (--wholeimage-baseline)")
-
     augmented = classify.augment_rotations(
         manifest, k=config.k_aug, seed=stable_seed(config.seed, "augment"))
     records = augmented.records
     labels = np.array([classify.record_label(r) for r in records], dtype=np.int64)
     is_augmented = np.array([r.is_augmented for r in records])
-    # Planned before any frame is read, so a cohort too small for LOPO
-    # fails at once.
     folds = lopo_folds(augmented)
-
     fold_seeds = {fold.test_patient: stable_seed(config.seed, "fold",
                                                  fold.test_patient)
                   for fold in folds}
-    # Balancing reads labels only, so every fold's kept records are known
-    # before any frame is prepared.
     kept = [fold.train_idx[classify.balance_classes(
         labels[fold.train_idx], is_augmented[fold.train_idx],
         seed=stable_seed(fold_seeds[fold.test_patient], "balance"))]
         for fold in folds]
-
     for fold in folds:
         if is_augmented[fold.test_idx].any():
             raise RuntimeError(
                 f"augmented record in test fold {fold.test_patient}")
+    plans = plan_records(augmented, records, config)
+    _check_memory(_row_counts(plans, _METHOD_SPEC[config.method][0]), kept,
+                  config, max(len(p.coords) for p in plans))
+    return RunPlan(augmented, labels, is_augmented, folds, fold_seeds, kept,
+                   plans)
 
-    # Record pass.  The plan reads headers only, so a run that cannot fit
-    # is refused before any frame is read.
-    plan = plan_records(augmented, records, config)
-    _check_memory(_row_counts(plan, layout), kept, config,
-                  max(len(p.coords) for p in plan))
-    X, owner = describe_records(augmented, records, config, plan)
 
-    fold_rows = [np.flatnonzero(np.isin(owner, k)) for k in kept]
-    # Logistic folds train here, before the fold pass: OpenBLAS already
-    # spreads their matrix products over every core, and forked workers
-    # would each start its threads (on a 2-core machine, forking the 4
-    # PPF@0.5x folds of a 4-patient cohort onto 2 workers took run_cv
-    # from 1.8 s to 3.9 s).
+def score_folds(run: RunPlan, config: RunConfig, X: np.ndarray,
+                owner: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
+    """Each fold fitted on the rows (of `describe_records`) of its kept
+    records and scored on its held-out originals: (p per test record,
+    patch hits, patches scored) per fold, in fold order.
+
+    Logistic folds train here, before the fold pass: OpenBLAS already
+    spreads their matrix products over every core, and forked workers
+    would each start its threads (on a 2-core machine, forking the 4
+    PPF@0.5x folds of a 4-patient cohort onto 2 workers took run_cv from
+    1.8 s to 3.9 s); they are then scored here too.  Forest folds grow
+    and score on `config.jobs` forked workers that inherit X, so only
+    probabilities come back."""
+    layout = _METHOD_SPEC[config.method][0]
+    fold_rows = [np.flatnonzero(np.isin(owner, k)) for k in run.kept]
     models = (None if layout.forest(config)
-              else _fit_logistic(config, X, labels[owner], fold_rows))
+              else _fit_logistic(config, X, run.labels[owner], fold_rows))
 
     def fold_pass(f: int) -> tuple[np.ndarray, int, int]:
-        """Fold f fitted on its kept rows (a forest grows its trees in
-        this worker: folds are what runs in parallel) and scored on its
-        held-out originals: (p per test record, patch hits, patches
-        scored)."""
-        test_idx, rows = folds[f].test_idx, fold_rows[f]
+        test_idx, rows = run.folds[f].test_idx, fold_rows[f]
         if models is None:
             model = forest.train_random_forest(
-                X[rows], labels[owner[rows]], trees=config.trees,
-                seed=fold_seeds[folds[f].test_patient], jobs=1)
+                X[rows], run.labels[owner[rows]], trees=config.trees,
+                seed=run.fold_seeds[run.folds[f].test_patient], jobs=1)
         else:
             model = models[f]
         if not layout.per_patch:
@@ -666,22 +672,26 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
         for n, i in enumerate(test_idx):
             lo, hi = np.searchsorted(owner, (i, i + 1))
             pp = model.predict_proba(X[lo:hi])[:, 1]
-            probs[n] = fusion.fuse(list(zip(plan[i].coords, pp)),
-                                   plan[i].dims).p
+            probs[n] = fusion.fuse(list(zip(run.plans[i].coords, pp)),
+                                   run.plans[i].dims).p
             hits += int(((pp >= config.threshold).astype(int)
-                         == labels[i]).sum())
+                         == run.labels[i]).sum())
             total += len(pp)
         return probs, hits, total
 
-    # Fold pass.  Forest folds run on `config.jobs` forked workers that
-    # inherit X, so only probabilities come back; logistic folds are
-    # scored here.
-    outcomes = run_parallel(fold_pass, range(len(folds)),
-                            config.jobs if models is None else 1)
+    return run_parallel(fold_pass, range(len(run.folds)),
+                        config.jobs if models is None else 1)
 
+
+def build_report(run: RunPlan, config: RunConfig,
+                 outcomes: list[tuple[np.ndarray, int, int]]) -> EvalReport:
+    """The `EvalReport` of `score_folds`' outcomes: the held-out scores
+    concatenated in fold order, their metrics, ROC and AUC, and each
+    fold's provenance audit."""
+    records = run.manifest.records
     results: list[ResultRow] = []
     audits: list[FoldAudit] = []
-    for fold, kept_idx, (probs, _hits, _total) in zip(folds, kept,
+    for fold, kept_idx, (probs, _hits, _total) in zip(run.folds, run.kept,
                                                       outcomes):
         test_idx = fold.test_idx
         removed_idx = np.setdiff1d(fold.train_idx, kept_idx,
@@ -690,16 +700,16 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
             rec = records[i]
             results.append(ResultRow(
                 patient=rec.patient, sequence=rec.sequence, frame=rec.frame,
-                label=int(labels[i]), p=float(p)))
+                label=int(run.labels[i]), p=float(p)))
         audits.append(FoldAudit(
             test_patient=fold.test_patient,
-            fold_seed=fold_seeds[fold.test_patient],
+            fold_seed=run.fold_seeds[fold.test_patient],
             train_patients=tuple(sorted({records[i].patient
                                          for i in kept_idx})),
             train_keys=[records[i].key() for i in kept_idx],
             test_keys=[records[i].key() for i in test_idx],
             balancing_removed=[records[i].key() for i in removed_idx],
-            n_augmented_in_test=int(is_augmented[test_idx].sum()),
+            n_augmented_in_test=int(run.is_augmented[test_idx].sum()),
         ))
     patch_hits = sum(hits for _p, hits, _total in outcomes)
     patch_total = sum(total for _p, _hits, total in outcomes)
@@ -721,9 +731,24 @@ def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
         n_images=len(results),
         patch_accuracy=(patch_hits / patch_total if patch_total else None),
         fold_audits=audits,
-        fold_seeds=fold_seeds,
+        fold_seeds=run.fold_seeds,
         config=dataclasses.asdict(config),
     )
+
+
+def run_cv(manifest: core.DatasetManifest, config: RunConfig) -> EvalReport:
+    """Run the configured method under leave-one-patient-out CV.
+
+    Per fold: balance the training records (augmented majority rows go
+    first), fit the method's classifier, score the held-out patient's
+    originals, and concatenate in fold order.  Returns the full report
+    with metrics, ROC/AUC, and a per-fold provenance audit.  The stages
+    are `plan_run`, `describe_records`, `score_folds` and `build_report`.
+    """
+    run = plan_run(manifest, config)
+    X, owner = describe_records(run.manifest, run.manifest.records, config,
+                                run.plans)
+    return build_report(run, config, score_folds(run, config, X, owner))
 
 
 # ---------------------------------------------------------------------------

@@ -227,11 +227,6 @@ def rotate(image: CleImage, angle_deg: float,
                       else np.asarray(spans))
     out = np.zeros((h, w), dtype=np.uint16)
     theta = math.radians(angle_deg % 360.0)
-    if theta == 0.0:
-        for r0, r1, lo, hi in runs:
-            out[r0:r1, lo:hi] = image.pixels[r0:r1, lo:hi]
-        return CleImage(pixels=out, mask_center=image.mask_center,
-                        mask_radius=image.mask_radius)
     c = math.cos(theta)
     s = math.sin(theta)
     cx, cy = image.mask_center

@@ -501,12 +501,10 @@ class TestCv:
         # A summary echoes every config field, the unused ones at their
         # defaults, so each method's summary is a valid --config.
         first, second = tmp_path / "cv1", tmp_path / "cv2"
-        extra = (["--wholeimage-baseline"] if method == "WHOLEIMAGE@0.55x"
-                 else [])
         fit = [arg for name, value in fit_options(method, 3, 2).items()
                for arg in (f"--{name}", str(value))]
         assert main(["cv", "--data", str(dataset), "--method", method,
-                     *extra, "--k-aug", "0", *fit,
+                     "--k-aug", "0", *fit,
                      "--out", str(first), "--jobs", "1"]) == 0
         assert main(["cv", "--data", str(dataset), "--config",
                      str(first / "summary.json"), "--out", str(second),
@@ -514,12 +512,33 @@ class TestCv:
         for name in ("results.csv", "roc.csv", "summary.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("method, fit, legacy, as_summary", [
+        ("WHOLEIMAGE@0.55x", {"epochs": 2}, True, False),
+        ("RF-LBP@0.5x", {"trees": 3}, False, True),
+    ], ids=["wholeimage-config", "rf-lbp-summary"])
+    def test_legacy_wholeimage_baseline_key_is_dropped(
+            self, dataset, tmp_path, method, fit, legacy, as_summary):
+        # Earlier versions wrote `wholeimage_baseline` into every summary,
+        # true only for the whole-image baseline.  Such a file still
+        # loads, and runs as the same config without the key.
+        config = {"method": method, "k_aug": 0, **fit}
+        for run, doc in (("current", config),
+                         ("legacy", {**config, "wholeimage_baseline": legacy})):
+            path = tmp_path / f"{run}.json"
+            path.write_text(json.dumps({"config": doc} if as_summary
+                                       else doc))
+            assert main(["cv", "--data", str(dataset), "--config", str(path),
+                         "--out", str(tmp_path / run), "--jobs", "1"]) == 0
+        for name in ("results.csv", "roc.csv", "summary.json"):
+            assert (tmp_path / "current" / name).read_bytes() == \
+                (tmp_path / "legacy" / name).read_bytes()
+
     @pytest.mark.parametrize("argv, config, message", [
         (["cv", "--method", "RF-LBP@0.5x", "--patch-classifier", "forest"],
          None, "RF-LBP@0.5x does not read patch_classifier, got "
                "patch_classifier 'forest'"),
-        (["cv", "--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
-          "--patch-classifier", "forest"],
+        (["cv", "--method", "WHOLEIMAGE@0.55x", "--patch-classifier",
+          "forest"],
          None, "WHOLEIMAGE@0.55x does not read patch_classifier, got "
                "patch_classifier 'forest'"),
         (["cv", "--method", "PPF@0.5x", "--glcm-levels", "32"],
@@ -536,18 +555,13 @@ class TestCv:
          "RF-GLCM@0.5x does not read l2, got l2 0.1"),
         (["cv"], {"method": "PPF@1.0x", "target_size": 100},
          "PPF@1.0x does not read target_size, got target_size 100"),
-        (["cv", "--method", "RF-LBP@0.5x", "--wholeimage-baseline"],
-         None, "RF-LBP@0.5x does not read wholeimage_baseline, got "
-               "wholeimage_baseline True"),
-        (["cv", "--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
-          "--patch-size", "40"],
+        (["cv", "--method", "WHOLEIMAGE@0.55x", "--patch-size", "40"],
          None, "WHOLEIMAGE@0.55x does not read patch_size, got "
                "patch_size 40"),
-        (["cv", "--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
-          "--overlap", "0.25"],
+        (["cv", "--method", "WHOLEIMAGE@0.55x", "--overlap", "0.25"],
          None, "WHOLEIMAGE@0.55x does not read overlap, got overlap 0.25"),
-        (["cv", "--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
-          "--admission-fraction", "0.5"],
+        (["cv", "--method", "WHOLEIMAGE@0.55x", "--admission-fraction",
+          "0.5"],
          None, "WHOLEIMAGE@0.55x does not read admission_fraction, got "
                "admission_fraction 0.5"),
         (["cv"], {"method": "PPF@0.5x", "trees": 300},
@@ -557,8 +571,7 @@ class TestCv:
     ], ids=["patch-classifier-on-rf-lbp", "patch-classifier-on-wholeimage",
             "glcm-levels-on-ppf", "glcm-levels-on-rf-lbp", "ppf-trees-7",
             "epochs-on-rf-lbp", "rate-on-rf-glcm", "config-l2-on-rf-glcm",
-            "config-target-size-on-ppf", "wholeimage-baseline-on-rf-lbp",
-            "patch-size-on-wholeimage", "overlap-on-wholeimage",
+            "config-target-size-on-ppf", "patch-size-on-wholeimage", "overlap-on-wholeimage",
             "admission-fraction-on-wholeimage", "rf-summary-trees-for-ppf",
             "preprocess-patches-target-100"])
     def test_option_the_method_ignores_is_refused(self, dataset, tmp_path,
@@ -579,8 +592,8 @@ class TestCv:
         assert not out.exists()
 
     # The fields each route reads, written out here rather than taken from
-    # the program's own table: 9 for RF-LBP, 10 for RF-GLCM, forest-PPF
-    # and the whole-image baseline, 12 for logistic-PPF.
+    # the program's own table: 9 for RF-LBP and the whole-image baseline,
+    # 10 for RF-GLCM and forest-PPF, 12 for logistic-PPF.
     COMMON = {"method", "seed", "jobs", "threshold", "k_aug"}
     GRID = {"patch_size", "overlap", "admission_fraction"}
     LOGISTIC = {"epochs", "rate", "l2"}
@@ -589,7 +602,7 @@ class TestCv:
              "patch_size": 24, "overlap": 0.25, "admission_fraction": 0.5,
              "patch_classifier": "forest", "trees": 7, "epochs": 3,
              "rate": 0.02, "l2": 0.01, "glcm_levels": 32,
-             "wholeimage_baseline": True, "target_size": 100}
+             "target_size": 100}
 
     @pytest.mark.parametrize("base, reads", [
         ({"method": "RF-LBP@1.0x"}, COMMON | GRID | {"trees"}),
@@ -604,8 +617,7 @@ class TestCv:
          COMMON | GRID | {"patch_classifier", "trees"}),
         ({"method": "PPF@0.5x", "patch_classifier": "forest"},
          COMMON | GRID | {"patch_classifier", "trees"}),
-        ({"method": "WHOLEIMAGE@0.55x", "wholeimage_baseline": True},
-         COMMON | {"target_size", "wholeimage_baseline"} | LOGISTIC),
+        ({"method": "WHOLEIMAGE@0.55x"}, COMMON | {"target_size"} | LOGISTIC),
     ], ids=["rf-lbp-1.0", "rf-lbp-0.5", "rf-glcm-1.0", "rf-glcm-0.5",
             "ppf-logistic-1.0", "ppf-logistic-0.5", "ppf-forest-1.0",
             "ppf-forest-0.5", "wholeimage"])
@@ -664,8 +676,8 @@ class TestCv:
         cfg.write_text(json.dumps({"target_size": 60000}))
         out = tmp_path / "cvw"
         rc = main(["cv", "--data", str(dataset), "--method",
-                   "WHOLEIMAGE@0.55x", "--wholeimage-baseline", "--config",
-                   str(cfg), "--out", str(out), "--jobs", "1"])
+                   "WHOLEIMAGE@0.55x", "--config", str(cfg), "--out",
+                   str(out), "--jobs", "1"])
         err = capsys.readouterr().err.splitlines()
         assert rc == 3
         # 36 rows (12 frames, 24 rotated copies) of 13.4 GiB, in 3 folds.
@@ -692,31 +704,6 @@ class TestCv:
             "patch_size >= 11 for its largest LBP ring, got 8"]
         assert read == [] and not out.exists()
 
-    def assert_wholeimage_refused(self, dataset, tmp_path, capsys, choice):
-        # Neither injected probabilities nor the in-repo baseline: an
-        # invalid configuration, refused before any output is written.
-        capsys.readouterr()
-        rc = main(["cv", "--data", str(dataset), *choice,
-                   "--out", str(tmp_path / "cvw")])
-        err = capsys.readouterr().err.splitlines()
-        assert rc == 3
-        assert len(err) == 1
-        assert err[0].startswith("clescreen: invalid configuration: ")
-        assert "--wholeimage-baseline" in err[0]
-        assert not (tmp_path / "cvw").exists()
-
-    def test_wholeimage_without_source_is_config_error(self, dataset,
-                                                       tmp_path, capsys):
-        self.assert_wholeimage_refused(dataset, tmp_path, capsys,
-                                       ["--method", "WHOLEIMAGE@0.55x"])
-
-    def test_wholeimage_config_without_source_is_config_error(
-            self, dataset, tmp_path, capsys):
-        cfg = tmp_path / "whole.json"
-        cfg.write_text(json.dumps({"method": "WHOLEIMAGE@0.55x"}))
-        self.assert_wholeimage_refused(dataset, tmp_path, capsys,
-                                       ["--config", str(cfg)])
-
     def test_bad_config_key_exit_code(self, dataset, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"metod": "RF-LBP@0.5x"}))
@@ -735,7 +722,7 @@ class TestCv:
         # Larger than the 160 px raster at 0.5x: a property of the data.
         ({"patch_size": 200}, 6),
         ({"trees": "5"}, 3),
-        ({"wholeimage_baseline": 1}, 3),
+        ({"threshold": True}, 3),
         ({"seed": True}, 3),
         ('{"trees": 2,', 3),  # malformed JSON
         ({"l2": float("nan")}, 3),
@@ -803,8 +790,8 @@ class TestCv:
             self, tiny_frames, tmp_path):
         out = tmp_path / "cvw"
         assert main(["cv", "--data", str(tiny_frames), "--method",
-                     "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
-                     "--epochs", "2", "--out", str(out), "--jobs", "1"]) == 0
+                     "WHOLEIMAGE@0.55x", "--epochs", "2", "--out", str(out),
+                     "--jobs", "1"]) == 0
         assert len((out / "results.csv").read_text().splitlines()) == 13
 
     def test_unknown_flag_usage_error(self, dataset, tmp_path):
@@ -845,8 +832,7 @@ class TestFoldPass:
         ["--method", "PPF@0.5x", "--epochs", "6"],
         ["--method", "PPF@0.5x", "--patch-classifier", "forest",
          "--trees", "8"],
-        ["--method", "WHOLEIMAGE@0.55x", "--wholeimage-baseline",
-         "--epochs", "4"],
+        ["--method", "WHOLEIMAGE@0.55x", "--epochs", "4"],
     ], ids=["rf-lbp", "rf-glcm", "ppf-logistic", "ppf-forest", "wholeimage"])
     def test_outputs_identical_across_jobs(self, dataset, tmp_path, options):
         for jobs in ("1", "2"):

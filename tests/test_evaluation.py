@@ -595,8 +595,7 @@ class TestRunCv:
         {"method": "RF-GLCM@0.5x", "trees": 20},
         {"method": "PPF@0.5x", "epochs": 8},
         {"method": "PPF@0.5x", "patch_classifier": "forest", "trees": 12},
-        {"method": "WHOLEIMAGE@0.55x", "epochs": 4,
-         "wholeimage_baseline": True},
+        {"method": "WHOLEIMAGE@0.55x", "epochs": 4},
     ], ids=["rf-glcm", "ppf-logistic", "ppf-forest", "wholeimage"])
     def test_outputs_identical_across_jobs(self, small_dataset, overrides):
         outputs = []
@@ -628,14 +627,9 @@ class TestRunCv:
         report = run_cv(small_dataset, config)
         assert report.patch_accuracy is not None
 
-    def test_wholeimage_refused_without_baseline(self, small_dataset):
-        config = RunConfig(method="WHOLEIMAGE@0.55x", seed=5)
-        with pytest.raises(ValueError, match="baseline"):
-            run_cv(small_dataset, config)
-
     def test_wholeimage_baseline_runs(self, small_dataset):
         config = RunConfig(method="WHOLEIMAGE@0.55x", seed=5, epochs=4,
-                           wholeimage_baseline=True, jobs=2)
+                           jobs=2)
         report = run_cv(small_dataset, config)
         assert report.n_images == 24
         assert report.patch_accuracy is None
@@ -834,9 +828,7 @@ class TestRunCv:
         monkeypatch.setattr(evaluation, "prepare_record_image",
                             lambda *args: read.append(args))
         with pytest.raises(InsufficientPatients):
-            run_cv(manifest, RunConfig(
-                method=method, jobs=2,
-                wholeimage_baseline=method == "WHOLEIMAGE@0.55x"))
+            run_cv(manifest, RunConfig(method=method, jobs=2))
         assert read == []
 
     def test_balancing_decisions_recorded(self, small_dataset):
@@ -847,6 +839,53 @@ class TestRunCv:
             # any removal must be an augmented row of a train patient
             for key in audit.balancing_removed:
                 assert key[0] != audit.test_patient
+
+
+class TestStages:
+    """`run_cv` is the calls of its four stages, each looked up through
+    `evaluation` at call time, so a tracer that replaces one sees it."""
+
+    STAGES = ("plan_run", "describe_records", "score_folds", "build_report")
+
+    @staticmethod
+    def documents(report):
+        return (results_csv(report), roc_csv(report),
+                json.dumps(summary_dict(report), indent=1, sort_keys=True))
+
+    @pytest.mark.parametrize("overrides", [
+        {"method": "RF-LBP@0.5x"},
+        {"method": "RF-GLCM@1.0x"},
+        {"method": "PPF@0.5x"},
+        {"method": "PPF@0.5x", "patch_classifier": "forest"},
+        {"method": "WHOLEIMAGE@0.55x"},
+    ], ids=["rf-lbp", "rf-glcm-full", "ppf-logistic", "ppf-forest",
+            "wholeimage"])
+    def test_stages_by_hand_equal_run_cv(self, small_dataset, monkeypatch,
+                                         overrides):
+        config = RunConfig(seed=5, jobs=1, **overrides, **fit_options(
+            overrides["method"], 6, 4,
+            overrides.get("patch_classifier", "logistic")))
+        calls = []
+
+        def counting(name, stage):
+            def counted(*args):
+                calls.append(name)
+                return stage(*args)
+            return counted
+
+        for name in self.STAGES:
+            monkeypatch.setattr(evaluation, name,
+                                counting(name, getattr(evaluation, name)))
+        report = evaluation.run_cv(small_dataset, config)
+        monkeypatch.undo()
+        assert calls == list(self.STAGES)
+
+        run = evaluation.plan_run(small_dataset, config)
+        X, owner = evaluation.describe_records(
+            run.manifest, run.manifest.records, config, run.plans)
+        outcomes = evaluation.score_folds(run, config, X, owner)
+        by_hand = evaluation.build_report(run, config, outcomes)
+        assert self.documents(by_hand) == self.documents(report)
 
 
 class TestTracedRoutes:
@@ -883,7 +922,7 @@ class TestTracedRoutes:
          FRAMES | PATCHES | LOGISTIC | {"patching.resize_half"}),
         ({"method": "PPF@0.5x", "patch_classifier": "forest"},
          FRAMES | PATCHES | FOREST | {"patching.resize_half"}),
-        ({"method": "WHOLEIMAGE@0.55x", "wholeimage_baseline": True},
+        ({"method": "WHOLEIMAGE@0.55x"},
          FRAMES | LOGISTIC | {"patching.whiten_values"}),
     ], ids=["rf-lbp", "rf-glcm-full", "ppf-logistic", "ppf-forest",
             "wholeimage"])

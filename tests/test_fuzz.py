@@ -255,8 +255,7 @@ def malformed_manifests(draw, valid: bytes):
 # that fits the cohort's 176 px frames.
 BASES = ({"method": "RF-GLCM@1.0x", "trees": 2, "jobs": 1},
          {"method": "PPF@1.0x", "epochs": 2, "jobs": 2},
-         {"method": "WHOLEIMAGE@0.55x", "wholeimage_baseline": True,
-          "epochs": 2, "jobs": 1})
+         {"method": "WHOLEIMAGE@0.55x", "epochs": 2, "jobs": 1})
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf"),
                               10 ** 400, -10 ** 400])

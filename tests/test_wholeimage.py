@@ -217,6 +217,26 @@ class TestRotate:
         img = make_image(size=160, rng=np.random.default_rng(1))
         assert np.array_equal(rotate(img, 360.0).pixels, img.pixels)
 
+    @pytest.mark.parametrize("angle", [0.0, 360.0])
+    def test_no_turn_keeps_spans_about_non_dyadic_center(self, angle):
+        # No turn samples each pixel at cx + (x - cx), within rounding of
+        # x, so every pixel in the spans keeps its value and every other
+        # pixel is 0.
+        rng = np.random.default_rng(3)
+        img = CleImage(pixels=rng.integers(0, 65536, size=(576, 576),
+                                           dtype=np.uint16),
+                       mask_center=(287.123, 286.9), mask_radius=280.0)
+        spans = np.zeros((576, 2), dtype=np.intp)
+        spans[40:500] = (13, 561)
+        spans[100:140] = (0, 576)
+        spans[300] = (575, 576)
+        out = rotate(img, angle, spans)
+        inside = np.zeros(img.pixels.shape, dtype=bool)
+        for y, (lo, hi) in enumerate(spans):
+            inside[y, lo:hi] = True
+        assert np.array_equal(out.pixels[inside], img.pixels[inside])
+        assert not out.pixels[~inside].any()
+
     def test_four_quarter_turns_identity_inside_circle(self):
         img = make_image(size=160, rng=np.random.default_rng(2))
         out = img
