@@ -23,9 +23,9 @@ from . import __version__
 from .core import (LABELS, DatasetManifest, ManifestError, PgmError,
                    dataset_stats, load_manifest, save_image)
 from .evaluation import (ConfigError, InsufficientPatients, METHODS,
-                         RunConfig, confusion_metrics, describe_records,
-                         plan_records, prepare_record_image, results_csv,
-                         roc_auc, roc_csv, run_cv, summary_dict)
+                         PATCH_CLASSIFIERS, RunConfig, confusion_metrics,
+                         describe_records, plan_records, prepare_record_image,
+                         results_csv, roc_auc, roc_csv, run_cv, summary_dict)
 from .forest import load_forest, save_forest, train_random_forest
 from .fusion import fuse
 from .util import default_jobs
@@ -138,15 +138,9 @@ def cmd_synth(args) -> int:
     # Imported here so that no other command loads scipy.
     from .synth import SynthConfig, generate_dataset
 
-    config = SynthConfig(
-        n_patients=args.patients,
-        images_per_patient=args.images_per_patient,
-        image_size=args.size,
-        class_mix=args.mix,
-        seed=args.seed,
-        patient_style_jitter=args.style_jitter,
-        hard=args.hard,
-    )
+    _checked_config(jobs=args.jobs)
+    config = SynthConfig(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(SynthConfig)})
     try:
         config.validate()
     except ValueError as exc:
@@ -311,9 +305,6 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
-
-
 def _build_run_config(args) -> RunConfig:
     values = dataclasses.asdict(RunConfig())
     if args.config:
@@ -329,12 +320,12 @@ def _build_run_config(args) -> RunConfig:
         # baseline and wrote it into every summary; the method alone
         # selects the baseline now.
         doc.pop("wholeimage_baseline", None)
-        unknown = set(doc) - _CONFIG_FIELDS
+        unknown = set(doc) - set(values)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(doc)
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
+    for name in values:
+        flag = getattr(args, name)
         if flag is not None:
             values[name] = flag
     return _checked_config(**values)
@@ -388,6 +379,10 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+_CHOICES = {"method": METHODS, "patch_classifier": PATCH_CLASSIFIERS}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clescreen",
@@ -405,12 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--patients", type=int, default=12)
+    # One flag per SynthConfig field, `dest` the field's name.
+    p.add_argument("--patients", dest="n_patients", type=int, default=12)
     p.add_argument("--images-per-patient", type=int, default=60)
-    p.add_argument("--size", type=int, default=576)
-    p.add_argument("--mix", type=float, default=0.483)
+    p.add_argument("--size", dest="image_size", type=int, default=576)
+    p.add_argument("--mix", dest="class_mix", type=float, default=0.483)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--style-jitter", type=float, default=1.0)
+    p.add_argument("--style-jitter", dest="patient_style_jitter", type=float,
+                   default=1.0)
     p.add_argument("--hard", action="store_true",
                    help="shrink the class margin")
     p.add_argument("--jobs", type=int, default=default_jobs())
@@ -440,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a random forest on a feature CSV")
     p.add_argument("--features", required=True)
-    p.add_argument("--trees", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trees", type=int, default=RunConfig.trees)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=default_jobs())
     p.set_defaults(func=cmd_train)
@@ -466,21 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON config (or a previous summary.json); "
                                     "explicit flags win")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--k-aug", dest="k_aug", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--patch-size", dest="patch_size", type=int)
-    p.add_argument("--overlap", type=float)
-    p.add_argument("--admission-fraction", dest="admission_fraction",
-                   type=float)
-    p.add_argument("--patch-classifier", dest="patch_classifier",
-                   choices=("logistic", "forest"))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--glcm-levels", dest="glcm_levels", type=int)
+    # One flag per RunConfig field.  Its default is None, so a --config
+    # value applies unless the flag is given.
+    for f in dataclasses.fields(RunConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                       type=_FLAG_TYPES[f.type], choices=_CHOICES.get(f.name))
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("report", help="recompute metrics from a results CSV")

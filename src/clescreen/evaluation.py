@@ -144,6 +144,7 @@ _METHOD_SPEC = {
     "WHOLEIMAGE@0.55x": (_RASTER, None, 1.0),
 }
 METHODS = tuple(_METHOD_SPEC)
+PATCH_CLASSIFIERS = ("logistic", "forest")
 
 # Values accepted for each annotated RunConfig field type: an int may
 # stand in for a float, but a bool (an int subclass) for neither.
@@ -191,13 +192,13 @@ class RunConfig:
                 f"{', '.join(METHODS)}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must be in [0, 1]")
-        if self.trees < 1 or self.k_aug < 0 or self.epochs < 1:
-            raise ConfigError("trees/epochs must be >= 1 and k_aug >= 0")
+        if min(self.trees, self.epochs, self.jobs) < 1 or self.k_aug < 0:
+            raise ConfigError("trees/epochs/jobs must be >= 1 and k_aug >= 0")
         if self.rate <= 0:
             raise ConfigError("rate must be positive")
         if not 0.0 < self.admission_fraction <= 1.0:
             raise ConfigError("admission_fraction must be in (0, 1]")
-        if self.patch_classifier not in ("logistic", "forest"):
+        if self.patch_classifier not in PATCH_CLASSIFIERS:
             raise ConfigError(
                 f"unknown patch classifier {self.patch_classifier!r}")
         if not 0.0 <= self.overlap < 1.0:
@@ -462,16 +463,16 @@ def plan_records(manifest: core.DatasetManifest,
                  config: RunConfig) -> list[RecordPlan]:
     """Every record's `RecordPlan`, from its header, mask sidecar and
     artifacts alone: `prepare_record_image`'s frame, halved at 0.5x by
-    `resize_half`'s rule (odd sizes drop a row or column; 1x1 stays)."""
+    `patching.half_geometry`, the rule `resize_half` follows."""
     layout, _, scale = _METHOD_SPEC[config.method]
     plan = []
     for record in records:
         path = manifest.image_path(record)
         width, height, (center, radius) = core.read_geometry(path)
         rects = _prepared_rects(record, (width, height), center, scale)
-        if scale == 0.5 and (width, height) != (1, 1):
-            width, height = width // 2, height // 2
-            center, radius = (center[0] / 2.0, center[1] / 2.0), radius / 2.0
+        if scale == 0.5:
+            (width, height), center, radius = patching.half_geometry(
+                (width, height), center, radius)
         coords = []
         if "patch_size" in layout.reads:  # else the frame may be tiny
             try:

@@ -36,18 +36,26 @@ class PatchCoords:
             raise ValueError(f"degenerate patch coords {self}")
 
 
-def resize_half(image: CleImage) -> CleImage:
-    """Downscale by 2 with exact 2x2 area averaging (round half up).
+def half_geometry(dims: tuple, center: tuple, radius: float) -> tuple:
+    """(width, height), mask center and radius of a frame of `dims` =
+    (width, height) after `resize_half`: odd sizes first drop a trailing
+    row or column, a 1x1 frame stays as it is, and the center and radius
+    halve along with the raster."""
+    if dims == (1, 1):
+        return dims, center, radius
+    return ((dims[0] // 2, dims[1] // 2), (center[0] / 2.0, center[1] / 2.0),
+            radius / 2.0)
 
-    Odd dimensions are first cropped by one trailing row/column; the mask
-    center and radius are halved along with the raster.
-    """
+
+def resize_half(image: CleImage) -> CleImage:
+    """Downscale by 2 with exact 2x2 area averaging (round half up), to
+    the geometry `half_geometry` gives."""
     px = image.pixels
-    h, w = px.shape
-    if h == 1 and w == 1:
+    (w, h), center, radius = half_geometry(
+        (px.shape[1], px.shape[0]), image.mask_center, image.mask_radius)
+    if (h, w) == px.shape:
         return image
-    cx, cy = image.mask_center
-    h, w = h - h % 2, w - w % 2
+    h, w = 2 * h, 2 * w
     # Sum the four phases into one half-size buffer, so only a quarter
     # of the frame is ever widened.
     s = px[0:h:2, 0:w:2].astype(np.uint32)
@@ -56,9 +64,8 @@ def resize_half(image: CleImage) -> CleImage:
     s += px[1:h:2, 1:w:2]
     s += 2
     s //= 4
-    out = s.astype(np.uint16)
-    return CleImage(pixels=out, mask_center=(cx / 2.0, cy / 2.0),
-                    mask_radius=image.mask_radius / 2.0)
+    return CleImage(pixels=s.astype(np.uint16), mask_center=center,
+                    mask_radius=radius)
 
 
 def _lattice(dim: int, patch_size: int, stride: int) -> list[int]:

@@ -57,15 +57,19 @@ def mem_available() -> int | None:
     return None
 
 
-# glibc's mallopt parameters (malloc.h), which `_install` sets in pool
-# workers.  By default a block of 128 KiB or more is mmapped and unmapped
-# when freed, so every frame-sized temporary of every record (a rotated
-# copy, a halved frame, a patch stack) comes from fresh pages and pays a
-# page fault per 4 KiB.  Serving blocks up to 16 MiB from the heap, and
-# keeping up to 64 MiB of free heap top before trimming it, keeps one
-# record's working set on pages the worker already holds.  4 and 8 MiB
-# are too small for a full-scale RF-GLCM record.
+# glibc's mallopt parameters (malloc.h) and the allocator policy that
+# pool workers and serial maps run under.  By default a block of 128 KiB
+# or more is mmapped and unmapped when freed, so every frame-sized
+# temporary of every record (a rotated copy, a halved frame, a patch
+# stack) comes from fresh pages and pays a page fault per 4 KiB.  Serving
+# blocks up to 16 MiB from the heap, and keeping up to 64 MiB of free
+# heap top before trimming it, keeps one record's working set on pages
+# the process already holds.  4 and 8 MiB are too small for a full-scale
+# RF-GLCM record.  A serial map restores glibc's static defaults after
+# it; a threshold set by mallopt ends glibc's dynamic mmap threshold,
+# so that stays off.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_POLICY = {_M_MMAP_THRESHOLD: 16 << 20, _M_TRIM_THRESHOLD: 64 << 20}
 
 
 def _mallopt() -> Callable[[int, int], int] | None:
@@ -78,19 +82,30 @@ def _mallopt() -> Callable[[int, int], int] | None:
     return fn
 
 
+# Whether this process runs under `_POLICY`: a pool worker from its start,
+# the parent for the length of a serial map.
+_under_policy = False
+
+
+def _set_policy(on: bool) -> None:
+    """Set `_POLICY`, or glibc's static defaults (128 KiB for both) when
+    not `on`, where the C library has `mallopt`."""
+    global _under_policy
+    mallopt, _under_policy = _mallopt(), on
+    for param, value in _POLICY.items() if mallopt else ():
+        mallopt(param, value if on else 128 << 10)
+
+
 # The function a pool worker maps over its items.  Set once in each worker
 # by the pool initializer; the parent process never writes it.
 _worker_fn: Callable[[Any], Any] | None = None
 
 
 def _install(fn: Callable[[Any], Any]) -> None:
-    """Pool initializer: fix the worker's allocator policy, then keep
-    `fn`.  The parent process and `jobs=1` runs keep glibc's defaults."""
+    """Pool initializer: fix the worker's allocator policy for good, then
+    keep `fn`."""
     global _worker_fn
-    mallopt = _mallopt()
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, 16 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    _set_policy(True)
     _worker_fn = fn
 
 
@@ -107,10 +122,18 @@ def run_parallel(fn: Callable[[Any], Any], items: Sequence[Any],
     large arrays are never copied.  Items and results are pickled, so
     keep items small (indices rather than frames).  The result is
     independent of `jobs` whenever `fn`'s output depends only on its item.
+    Pool workers, and this process during a serial map, run under the
+    allocator policy `_POLICY`.
     """
     jobs = pool_size(jobs, len(items))
     if jobs <= 1:
-        return [fn(item) for item in items]
+        if _under_policy:  # in a pool worker, or inside a serial map
+            return [fn(item) for item in items]
+        _set_policy(True)
+        try:
+            return [fn(item) for item in items]
+        finally:
+            _set_policy(False)
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(items) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,

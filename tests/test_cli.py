@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: subcommands, files, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from clescreen import core, evaluation, features, forest
-from clescreen.cli import main
+from clescreen.cli import build_parser, main
 from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
                             load_manifest, save_image, save_manifest)
 from clescreen.evaluation import (METHODS, RunConfig, prepare_record_image,
@@ -71,6 +72,26 @@ class TestSynthStats:
     def test_synth_rejects_bad_config(self, tmp_path):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--size", "100"])
         assert rc == 3
+
+    def test_synth_flags_fill_every_config_field(self, tmp_path,
+                                                 monkeypatch):
+        # Each flag lands in its SynthConfig field, and the flag defaults
+        # are the dataclass's.
+        from clescreen import synth
+        seen = []
+        monkeypatch.setattr(
+            synth, "generate_dataset",
+            lambda config, out, jobs: seen.append((config, jobs))
+            or DatasetManifest(records=[], root_path=tmp_path))
+        assert main(["synth", "--out", str(tmp_path), "--patients", "3",
+                     "--images-per-patient", "5", "--size", "200", "--mix",
+                     "0.3", "--seed", "9", "--style-jitter", "0.5", "--hard",
+                     "--jobs", "1"]) == 0
+        assert main(["synth", "--out", str(tmp_path), "--jobs", "1"]) == 0
+        assert seen == [(synth.SynthConfig(
+            n_patients=3, images_per_patient=5, image_size=200,
+            class_mix=0.3, seed=9, patient_style_jitter=0.5, hard=True), 1),
+            (synth.SynthConfig(), 1)]
 
     def test_out_of_memory_exit_code(self, tmp_path):
         # A 200000 px frame cannot be rendered.  The address space of the
@@ -445,6 +466,10 @@ class TestOptionValidation:
         ("preprocess", "--target", "-3"),
         ("train", "--trees", "0"),
         ("report", "--threshold", "7"),
+        ("cv", "--jobs", "0"),
+        ("cv", "--jobs", "-3"),
+        ("train", "--jobs", "0"),
+        ("synth", "--jobs", "0"),
     ])
     def test_bad_option_is_config_error(self, dataset, tmp_path, capsys,
                                         command, option, value):
@@ -459,6 +484,9 @@ class TestOptionValidation:
         args = {"preprocess": ["--data", str(dataset), "--out", str(out)],
                 "train": ["--features", str(feat), "--out", str(out)],
                 "report": ["--results", str(results), "--out", str(out)],
+                "cv": ["--data", str(dataset), "--out", str(out)],
+                "synth": ["--out", str(out), "--patients", "2",
+                          "--images-per-patient", "3", "--size", "200"],
                 }[command]
         capsys.readouterr()
         assert main([command, *args, option, value]) == 3
@@ -467,6 +495,46 @@ class TestOptionValidation:
 
 
 class TestCv:
+    def test_one_flag_per_config_field(self):
+        # The flags are built from the dataclass: one per field, named
+        # after it, with its type, and choices where the field has them.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a for a in sub.choices["cv"]._actions
+                 if a.dest not in ("help", "data", "out", "config")}
+        fields = dataclasses.fields(RunConfig)
+        assert list(flags) == [f.name for f in fields]
+        choices = {"method": METHODS,
+                   "patch_classifier": evaluation.PATCH_CLASSIFIERS}
+        for f in fields:
+            flag = flags[f.name]
+            assert flag.option_strings == [f"--{f.name.replace('_', '-')}"]
+            assert flag.type is {"int": int, "float": float, "str": str}[
+                f.type]
+            assert flag.choices == choices.get(f.name)
+            assert flag.default is None
+
+    @pytest.mark.parametrize("method, option, key, value", [
+        ("PPF@0.5x", "--l2", "l2", 0.01),
+        ("WHOLEIMAGE@0.55x", "--target-size", "target_size", 64),
+    ], ids=["l2", "target-size"])
+    def test_flag_equals_config_key(self, dataset, tmp_path, method, option,
+                                    key, value):
+        # Fields once settable only through --config have flags now.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"method": method, key: value}))
+        common = ["--data", str(dataset), "--k-aug", "0", "--epochs", "3",
+                  "--jobs", "1"]
+        assert main(["cv", *common, "--method", method, option, str(value),
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert main(["cv", *common, "--config", str(config),
+                     "--out", str(tmp_path / "config")]) == 0
+        summary = json.loads((tmp_path / "flag" / "summary.json").read_text())
+        assert summary["config"][key] == value
+        for name in ("results.csv", "roc.csv", "summary.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == \
+                (tmp_path / "config" / name).read_bytes()
+
     def test_cv_writes_outputs(self, dataset, tmp_path):
         out = tmp_path / "cv"
         rc = main(["cv", "--data", str(dataset), "--method", "RF-LBP@0.5x",
