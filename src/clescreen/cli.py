@@ -28,7 +28,7 @@ from .evaluation import (ConfigError, InsufficientPatients, METHODS,
                          results_csv, roc_auc, roc_csv, run_cv, summary_dict)
 from .forest import load_forest, save_forest, train_random_forest
 from .fusion import fuse
-from .util import default_jobs
+from .util import _set_policy, default_jobs
 from . import wholeimage
 
 _EXIT_CONFIG = 3
@@ -161,9 +161,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.mode == "wholeimage" and args.scale is not None:
+        raise ConfigError("preprocess --mode wholeimage does not read "
+                          "--scale; it is for --mode patches")
     config = _checked_config(
         method=("WHOLEIMAGE@0.55x" if args.mode == "wholeimage"
-                else f"PPF@{args.scale:.1f}x"),
+                else f"PPF@{args.scale or 0.5:.1f}x"),
         target_size=args.target, jobs=1)
     manifest = _load_originals(args.data, "preprocess")
     out = Path(args.out)
@@ -172,7 +175,7 @@ def cmd_preprocess(args) -> int:
     if args.mode == "wholeimage":
         sidecar = ["patient,sequence,frame,p_low,p_high,side,origin_x,origin_y"]
         for rec in records:
-            img, _rects = prepare_record_image(manifest, rec, config.scale)
+            img = prepare_record_image(manifest, rec, config.scale)
             comp, crop, raster = wholeimage.preprocess(img, config.target_size)
             save_image(raster, out / f"{rec.patient}_{rec.sequence}_"
                                       f"f{rec.frame:04d}.pgm")
@@ -422,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=("wholeimage", "patches"),
                    default="wholeimage")
-    p.add_argument("--scale", type=float, choices=(1.0, 0.5), default=0.5)
+    p.add_argument("--scale", type=float, choices=(1.0, 0.5),
+                   help="patch grid scale for --mode patches (default 0.5)")
     p.add_argument("--target", type=int, default=wholeimage.TARGET_SIZE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
@@ -491,6 +495,10 @@ def _fail(message: str, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Commands that prepare or fuse frames in a plain loop (fuse,
+    # preprocess --mode wholeimage) run under the pool workers' allocator
+    # policy too.
+    _set_policy()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -17,15 +17,18 @@ their balancing, plans every record from its image header
 hence its rows) and checks memory.  Then come two forked passes.  The
 record pass is `describe_records`: the worker that prepares a record
 writes its rows into one matrix in a shared mapping, so no frame or row
-crosses the process boundary.  The fold pass, in `score_folds`, fits and
-scores one fold per worker, each forest splitting its roots a block of
-trees at a time.  With more jobs than folds, the extra cores sit idle in
-the fold pass.  Logistic folds (logistic-PPF, the whole-image baseline)
-train and score in this process, since OpenBLAS already uses every core:
+crosses the process boundary.  The fold pass, in `score_folds`, fits one
+fold per worker, each forest splitting its roots a block of trees at a
+time, and predicts the fold's held-out rows in one call.  With more
+jobs than folds, the extra cores sit idle in the fold pass.  Logistic
+folds (logistic-PPF, the whole-image baseline) train and predict in this
+process, since OpenBLAS already uses every core:
 `classify.train_logistic_folds` trains them all in one masked descent
 over the rows, or over their Gram matrix when they are fewer than the
-columns, and copies no fold's rows.  `build_report` gathers the fold
-outcomes into the `EvalReport`.
+columns, and copies no fold's rows.  `build_report` turns the fold
+posteriors into the `EvalReport`: it fuses each held-out record's patch
+posteriors into its image probability and counts patch hits over the
+same vector.
 
 The method table (`_METHOD_SPEC`) maps each method to its row layout,
 texture descriptor class and scale, and every per-kind rule of the two
@@ -387,31 +390,29 @@ class EvalReport:
 
 def prepare_record_image(manifest: core.DatasetManifest,
                          record: core.ImageRecord, scale: float,
-                         coords: list | None = None
-                         ) -> tuple[core.CleImage, list]:
+                         coords: list | None = None) -> core.CleImage:
     """Load a record at pipeline scale: rotate augmented copies about the
-    view center, then downscale.  Artifact rectangles follow the same
-    transforms (conservatively, by outward rounding).
+    view center, then downscale.  `_prepared_rects` gives its artifact
+    rectangles in the prepared frame.
 
     Given the planned patch `coords` of the prepared frame, an augmented
     copy rotates only the pixels they read (`_read_spans`), and every
     other pixel of the prepared frame is 0.  Without them (None or empty,
     as on the whole-image route), the whole frame rotates."""
     img = core.load_image(manifest.image_path(record))
-    rects = _prepared_rects(record, (img.width, img.height), img.mask_center,
-                            scale)
     if record.is_augmented:
         spans = _read_spans(coords, img.height, scale) if coords else None
         img = wholeimage.rotate(img, record.rotation_deg, spans)
     if scale == 0.5:
         img = patching.resize_half(img)
-    return img, rects
+    return img
 
 
 def _prepared_rects(record: core.ImageRecord, dims: tuple[int, int],
                     center: tuple[float, float], scale: float) -> list:
     """The artifact rectangles of `record`, whose source frame has `dims`
-    and mask `center`, in the frame that `prepare_record_image` gives."""
+    and mask `center`, in the frame that `prepare_record_image` gives
+    (conservatively, by outward rounding)."""
     rects = list(record.artifacts)
     if record.is_augmented:
         rects = [r for r in (patching.rotate_rect(rc, center,
@@ -516,7 +517,7 @@ def describe_records(manifest: core.DatasetManifest,
 
     def fill(i: int) -> None:
         coords = plan[i].coords
-        img, _rects = prepare_record_image(manifest, records[i], scale, coords)
+        img = prepare_record_image(manifest, records[i], scale, coords)
         layout.fill(img, coords, X[ends[i] - counts[i]:ends[i]], config)
 
     run_parallel(fill, range(len(records)), config.jobs)
@@ -524,18 +525,23 @@ def describe_records(manifest: core.DatasetManifest,
 
 
 def _check_memory(rows, kept: list[np.ndarray], config: RunConfig,
-                  patches: int = 0) -> None:
+                  patches: int = 0, held_out: list[np.ndarray] = ()) -> None:
     """Refuse a run whose row matrix plus what its folds train on alive
     at once would not fit in the memory available now.  `rows[i]` is
-    record i's row count and `kept[f]` holds fold f's kept record
-    indices.  Logistic folds train together and copy no rows: they hold
+    record i's row count, and `kept[f]` and `held_out[f]` hold fold f's
+    kept and held-out record indices.  A fold predicts a copy of its
+    held-out rows after it is fitted, so each fold's fit and prediction
+    are checked apart, the larger counting.  Logistic folds train
+    together and copy no rows: they hold
     `classify.logistic_working_bytes`, the Gram matrix in sample space
-    plus their coefficients and temporaries.  A forest fold holds
-    `X[rows]`, the float64 copy `train_random_forest` makes and its
-    split temporaries (3.26x the float32 rows: the tracemalloc peak of
-    one forest on 1000 x 6400 rows while the caller holds `X[rows]`;
-    such a root is split alone), and as many forest folds run at once
-    as the fold pass has workers (`pool_size`).
+    plus their coefficients and temporaries, and then predict one fold at
+    a time.  A forest fold holds `X[rows]`, the float64 copy
+    `train_random_forest` makes and its split temporaries (3.26x the
+    float32 rows: the tracemalloc peak of one forest on 1000 x 6400 rows
+    while the caller holds `X[rows]`; such a root is split alone), then
+    the held-out copy and the float64 copy `predict_proba` makes of it;
+    as many forest folds run at once as the fold pass has workers
+    (`pool_size`).
     For RF-GLCM, each record-pass worker holds
     `features.glcm_working_bytes` for a record of `patches` patches (the
     most of any record); the record pass ends before the fold pass
@@ -550,14 +556,17 @@ def _check_memory(rows, kept: list[np.ndarray], config: RunConfig,
     counts = np.asarray(rows, dtype=np.int64)
     n = int(counts.sum())
     cache = n * row_bytes
+    held_rows = max((int(counts[t].sum()) for t in held_out), default=0)
     if layout.forest(config):
         fold_rows = max(int(counts[k].sum()) for k in kept)
         folds = pool_size(config.jobs, len(kept))
-        fold_bytes = fold_rows * row_bytes * folds * 326 // 100
+        fold_bytes = max(fold_rows * row_bytes * folds * 326 // 100,
+                         held_rows * (row_bytes + 8 * columns) * folds)
         what = f"{folds} forest fold copies"
     else:
-        fold_bytes = classify.logistic_working_bytes((n, columns), len(kept),
-                                                     dtype)
+        fold_bytes = max(
+            classify.logistic_working_bytes((n, columns), len(kept), dtype),
+            held_rows * row_bytes)
         what = "logistic folds"
     if descriptor_cls is features.GlcmConfig:
         workers = pool_size(config.jobs, len(counts))
@@ -634,16 +643,18 @@ def plan_run(manifest: core.DatasetManifest, config: RunConfig) -> RunPlan:
                 f"augmented record in test fold {fold.test_patient}")
     plans = plan_records(augmented, records, config)
     _check_memory(_row_counts(plans, _METHOD_SPEC[config.method][0]), kept,
-                  config, max(len(p.coords) for p in plans))
+                  config, max(len(p.coords) for p in plans),
+                  [fold.test_idx for fold in folds])
     return RunPlan(augmented, labels, is_augmented, folds, fold_seeds, kept,
                    plans)
 
 
 def score_folds(run: RunPlan, config: RunConfig, X: np.ndarray,
-                owner: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
+                owner: np.ndarray) -> list[np.ndarray]:
     """Each fold fitted on the rows (of `describe_records`) of its kept
-    records and scored on its held-out originals: (p per test record,
-    patch hits, patches scored) per fold, in fold order.
+    records and scored on the rows of its held-out originals: per fold,
+    in fold order, the class-1 posterior of every held-out row, in row
+    order, from one `predict_proba` call.
 
     Logistic folds train here, before the fold pass: OpenBLAS already
     spreads their matrix products over every core, and forked workers
@@ -651,57 +662,59 @@ def score_folds(run: RunPlan, config: RunConfig, X: np.ndarray,
     PPF@0.5x folds of a 4-patient cohort onto 2 workers took run_cv from
     1.8 s to 3.9 s); they are then scored here too.  Forest folds grow
     and score on `config.jobs` forked workers that inherit X, so only
-    probabilities come back."""
+    posteriors come back."""
     layout = _METHOD_SPEC[config.method][0]
     fold_rows = [np.flatnonzero(np.isin(owner, k)) for k in run.kept]
     models = (None if layout.forest(config)
               else _fit_logistic(config, X, run.labels[owner], fold_rows))
 
-    def fold_pass(f: int) -> tuple[np.ndarray, int, int]:
-        test_idx, rows = run.folds[f].test_idx, fold_rows[f]
+    def fold_pass(f: int) -> np.ndarray:
         if models is None:
+            rows = fold_rows[f]
             model = forest.train_random_forest(
                 X[rows], run.labels[owner[rows]], trees=config.trees,
                 seed=run.fold_seeds[run.folds[f].test_patient], jobs=1)
         else:
             model = models[f]
-        if not layout.per_patch:
-            return model.predict_proba(X[test_idx])[:, 1], 0, 0
-        # Fuse each test record's patch posteriors.
-        probs = np.empty(len(test_idx), dtype=np.float64)
-        hits = total = 0
-        for n, i in enumerate(test_idx):
-            lo, hi = np.searchsorted(owner, (i, i + 1))
-            pp = model.predict_proba(X[lo:hi])[:, 1]
-            probs[n] = fusion.fuse(list(zip(run.plans[i].coords, pp)),
-                                   run.plans[i].dims).p
-            hits += int(((pp >= config.threshold).astype(int)
-                         == run.labels[i]).sum())
-            total += len(pp)
-        return probs, hits, total
+        held_out = np.isin(owner, run.folds[f].test_idx)
+        return model.predict_proba(X[held_out])[:, 1]
 
     return run_parallel(fold_pass, range(len(run.folds)),
                         config.jobs if models is None else 1)
 
 
 def build_report(run: RunPlan, config: RunConfig,
-                 outcomes: list[tuple[np.ndarray, int, int]]) -> EvalReport:
-    """The `EvalReport` of `score_folds`' outcomes: the held-out scores
-    concatenated in fold order, their metrics, ROC and AUC, and each
-    fold's provenance audit."""
+                 posteriors: list[np.ndarray]) -> EvalReport:
+    """The `EvalReport` of `score_folds`' posteriors: each held-out
+    record's p, its metrics, ROC and AUC, and each fold's provenance
+    audit.  A fold's posteriors split by its records' row counts.  A
+    record with one row takes that row's posterior as its p; a record of
+    patch rows fuses them over its planned patches (`fusion.fuse`), and
+    patch accuracy counts the patch rows whose thresholded posterior
+    equals their record's label.  The p are concatenated in fold order."""
+    layout = _METHOD_SPEC[config.method][0]
     records = run.manifest.records
     results: list[ResultRow] = []
     audits: list[FoldAudit] = []
-    for fold, kept_idx, (probs, _hits, _total) in zip(run.folds, run.kept,
-                                                      outcomes):
+    patch_hits = patch_total = 0
+    for fold, kept_idx, pp in zip(run.folds, run.kept, posteriors):
         test_idx = fold.test_idx
-        removed_idx = np.setdiff1d(fold.train_idx, kept_idx,
-                                   assume_unique=True)
-        for i, p in zip(test_idx, probs):
+        counts = _row_counts([run.plans[i] for i in test_idx], layout)
+        if layout.per_patch:
+            patch_hits += int(((pp >= config.threshold).astype(int)
+                               == np.repeat(run.labels[test_idx], counts)
+                               ).sum())
+            patch_total += len(pp)
+        for i, rows in zip(test_idx, np.split(pp, np.cumsum(counts)[:-1])):
+            p = (fusion.fuse(list(zip(run.plans[i].coords, rows)),
+                             run.plans[i].dims).p
+                 if layout.per_patch else rows[0])
             rec = records[i]
             results.append(ResultRow(
                 patient=rec.patient, sequence=rec.sequence, frame=rec.frame,
                 label=int(run.labels[i]), p=float(p)))
+        removed_idx = np.setdiff1d(fold.train_idx, kept_idx,
+                                   assume_unique=True)
         audits.append(FoldAudit(
             test_patient=fold.test_patient,
             fold_seed=run.fold_seeds[fold.test_patient],
@@ -712,8 +725,6 @@ def build_report(run: RunPlan, config: RunConfig,
             balancing_removed=[records[i].key() for i in removed_idx],
             n_augmented_in_test=int(run.is_augmented[test_idx].sum()),
         ))
-    patch_hits = sum(hits for _p, hits, _total in outcomes)
-    patch_total = sum(total for _p, _hits, total in outcomes)
 
     y_all = np.array([r.label for r in results])
     p_all = np.array([r.p for r in results])

@@ -57,17 +57,16 @@ def mem_available() -> int | None:
     return None
 
 
-# glibc's mallopt parameters (malloc.h) and the allocator policy that
-# pool workers and serial maps run under.  By default a block of 128 KiB
+# glibc's mallopt parameters (malloc.h) and the allocator policy that a
+# process runs under from its first map on.  By default a block of 128 KiB
 # or more is mmapped and unmapped when freed, so every frame-sized
 # temporary of every record (a rotated copy, a halved frame, a patch
 # stack) comes from fresh pages and pays a page fault per 4 KiB.  Serving
 # blocks up to 16 MiB from the heap, and keeping up to 64 MiB of free
 # heap top before trimming it, keeps one record's working set on pages
 # the process already holds.  4 and 8 MiB are too small for a full-scale
-# RF-GLCM record.  A serial map restores glibc's static defaults after
-# it; a threshold set by mallopt ends glibc's dynamic mmap threshold,
-# so that stays off.
+# RF-GLCM record.  Forked workers inherit the policy with the rest of
+# the allocator's state.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _POLICY = {_M_MMAP_THRESHOLD: 16 << 20, _M_TRIM_THRESHOLD: 64 << 20}
 
@@ -82,18 +81,12 @@ def _mallopt() -> Callable[[int, int], int] | None:
     return fn
 
 
-# Whether this process runs under `_POLICY`: a pool worker from its start,
-# the parent for the length of a serial map.
-_under_policy = False
-
-
-def _set_policy(on: bool) -> None:
-    """Set `_POLICY`, or glibc's static defaults (128 KiB for both) when
-    not `on`, where the C library has `mallopt`."""
-    global _under_policy
-    mallopt, _under_policy = _mallopt(), on
+def _set_policy() -> None:
+    """Put this process under `_POLICY` for good, where the C library has
+    `mallopt`; setting it again changes nothing."""
+    mallopt = _mallopt()
     for param, value in _POLICY.items() if mallopt else ():
-        mallopt(param, value if on else 128 << 10)
+        mallopt(param, value)
 
 
 # The function a pool worker maps over its items.  Set once in each worker
@@ -102,10 +95,8 @@ _worker_fn: Callable[[Any], Any] | None = None
 
 
 def _install(fn: Callable[[Any], Any]) -> None:
-    """Pool initializer: fix the worker's allocator policy for good, then
-    keep `fn`."""
+    """Pool initializer: keep `fn`."""
     global _worker_fn
-    _set_policy(True)
     _worker_fn = fn
 
 
@@ -122,18 +113,13 @@ def run_parallel(fn: Callable[[Any], Any], items: Sequence[Any],
     large arrays are never copied.  Items and results are pickled, so
     keep items small (indices rather than frames).  The result is
     independent of `jobs` whenever `fn`'s output depends only on its item.
-    Pool workers, and this process during a serial map, run under the
-    allocator policy `_POLICY`.
+    This process is under the allocator policy `_POLICY` from the first
+    map on, and its pool workers inherit it.
     """
+    _set_policy()
     jobs = pool_size(jobs, len(items))
     if jobs <= 1:
-        if _under_policy:  # in a pool worker, or inside a serial map
-            return [fn(item) for item in items]
-        _set_policy(True)
-        try:
-            return [fn(item) for item in items]
-        finally:
-            _set_policy(False)
+        return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(items) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,

@@ -15,8 +15,7 @@ from clescreen import core, evaluation, features, forest
 from clescreen.cli import build_parser, main
 from clescreen.core import (CARCINOGENIC, NORMAL, DatasetManifest,
                             load_manifest, save_image, save_manifest)
-from clescreen.evaluation import (METHODS, RunConfig, prepare_record_image,
-                                  record_patch_coords)
+from clescreen.evaluation import METHODS, RunConfig, plan_records
 from clescreen.fusion import fuse
 from conftest import fit_options, make_image, make_record
 
@@ -422,6 +421,29 @@ class TestPreprocess:
         lines = (out / "patches.csv").read_text().splitlines()
         assert lines[0] == "patient,sequence,frame,patch_index,c1,c2,c3,c4"
         assert len(lines) > 12
+
+    def test_patches_mode_scale_defaults_to_half(self, dataset, tmp_path):
+        given, default = tmp_path / "given", tmp_path / "default"
+        assert main(["preprocess", "--data", str(dataset), "--mode",
+                     "patches", "--scale", "0.5", "--out", str(given)]) == 0
+        assert main(["preprocess", "--data", str(dataset), "--mode",
+                     "patches", "--out", str(default)]) == 0
+        assert (default / "patches.csv").read_bytes() == \
+            (given / "patches.csv").read_bytes()
+
+    @pytest.mark.parametrize("scale", ["1.0", "0.5"])
+    def test_wholeimage_mode_refuses_scale(self, dataset, tmp_path, capsys,
+                                           scale):
+        # The whole-image route prepares frames at full size whatever the
+        # scale, so a --scale it would ignore is refused.
+        out = tmp_path / "pre"
+        capsys.readouterr()
+        assert main(["preprocess", "--data", str(dataset), "--mode",
+                     "wholeimage", "--scale", scale, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "clescreen: invalid configuration: preprocess --mode wholeimage "
+            "does not read --scale; it is for --mode patches"]
+        assert not out.exists()
 
 
 class TestRotatedCopies:
@@ -944,17 +966,15 @@ class TestFuse:
         rng = np.random.default_rng(3)
         rows = ["patient,sequence,frame,patch_index,p_c1"]
         expected = {}
-        for rec in manifest.records[:5]:
-            img, rects = prepare_record_image(manifest, rec, 0.5)
-            coords = record_patch_coords((img.width, img.height),
-                                         img.mask_center, img.mask_radius,
-                                         rects, config)
+        records = manifest.records[:5]
+        for rec, (coords, dims) in zip(
+                records, plan_records(manifest, records, config)):
             probs = rng.uniform(size=len(coords))
             for j, p in enumerate(probs):
                 rows.append(f"{rec.patient},{rec.sequence},{rec.frame},{j},"
                             f"{float(p)!r}")
             expected[(rec.patient, rec.sequence, rec.frame)] = fuse(
-                list(zip(coords, probs)), (img.width, img.height)).p
+                list(zip(coords, probs)), dims).p
         probs_csv = tmp_path / "probs.csv"
         probs_csv.write_text("\n".join(rows) + "\n")
 

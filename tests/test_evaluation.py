@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clescreen import core, evaluation, features, util, wholeimage
+from clescreen import (core, evaluation, features, forest, fusion, util,
+                       wholeimage)
 from clescreen.core import (CARCINOGENIC, NORMAL, ArtifactRect, CleImage,
                             DatasetManifest)
 from clescreen.classify import augment_rotations
@@ -28,6 +29,14 @@ from clescreen.patching import patch_grid, resize_half, whiten_values
 from clescreen.synth import SynthConfig, generate_dataset
 from clescreen.wholeimage import rotate
 from conftest import fit_options, make_record
+
+
+def prepared_rects(manifest, record, scale):
+    """The artifact rectangles of `record` in the frame that
+    `prepare_record_image` prepares at `scale`."""
+    width, height, (center, _radius) = core.read_geometry(
+        manifest.image_path(record))
+    return evaluation._prepared_rects(record, (width, height), center, scale)
 
 
 def auc_pair_oracle(labels, probs):
@@ -311,11 +320,12 @@ class TestFeatureMatrix:
             assert matrix.shape == (3, len(config.descriptor.row_names()))
             assert owner.tolist() == [0, 1, 2]
             for rec, layout, row in zip(records, plan, matrix):
-                img, rects = prepare_record_image(small_dataset, rec, 0.5)
+                img = prepare_record_image(small_dataset, rec, 0.5)
                 coords = layout.coords
                 assert coords == record_patch_coords(
                     (img.width, img.height), img.mask_center,
-                    img.mask_radius, rects, config)
+                    img.mask_radius, prepared_rects(small_dataset, rec, 0.5),
+                    config)
                 per_patch = np.stack([
                     patch_descriptor(
                         img.pixels[c.c3:c.c4, c.c1:c.c2].astype(np.float64),
@@ -334,7 +344,7 @@ class TestFeatureMatrix:
         expected = [
             whiten_values(img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
             for rec, layout in zip(records, plan)
-            for img in [prepare_record_image(small_dataset, rec, 0.5)[0]]
+            for img in [prepare_record_image(small_dataset, rec, 0.5)]
             for c in layout.coords]
         assert X.dtype == np.float32
         assert np.array_equal(X, np.stack(expected).astype(np.float32))
@@ -374,7 +384,7 @@ class TestFeatureMatrix:
         X, owner = describe_records(small_dataset, records, config, plan)
         want = []
         for rec, layout in zip(records, plan):
-            img, rects = prepare_record_image(small_dataset, rec, scale)
+            img = prepare_record_image(small_dataset, rec, scale)
             assert layout.dims == (img.width, img.height)
             if kind == "raster":
                 raster = wholeimage.preprocess(img, config.target_size)[2]
@@ -383,7 +393,7 @@ class TestFeatureMatrix:
                 continue
             coords = record_patch_coords(
                 (img.width, img.height), img.mask_center, img.mask_radius,
-                rects, config)
+                prepared_rects(small_dataset, rec, scale), config)
             if kind == "patch":
                 want.append([
                     whiten_values(img.pixels[c.c3:c.c4, c.c1:c.c2])[0].ravel()
@@ -458,15 +468,15 @@ class TestPlan:
                 (root / "f.mask.json").write_text(json.dumps(
                     {"center": list(center), "radius": radius}))
             manifest = DatasetManifest(records=[record], root_path=root)
-            img, prepared_rects = prepare_record_image(manifest, record,
-                                                       scale)
+            img = prepare_record_image(manifest, record, scale)
             if method.startswith("WHOLEIMAGE"):
                 want = []
             else:
                 try:
                     want = record_patch_coords(
                         (img.width, img.height), img.mask_center,
-                        img.mask_radius, prepared_rects, config)
+                        img.mask_radius,
+                        prepared_rects(manifest, record, scale), config)
                 except ValueError:  # a frame smaller than a patch
                     want = []
             if method.startswith("WHOLEIMAGE") or want:
@@ -765,8 +775,8 @@ class TestRunCv:
             self, small_dataset, monkeypatch):
         checked = []
 
-        def check(rows, kept, config, patches=0):
-            checked.append(patches)
+        def check(rows, kept, config, patches=0, held_out=()):
+            checked.append((patches, [t.tolist() for t in held_out]))
             raise ConfigError("stop")
 
         monkeypatch.setattr(evaluation, "_check_memory", check)
@@ -774,7 +784,11 @@ class TestRunCv:
         with pytest.raises(ConfigError, match="stop"):
             run_cv(small_dataset, config)
         plan = plan_records(small_dataset, small_dataset.records, config)
-        assert checked == [max(len(p.coords) for p in plan)]
+        # The held-out records of each fold: its patient's originals.
+        folds = lopo_folds(augment_rotations(small_dataset, k=config.k_aug,
+                                             seed=0))
+        assert checked == [(max(len(p.coords) for p in plan),
+                            [f.test_idx.tolist() for f in folds])]
 
     def test_sample_space_memory_check_counts_gram_matrices(self,
                                                             monkeypatch):
@@ -794,6 +808,37 @@ class TestRunCv:
                                  r"\+ logistic folds 16 MiB\) but only 48 "
                                  r"MiB"):
             evaluation._check_memory(rows, kept, config)
+
+    def test_memory_check_counts_held_out_copy(self, monkeypatch):
+        # The records of test_ppf_memory_check_arithmetic (4 KiB float32
+        # rows), with record 1's 1280 rows held out.  What the folds fit
+        # on fits, but predicting the held-out copy does not.
+        rows = [768, 1280]
+        config = RunConfig(method="PPF@0.5x", patch_size=32)
+        forest_config = RunConfig(method="PPF@0.5x", patch_size=32,
+                                  patch_classifier="forest", jobs=1)
+        for config, kept, held_out, copy_mib, what in (
+                # Logistic folds: 192 KiB of working bytes, against a 5
+                # MiB copy of record 1's rows.
+                (config, [np.array([0]), np.array([1])],
+                 [np.array([1]), np.array([0])], 5, "logistic folds"),
+                # One forest fold trained on record 0 (768 rows, 9.8 MiB
+                # at 3.26x), against the copy of record 1's rows plus
+                # the float64 copy predict_proba makes (15 MiB).
+                (forest_config, [np.array([0])], [np.array([1])], 15,
+                 "1 forest fold copies")):
+            need = (8 << 20) + (copy_mib << 20)
+            monkeypatch.setattr(evaluation, "mem_available",
+                                lambda: need - 1)
+            evaluation._check_memory(rows, kept, config)
+            with pytest.raises(ConfigError,
+                               match=rf"needs about {8 + copy_mib} MiB "
+                                     rf"\(patch cache 8 MiB \+ {what} "
+                                     rf"{copy_mib} MiB\) but only "
+                                     rf"{7 + copy_mib} MiB"):
+                evaluation._check_memory(rows, kept, config, 0, held_out)
+            monkeypatch.setattr(evaluation, "mem_available", lambda: need)
+            evaluation._check_memory(rows, kept, config, 0, held_out)
 
     def test_rf_runs_one_record_pass_and_one_fold_pass(self, small_dataset,
                                                        monkeypatch):
@@ -886,6 +931,72 @@ class TestStages:
         outcomes = evaluation.score_folds(run, config, X, owner)
         by_hand = evaluation.build_report(run, config, outcomes)
         assert self.documents(by_hand) == self.documents(report)
+
+
+def per_record_fold_loop(run, config, X, owner):
+    """The fold pass as it was before `score_folds` predicted each fold in
+    one call, kept as the oracle: fit each fold as `score_folds` does,
+    then predict and fuse its held-out records one at a time.  Returns
+    the p of every held-out record in fold order and the patch accuracy
+    (None without patch rows)."""
+    layout = evaluation._METHOD_SPEC[config.method][0]
+    fold_rows = [np.flatnonzero(np.isin(owner, k)) for k in run.kept]
+    models = (None if layout.forest(config) else evaluation._fit_logistic(
+        config, X, run.labels[owner], fold_rows))
+    probs, hits, total = [], 0, 0
+    for f, fold in enumerate(run.folds):
+        rows = fold_rows[f]
+        model = models[f] if models else forest.train_random_forest(
+            X[rows], run.labels[owner[rows]], trees=config.trees,
+            seed=run.fold_seeds[fold.test_patient], jobs=1)
+        if not layout.per_patch:
+            probs.extend(model.predict_proba(X[fold.test_idx])[:, 1])
+            continue
+        for i in fold.test_idx:
+            lo, hi = np.searchsorted(owner, (i, i + 1))
+            pp = model.predict_proba(X[lo:hi])[:, 1]
+            probs.append(fusion.fuse(list(zip(run.plans[i].coords, pp)),
+                                     run.plans[i].dims).p)
+            hits += int(((pp >= config.threshold).astype(int)
+                         == run.labels[i]).sum())
+            total += len(pp)
+    return [float(p) for p in probs], (hits / total if total else None)
+
+
+class TestFoldPosteriors:
+    """`score_folds` predicts each fold's held-out rows in one call and
+    `build_report` fuses them; together they must give what predicting
+    and fusing record by record gave."""
+
+    @pytest.mark.parametrize("overrides, tolerance", [
+        ({"method": "RF-LBP@0.5x"}, 0.0),
+        ({"method": "RF-GLCM@1.0x"}, 0.0),
+        # A fold-sized batch's gemv rounds some logits differently from a
+        # record-sized one.
+        ({"method": "PPF@0.5x"}, 1e-6),
+        ({"method": "PPF@0.5x", "patch_classifier": "forest"}, 0.0),
+        ({"method": "WHOLEIMAGE@0.55x"}, 0.0),
+    ], ids=["rf-lbp", "rf-glcm-full", "ppf-logistic", "ppf-forest",
+            "wholeimage"])
+    def test_report_equals_per_record_fold_loop(self, small_dataset,
+                                                overrides, tolerance):
+        config = RunConfig(seed=5, jobs=2, **overrides, **fit_options(
+            overrides["method"], 6, 4,
+            overrides.get("patch_classifier", "logistic")))
+        run = evaluation.plan_run(small_dataset, config)
+        X, owner = evaluation.describe_records(
+            run.manifest, run.manifest.records, config, run.plans)
+        posteriors = evaluation.score_folds(run, config, X, owner)
+        assert [len(pp) for pp in posteriors] == [
+            int(np.isin(owner, fold.test_idx).sum()) for fold in run.folds]
+        report = evaluation.build_report(run, config, posteriors)
+        probs, patch_accuracy = per_record_fold_loop(run, config, X, owner)
+        got = [r.p for r in report.results]
+        if tolerance:
+            assert np.max(np.abs(np.subtract(got, probs))) <= tolerance
+        else:
+            assert got == probs
+        assert report.patch_accuracy == patch_accuracy
 
 
 class TestTracedRoutes:

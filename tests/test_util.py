@@ -88,62 +88,44 @@ def test_only_synth_loads_scipy():
 
 
 def test_no_mallopt_sets_nothing(monkeypatch):
-    # A C library without mallopt (say, not glibc): the initializer only
-    # keeps the function.
+    # A C library without mallopt (say, not glibc): setting the policy
+    # does nothing, and the initializer only keeps the function.
     monkeypatch.setattr(util.ctypes, "CDLL", lambda name: object())
     assert util._mallopt() is None
+    util._set_policy()
     monkeypatch.setattr(util, "_worker_fn", None)
-    monkeypatch.setattr(util, "_under_policy", False)
     util._install(len)
     assert util._worker_fn is len
 
 
-def recorded_mallopt(monkeypatch) -> list:
-    """The (parameter, value) calls made to a stand-in `mallopt` from now
-    on, in a process that is not yet under the policy."""
+def test_policy_set_by_every_map_and_never_restored(monkeypatch):
+    # A stand-in mallopt records its calls.  Every map, serial or not,
+    # sets the policy before it loops or forks, and nothing ever sets
+    # glibc's defaults back; the pool initializer makes no call, since
+    # forked workers inherit the policy.
     calls = []
     monkeypatch.setattr(util, "_mallopt",
                         lambda: lambda param, value: calls.append(
                             (param, value)))
-    monkeypatch.setattr(util, "_under_policy", False)
-    return calls
-
-
-def test_serial_map_sets_policy_and_restores_it(monkeypatch):
-    calls = recorded_mallopt(monkeypatch)
     policy = [(util._M_MMAP_THRESHOLD, 16 << 20),
               (util._M_TRIM_THRESHOLD, 64 << 20)]
-    defaults = [(util._M_MMAP_THRESHOLD, 128 << 10),
-                (util._M_TRIM_THRESHOLD, 128 << 10)]
 
     def item(i):
-        # A nested serial map, as a forest fold inside a serial fold
-        # pass makes, neither sets nor restores anything.
+        # The policy is in place before the first item runs.
+        seen = calls[:2]
         assert run_parallel(lambda j: j, [0, 1], jobs=1) == [0, 1]
-        return list(calls)
+        return seen
 
-    seen = run_parallel(item, [0, 1], jobs=1)
-    assert seen == [policy, policy]
-    assert calls == policy + defaults
-    # A map that raises restores the defaults too.
+    assert run_parallel(item, [0, 1], jobs=1) == [policy, policy]
+    assert calls == policy * 3  # the outer map and two nested ones
     calls.clear()
     with pytest.raises(ZeroDivisionError):
         run_parallel(lambda i: 1 // i, [0], jobs=1)
-    assert calls == policy + defaults
-    assert util._under_policy is False
-
-
-def test_serial_map_in_worker_keeps_worker_policy(monkeypatch):
-    # A pool worker (here this process after the pool initializer) keeps
-    # its policy through a serial map, as a forest fold's training does.
-    calls = recorded_mallopt(monkeypatch)
+    assert calls == policy
+    calls.clear()
     monkeypatch.setattr(util, "_worker_fn", None)
     util._install(len)
-    assert calls == [(util._M_MMAP_THRESHOLD, 16 << 20),
-                     (util._M_TRIM_THRESHOLD, 64 << 20)]
-    calls.clear()
-    assert run_parallel(lambda i: i * 3, [1, 2], jobs=1) == [3, 6]
-    assert calls == []
+    assert calls == [] and util._worker_fn is len
 
 
 @pytest.mark.skipif(util._mallopt() is None or util.default_jobs() < 2,
